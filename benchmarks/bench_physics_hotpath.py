@@ -129,6 +129,7 @@ def _sweep():
     rows = []
     payload = {
         "smoke": SMOKE,
+        "cpu_count": os.cpu_count(),
         "wordlines_per_block": GEOMETRY.wordlines_per_block,
         "bitlines_per_block": GEOMETRY.bitlines_per_block,
         "pe_cycles": PE_CYCLES,

@@ -33,7 +33,7 @@ from repro.flash.sensing import (
     sense_pages,
     sense_states,
 )
-from repro.flash.state import MlcState, states_from_bits
+from repro.flash.state import states_from_bits
 from repro.physics import constants
 from repro.physics.read_disturb import DEFAULT_READ_DISTURB, vpass_exposure_weight
 from repro.physics.retention import retained_voltage
@@ -256,13 +256,20 @@ class FlashBlock:
         msb_bits: np.ndarray,
         now: float = 0.0,
     ) -> None:
-        """Program both pages of a wordline with explicit bit arrays."""
+        """Program both pages of a wordline with explicit bit arrays.
+
+        **Draw order.**  One program-error ``random`` draw, then one
+        voltage sample per state present in ER -> P3 order (see
+        :meth:`~repro.physics.distributions.NormalLaplaceMixture.sample`),
+        exactly the calls of a per-state boolean-mask loop; the
+        equivalence suite is ``tests/flash/test_program_kernel.py``.
+        """
         if self.programmed[wordline]:
             raise RuntimeError(
                 f"wordline {wordline} already programmed; erase the block first"
             )
         states = states_from_bits(lsb_bits, msb_bits)
-        self.cells.program_wordline(wordline, states, self.pe_cycles, self._rng)
+        self.cells._program_row(wordline, states, self.pe_cycles, self._rng)
         self.programmed[wordline] = True
         self.program_time[wordline] = now
         self.invalidate_voltage_cache()
@@ -448,8 +455,6 @@ class FlashBlock:
         """
         cells = self.cells
         v0 = cells.v0[wordlines].astype(np.float64)
-        work = cells.leak[wordlines].astype(np.float64)
-        scratch = cells.susceptibility[wordlines].astype(np.float64)
         pe = self.pe_cycles
         # Retention: vr = max(v0 - leak*k*max(v0 - floor, 0), min(v0, floor)).
         k = np.maximum(now - self.program_time[wordlines], 0.0)[..., None]
@@ -459,14 +464,17 @@ class FlashBlock:
         k /= 512.0
         charge = v0 - constants.RET_CHARGE_FLOOR
         np.maximum(charge, 0.0, out=charge)
-        np.negative(work, out=work)
-        work *= k
+        # The leak negation rides on the (wordlines, 1) column: leak*(-k)
+        # equals (-leak)*k exactly in IEEE arithmetic.
+        work = cells.leak[wordlines].astype(np.float64)
+        work *= -k
         work *= charge
         work += v0
         np.minimum(v0, constants.RET_CHARGE_FLOOR, out=charge)
         np.maximum(work, charge, out=work)
         # Disturb drift: V = log(exp(k_v*vr) + k_v*(A*susc*damage)*E) / k_v.
         model = self.disturb_model
+        scratch = cells.susceptibility[wordlines].astype(np.float64)
         scratch *= model.amplitude
         scratch *= float(read_disturb_damage(pe))
         scratch *= model.k_v
@@ -802,20 +810,24 @@ class FlashBlock:
             cutoff = None
             voltages = self._wordline_voltages(unique_wordlines, now)
         states = self.cells.true_states[unique_wordlines]
+        # Expected bits straight from the gray code (ER=11, P1=10, P2=00,
+        # P3=01): the LSB is 1 on ER/P1 (states 0-1), the MSB on ER/P3
+        # (states 0 and 3).  Plain ints: an IntEnum operand is ~10x slower.
+        expected_lsb = states <= 1
+        expected_msb = states == 0
+        expected_msb |= states == 3
         # LSB page: sensed bit is V <= Vb (cut-off senses 0, erring wherever
         # the true bit is 1); MSB page: V <= Va or V > Vc (cut-off senses 1).
-        expected_lsb = page_bits_from_states(states, False)
         errors_lsb = voltages <= references.vb
         np.not_equal(errors_lsb, expected_lsb, out=errors_lsb)
-        expected_msb = page_bits_from_states(states, True)
         errors_msb = voltages <= references.va
         errors_msb |= voltages > references.vc
         np.not_equal(errors_msb, expected_msb, out=errors_msb)
         if cutoff is not None:
             # A cut-off bitline's sensed bit is fixed (LSB 0 / MSB 1), so
             # its error flag is just the expected bit (or its complement).
-            np.copyto(errors_lsb, expected_lsb.astype(bool), where=cutoff)
-            np.copyto(errors_msb, expected_msb == 0, where=cutoff)
+            np.copyto(errors_lsb, expected_lsb, where=cutoff)
+            np.copyto(errors_msb, ~expected_msb, where=cutoff)
         return wordlines, inverse, errors_lsb, errors_msb
 
     def measure_block_rber(

@@ -89,14 +89,7 @@ class CellArray:
         """Sample programmed voltages for *states* at the given wear level."""
         states = np.asarray(states)
         out = np.empty(states.shape, dtype=np.float64)
-        flat_states = states.reshape(-1)
-        flat_out = out.reshape(-1)
-        for state in STATE_ORDER:
-            mask = flat_states == int(state)
-            count = int(mask.sum())
-            if count:
-                dist = state_distribution(state, pe_cycles)
-                flat_out[mask] = dist.sample(rng, count)
+        _sample_into(out.reshape(-1), states.reshape(-1), pe_cycles, rng)
         return out
 
     def erase(self, pe_cycles: float, rng: np.random.Generator) -> None:
@@ -114,17 +107,28 @@ class CellArray:
     ) -> None:
         """Program one wordline to *states* (ints in 0..3)."""
         states = np.asarray(states, dtype=np.int8)
+        if ((states < 0) | (states > 3)).any():
+            raise ValueError("states must be in 0..3")
+        self._program_row(wordline, states, pe_cycles, rng)
+
+    def _program_row(
+        self,
+        wordline: int,
+        states: np.ndarray,
+        pe_cycles: float,
+        rng: np.random.Generator,
+    ) -> None:
+        """:meth:`program_wordline` for ``int8`` *states* already known to
+        lie in 0..3 (e.g. fresh from :func:`~repro.flash.state.states_from_bits`)."""
         if states.shape != (self.geometry.bitlines_per_block,):
             raise ValueError(
                 f"expected {self.geometry.bitlines_per_block} states, got {states.shape}"
             )
-        if ((states < 0) | (states > 3)).any():
-            raise ValueError("states must be in 0..3")
         self.true_states[wordline] = states
         # A small wear-dependent fraction mis-programs into an adjacent
         # state; ground truth stays the *intended* data.
         landed = apply_program_errors(states, pe_cycles, rng)
-        self.v0[wordline] = self.sample_voltages(landed, pe_cycles, rng)
+        _sample_into(self.v0[wordline], landed, pe_cycles, rng)
 
     def program_block(
         self,
@@ -146,3 +150,29 @@ class CellArray:
         self.true_states[:] = states
         landed = apply_program_errors(states, pe_cycles, rng)
         self.v0[:] = self.sample_voltages(landed, pe_cycles, rng)
+
+
+def _sample_into(
+    out: np.ndarray,
+    states: np.ndarray,
+    pe_cycles: float,
+    rng: np.random.Generator,
+) -> None:
+    """Write programmed voltages for the 1-D *states* into the 1-D *out*.
+
+    **Draw order.**  One ``state_distribution(state, pe_cycles).sample``
+    call per state present, in :data:`STATE_ORDER`, sized to that
+    state's cell count; the i-th draw of a state lands on that state's
+    i-th cell in index order.  A stable sort groups the cells and one
+    scatter places every draw, cast to *out*'s dtype first (a
+    ``float32`` row rounds each draw exactly as assigning the
+    ``float64`` draws would).
+    """
+    order = np.argsort(states, kind="stable")
+    counts = np.bincount(states, minlength=len(STATE_ORDER)).tolist()
+    draws = [
+        state_distribution(state, pe_cycles).sample(rng, count)
+        for state, count in zip(STATE_ORDER, counts)
+        if count
+    ]
+    out[order] = np.concatenate(draws, dtype=out.dtype, casting="same_kind")

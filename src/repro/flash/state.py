@@ -41,11 +41,10 @@ _BITS_TO_STATE = {bits: state for state, bits in _STATE_TO_BITS.items()}
 _LSB_TABLE = np.array([_STATE_TO_BITS[s][0] for s in STATE_ORDER], dtype=np.uint8)
 _MSB_TABLE = np.array([_STATE_TO_BITS[s][1] for s in STATE_ORDER], dtype=np.uint8)
 
-#: state index for each (lsb, msb) pair; -1 marks impossible combinations
-#: (none exist for 2-bit gray code, but keep the guard for clarity).
-_STATE_TABLE = np.full((2, 2), -1, dtype=np.int8)
-for _state, (_lsb, _msb) in _STATE_TO_BITS.items():
-    _STATE_TABLE[_lsb, _msb] = int(_state)
+#: state for each packed ``(lsb << 1) | msb`` code.
+_STATE_LUT = np.array(
+    [int(_BITS_TO_STATE[code >> 1, code & 1]) for code in range(4)], dtype=np.int8
+)
 
 
 def state_to_bits(state: MlcState) -> tuple[int, int]:
@@ -57,7 +56,7 @@ def bits_to_state(lsb: int, msb: int) -> MlcState:
     """Return the state encoding the (LSB, MSB) pair."""
     if lsb not in (0, 1) or msb not in (0, 1):
         raise ValueError(f"bits must be 0 or 1, got lsb={lsb}, msb={msb}")
-    return MlcState(int(_STATE_TABLE[lsb, msb]))
+    return _BITS_TO_STATE[lsb, msb]
 
 
 def _as_index(states: np.ndarray) -> np.ndarray:
@@ -79,14 +78,16 @@ def msb_of_state(states: np.ndarray) -> np.ndarray:
 
 
 def states_from_bits(lsb: np.ndarray, msb: np.ndarray) -> np.ndarray:
-    """Vectorized (LSB, MSB) -> state conversion."""
+    """Vectorized (LSB, MSB) -> state conversion, as ``int8`` states."""
     lsb = _as_index(lsb)
     msb = _as_index(msb)
     if lsb.shape != msb.shape:
         raise ValueError("lsb and msb arrays must have the same shape")
-    if ((lsb < 0) | (lsb > 1) | (msb < 0) | (msb > 1)).any():
+    # One pass checks both arrays: any value but 0 or 1 (negative ones
+    # included) keeps a bit set above bit 0.
+    if ((lsb | msb) >> 1).any():
         raise ValueError("bit arrays must contain only 0 and 1")
-    return _STATE_TABLE[lsb, msb].astype(np.int64)
+    return _STATE_LUT.take((lsb << 1) | msb)
 
 
 def bit_errors_between(true_states: np.ndarray, read_states: np.ndarray) -> np.ndarray:

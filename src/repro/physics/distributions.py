@@ -132,12 +132,16 @@ class NormalLaplaceMixture:
         return raw
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw samples, rejection-resampling anything above the bound."""
+        """Draw samples, rejection-resampling anything above the bound.
+
+        Draw order: one :meth:`_sample_raw` of *size*, then one per
+        program-verify retry round, sized to that round's offenders.
+        """
         out = self._sample_raw(rng, size)
-        if np.isfinite(self.upper_bound):
+        # Program-verify retries; offender fraction is ~1e-4, so most
+        # draws skip the scan and a few rounds always suffice.
+        if size and out.max() > self.upper_bound:
             bad = out > self.upper_bound
-            # Program-verify retries; offender fraction is ~1e-4 so a few
-            # rounds always suffice.
             for _ in range(100):
                 n_bad = int(np.count_nonzero(bad))
                 if n_bad == 0:
@@ -149,12 +153,16 @@ class NormalLaplaceMixture:
         return out
 
     def _sample_raw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Untruncated draws: *size* tail flags, then the body normals,
+        then (if any flag landed) the Laplace tail draws."""
         tail = rng.random(size) < self.tail_weight
-        out = np.empty(size, dtype=np.float64)
         n_tail = int(np.count_nonzero(tail))
-        out[~tail] = rng.normal(self.mu, self.sigma, size - n_tail)
-        if n_tail:
-            out[tail] = self._laplace.sample(rng, n_tail)
+        body = rng.normal(self.mu, self.sigma, size - n_tail)
+        if not n_tail:
+            return body
+        out = np.empty(size, dtype=np.float64)
+        out[~tail] = body
+        out[tail] = self._laplace.sample(rng, n_tail)
         return out
 
     def mass_between(self, lo: float, hi: float) -> float:

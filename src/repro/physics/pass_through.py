@@ -69,11 +69,13 @@ class PassThroughModel:
         k = float(retention_coefficient(retention_age_seconds, pe_cycles))
         edges = np.linspace(vpass, constants.PROGRAM_VERIFY_MAX, self.grid_points + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        if k > 0.0:
+        # With no retention age (k = 0), or a subnormal one (k -> 0+), the
+        # leak requirement is +inf or overflows to it.  That is the
+        # no-leak limit, and leak_cdf(inf) == 1: every cell programmed
+        # above vpass is still above it.
+        with np.errstate(divide="ignore", over="ignore"):
             l_req = (mids - vpass) / (k * np.maximum(mids - constants.RET_CHARGE_FLOOR, 1e-9))
-            still_above = leak_cdf(l_req)
-        else:
-            still_above = np.ones_like(mids)
+        still_above = leak_cdf(l_req)
         total = 0.0
         for frac, state in zip(self.state_fractions, STATE_ORDER):
             if frac == 0.0:

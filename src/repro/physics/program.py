@@ -46,15 +46,18 @@ def apply_program_errors(
     """Return the states cells *actually* land in.
 
     Mis-programmed cells move one state up when possible, otherwise one
-    state down (the top state can only undershoot).
+    state down (the top state can only undershoot).  When no cell
+    mis-programs the result may share memory with *intended_states*;
+    the input itself is never modified.
     """
-    states = np.asarray(intended_states, dtype=np.int8).copy()
+    states = np.asarray(intended_states, dtype=np.int8)
     rate = program_error_rate(pe_cycles)
     if rate <= 0.0:
         return states
     wrong = rng.random(states.shape) < rate
     if not wrong.any():
         return states
+    states = states.copy()
     moved = states[wrong]
     moved = np.where(moved < 3, moved + 1, moved - 1).astype(np.int8)
     states[wrong] = moved

@@ -11,6 +11,11 @@ from repro.model import FlashChannelModel
 from repro.rng import RngFactory
 
 
+def pytest_configure(config):
+    # Numeric edge cases must be handled, never left as a stray warning.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

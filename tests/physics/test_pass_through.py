@@ -1,5 +1,7 @@
 """Pass-through (bitline cutoff) error model: Figure 5's physics."""
 
+import warnings
+
 import pytest
 
 from repro.physics import constants
@@ -58,3 +60,15 @@ def test_invalid_parameters():
         PassThroughModel(state_fractions=(0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         PassThroughModel().cell_cutoff_probability(0.0, 8000)
+
+
+def test_subnormal_retention_age_is_the_no_leak_limit():
+    """A subnormal age makes the retention coefficient subnormal, and the
+    leak requirement would overflow; in that limit nothing has leaked,
+    so the answer is the age-0 one, with no RuntimeWarning."""
+    model = PassThroughModel(wordlines_per_block=64, grid_points=120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        aged = model.additional_rber(450.0, 0, 2.225073858507e-311)
+        fresh = model.additional_rber(450.0, 0, 0.0)
+    assert aged == fresh

@@ -29,6 +29,17 @@ def test_gate_catches_a_regression():
     assert any("flash_chip_ops_per_sec" in p and "regressed" in p for p in problems)
 
 
+def test_gate_catches_campaign_overhead_drift():
+    data = _committed()
+    data["campaign_store"]["campaign_overhead_ratio"] = 1.3
+    problems = check_bench.check(data)
+    assert any(
+        "campaign_overhead_ratio" in p and "above ceiling" in p for p in problems
+    )
+    data["campaign_store"]["campaign_overhead_ratio"] = 1.2
+    assert check_bench.check(data) == []
+
+
 def test_gate_catches_missing_sections_and_keys():
     problems = check_bench.check({})
     assert any("intra_scenario" in p for p in problems)

@@ -11,7 +11,8 @@ reads the committed ``BENCH_physics.json`` at the repo root and fails
    this" line for each hot path, set with margin below the currently
    committed values so machine jitter does not flap CI, or
 3. a recorded overhead ratio rises above its ceiling (telemetry must
-   stay within 2% of the untraced flash-chip row).
+   stay within 2% of the untraced flash-chip row, a campaign within
+   1.25x of the in-process runner).
 
 Core-count-gated floors (the multi-core speedups) only apply when the
 *recorded* payload says the recording machine had enough CPUs: a 1-CPU
@@ -48,10 +49,12 @@ FLOORS = [
 
 #: (section, key, ceiling) — overhead ratios that must stay *below* the
 #: line.  Floors guard "fast stays fast"; ceilings guard "cheap stays
-#: cheap" — today, that telemetry armed at coarse detail costs at most
-#: 2% of the flash-chip engine row.
+#: cheap": telemetry armed at coarse detail costs at most 2% of the
+#: flash-chip engine row, and a campaign's wall clock stays within 1.25x
+#: of the in-process runner's (1.15 as recorded).
 CEILINGS = [
     ("engine_throughput", "telemetry_overhead_ratio", 1.02),
+    ("campaign_store", "campaign_overhead_ratio", 1.25),
 ]
 
 #: (section, key, floor, min_cpus) — floors that only bind when the

@@ -30,6 +30,7 @@ DOCUMENTED_NAMES = [
     "flash.block.FlashBlock.block_voltages",
     "flash.block.FlashBlock.invalidate_voltage_cache",
     "flash.block.FlashBlock.record_retry_sweep",
+    "flash.block.FlashBlock.program_wordline_bits",
     "controller.executor.BlockGroupExecutor",
     "controller.executor.SerialExecutor",
     "controller.executor.ThreadedExecutor",
