@@ -8,6 +8,12 @@ backend's throughput, vectorized in PR 2) from PR to PR; the flash-chip
 row's ops/sec also lands in the machine-readable ``BENCH_physics.json``
 at the repo root.
 
+Two more counter rows run the write-heavy side: the Figure-8 workload
+suite at the campaign benchmark's shape (all fourteen workloads, 0.05
+days, 64x64 drives), in-process, batched and per-op, with equal stats
+asserted.  There host writes and the GC they trigger are most of the
+work, which batched windows replay as block-bounded runs.
+
 Set ``BENCH_SMOKE=1`` to run a seconds-scale smoke of every row — the
 perf-path APIs still execute end to end, but the counter-path speedup
 ratio is not asserted (window batching cannot amortize at toy scale).
@@ -27,8 +33,11 @@ from repro.controller import (
     SimulationEngine,
     SsdConfig,
 )
+from repro.controller.factory import build_engine
 from repro.units import days
-from repro.workloads import IoTrace, OP_READ, OP_WRITE
+from repro.workloads import IoTrace, OP_READ, OP_WRITE, suite_grid
+from repro.workloads.grid import GeometrySpec
+from repro.workloads.trace_cache import scenario_trace
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 
@@ -50,6 +59,11 @@ PHYSICS_BITLINES = 512 if SMOKE else 2048
 #: round; half-length traces keep the paired rounds affordable.
 OVERHEAD_OPS = 2_000 if SMOKE else 100_000
 OVERHEAD_ROUNDS = 1 if SMOKE else 5
+#: the write-heavy counter row: perfbench's ``suite_campaign`` shape.
+SUITE_NAMES = ["web_0", "hm_0", "postmark"] if SMOKE else None
+SUITE_DAYS = 0.005 if SMOKE else 0.05
+SUITE_GEOMETRY = GeometrySpec(blocks=64, pages_per_block=64)
+SUITE_REPEATS = 1 if SMOKE else 3
 
 
 def _traces(footprint, n_ops):
@@ -97,6 +111,35 @@ def _timed_run(config, backend_factory, batch, footprint, n_ops, repeats=1):
         if best_elapsed is None or elapsed < best_elapsed:
             best_elapsed = elapsed
     return stats, best_elapsed, n_ops / best_elapsed
+
+
+def _suite_run(batch):
+    """Best-of-``SUITE_REPEATS`` in-process pass over the suite.
+
+    Times only ``run_trace`` (fresh engines, traces generated once and
+    cached); returns every scenario's stats, the trace ops and seconds.
+    """
+    grid = suite_grid(
+        SUITE_NAMES,
+        duration_days=SUITE_DAYS,
+        geometries=(SUITE_GEOMETRY,),
+        batch=batch,
+    )
+    best = None
+    stats = None
+    for _ in range(SUITE_REPEATS):
+        run_stats, ops, elapsed = [], 0, 0.0
+        for scenario in grid:
+            trace = scenario_trace(scenario)
+            engine = build_engine(scenario)
+            start = time.perf_counter()
+            run_stats.append(engine.run_trace(trace))
+            elapsed += time.perf_counter() - start
+            ops += len(trace)
+        assert stats is None or run_stats == stats, "repeat runs must be identical"
+        stats = run_stats
+        best = elapsed if best is None else min(best, elapsed)
+    return stats, ops, best
 
 
 def _physics_cpu_run(trace_dir):
@@ -165,6 +208,27 @@ def _sweep():
         ]
     )
     assert stats_batched == stats_serial, "batched run must be bit-identical"
+    suite_serial, suite_ops, t_suite_serial = _suite_run(batch=False)
+    suite_batched, _, t_suite = _suite_run(batch=True)
+    assert suite_batched == suite_serial, "batched suite must be bit-identical"
+    rows.append(
+        [
+            "counter / suite per-op",
+            suite_ops,
+            f"{t_suite_serial:.2f}",
+            f"{suite_ops / t_suite_serial:,.0f}",
+            "1.0x",
+        ]
+    )
+    rows.append(
+        [
+            "counter / suite batched",
+            suite_ops,
+            f"{t_suite:.2f}",
+            f"{suite_ops / t_suite:,.0f}",
+            f"{t_suite_serial / t_suite:.2f}x",
+        ]
+    )
     _, t_physics, ops_physics = _timed_run(
         PHYSICS_CONFIG,
         lambda: FlashChipBackend(bitlines_per_block=PHYSICS_BITLINES, seed=3),
@@ -192,9 +256,13 @@ def _sweep():
     )
     payload = {
         "smoke": SMOKE,
+        "cpu_count": os.cpu_count(),
         "counter_per_op_ops_per_sec": round(ops_serial, 1),
         "counter_batched_ops_per_sec": round(ops_batched, 1),
         "counter_batched_speedup": round(t_serial / t_batched, 2),
+        "counter_suite_ops_per_sec": round(suite_ops / t_suite, 1),
+        "counter_suite_speedup": round(t_suite_serial / t_suite, 2),
+        "counter_suite_trace_ops": suite_ops,
         "flash_chip_ops_per_sec": round(ops_physics, 1),
         "flash_chip_trace_ops": PHYSICS_OPS,
         "flash_chip_seconds": round(t_physics, 3),
@@ -211,7 +279,9 @@ def bench_engine_throughput(benchmark, emit, emit_json):
         rows,
         title=(
             f"Engine throughput ({READ_FRACTION:.0%} reads, preconditioned "
-            f"{FOOTPRINT:,}-page footprint, daily maintenance + read reclaim"
+            f"{FOOTPRINT:,}-page footprint, daily maintenance + read reclaim; "
+            f"suite rows: Figure-8 suite, {SUITE_DAYS} days, "
+            f"{SUITE_GEOMETRY.blocks}x{SUITE_GEOMETRY.pages_per_block}"
             f"{', SMOKE' if SMOKE else ''})"
         ),
     )

@@ -52,6 +52,26 @@ from repro.controller.executor import BlockGroupExecutor, resolve_executor
 from repro.controller.ftl import PageMappingFtl
 
 
+def wordline_data_bits(
+    rng: np.random.Generator, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random LSB and MSB page data of one wordline, straight from raw words.
+
+    Byte-equal to ``rng.integers(0, 2, bits, dtype=np.uint8)`` drawn twice
+    (LSB then MSB), leaving the generator where those calls leave it.
+    For a 2-value range numpy's bounded-uint8 path returns bit 7 of
+    successive little-endian bytes of ``next_uint32``, one fresh 32-bit
+    half per 4 outputs, and a 64-bit word is two halves (low first).
+    The two calls take ``w = ceil(bits / 4)`` halves each, 2w in all, so
+    they consume exactly *w* raw words and leave no half buffered.  The
+    contract needs *rng* to hold no buffered half either
+    (``has_uint32 == 0``), which holds for a generator used only here.
+    """
+    words = -(-bits // 4)
+    data = rng.bit_generator.random_raw(words).astype("<u8", copy=False).view(np.uint8)
+    return data[:bits] >> 7, data[4 * words : 4 * words + bits] >> 7
+
+
 # ----------------------------------------------------------------------
 # Process-executor worker plumbing
 # ----------------------------------------------------------------------
@@ -422,9 +442,7 @@ class FlashChipBackend:
         # programmed as a unit).  Data bits are drawn *now* — whether the
         # program executes immediately or is queued — so the global data
         # stream is consumed in append order in both modes.
-        bits = self.geometry.bitlines_per_block
-        lsb = self._data_rng.integers(0, 2, bits, dtype=np.uint8)
-        msb = self._data_rng.integers(0, 2, bits, dtype=np.uint8)
+        lsb, msb = wordline_data_bits(self._data_rng, self.geometry.bitlines_per_block)
         if self._defer_programs:
             self._pending_wordlines.add((block, wordline))
             self._pending_programs.setdefault(block, []).append(

@@ -6,29 +6,33 @@ maintenance (remap refresh, read reclaim) exactly like the historical
 (:mod:`repro.controller.backends`) and trace execution is batched.
 
 Batched execution segments the trace into maintenance windows and
-replays per-op only the operations that can change the mapping: host
-writes and the garbage collection they trigger.  Reads cannot influence
-any in-window decision (GC picks victims by valid count; reclaim and
-refresh run only at window boundaries), so the engine resolves *all* of
-a window's reads vectorized at the window's end:
+replays only the operations that can change the mapping: host writes
+and the garbage collection they trigger.  Reads cannot influence any
+in-window decision (GC picks victims by valid count; reclaim and
+refresh run only at window boundaries), so the engine resolves a
+window's reads vectorized:
 
-- with the counter backend, against a change log of the window's
-  mapping updates — each read joins the mapping state at its own
-  position in the op stream (an epoch join), and charges wiped by an
-  in-window block reopen are filtered out, so the resulting
+- with the counter backend, host writes replay as block-bounded runs
+  (:meth:`PageMappingFtl.write_many`: no block opens and no GC fires
+  before a run's last write, so each run's mapping update is one
+  vectorized step) while the engine logs every mapping change as
+  array chunks; at the window's end each read joins the mapping state
+  at its own position in the op stream (an epoch join), and charges
+  wiped by an in-window block reopen are filtered out, so the resulting
   :class:`SsdRunStats` are bit-for-bit those of the per-op reference
   loop (``batch=False``);
-- with a physics backend, reads buffer in trace order and flush against
-  the live mapping whenever a relocation is about to move data (and at
-  the window end), so disturb always lands on the block that actually
-  held the data.  Physics granularity is per flush: disturb exposure is
-  charged in bulk and each unique page is ECC-decoded once per flush at
-  its final exposure, escalating uncorrectable pages through Read
-  Disturb Recovery and remapping the damaged block.  Within one flush
-  the per-block sense+decode tasks are independent, and the flash-chip
-  backend runs them on a pluggable block-group executor
-  (:mod:`repro.controller.executor`): ``executor="threaded"`` spreads
-  one scenario's physics across cores, bit-identical to serial.
+- with a physics backend, writes replay per-op; reads buffer in trace
+  order and flush against the live mapping whenever a relocation is
+  about to move data (and at the window end), so disturb always lands
+  on the block that actually held the data.  Physics granularity is per
+  flush: disturb exposure is charged in bulk and each unique page is
+  ECC-decoded once per flush at its final exposure, escalating
+  uncorrectable pages through Read Disturb Recovery and remapping the
+  damaged block.  Within one flush the per-block sense+decode tasks are
+  independent, and the flash-chip backend runs them on a pluggable
+  block-group executor (:mod:`repro.controller.executor`):
+  ``executor="threaded"`` spreads one scenario's physics across cores,
+  bit-identical to serial.
 
 See ``benchmarks/bench_engine_throughput.py`` for the throughput
 trajectory of both backends.
@@ -125,13 +129,15 @@ class SimulationEngine(FtlObserver):
         # Physical pages of already-resolved reads (FTL counters charged),
         # awaiting the backend's next batch.
         self._pending_ppns: list[np.ndarray] = []
-        # Counter-path change log, active only inside a window's writes.
+        # Counter-path change log, active only inside a window's writes:
+        # chronological (lpns, epochs, ppns) chunks, one per host run and
+        # one per relocation chunk.
         self._recording = False
         # Externally installed observer to keep feeding while recording.
         self._chained_observer: FtlObserver | None = None
-        self._epoch = 0
-        self._log: list[tuple[int, int, int]] = []  # (lpn, epoch+1, ppn)
-        self._log_seen: set[int] = set()
+        #: index of the window's host write being applied (-1: none yet).
+        self._epoch = -1
+        self._log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._resets: list[tuple[int, int]] = []  # (block, epoch)
         #: blocks relocated because the backend escalated a failure.
         self.recovery_relocations = 0
@@ -147,15 +153,6 @@ class SimulationEngine(FtlObserver):
     def on_append(
         self, block: int, page: int, lpn: int, old_ppn: int, now: float
     ) -> None:
-        if self._recording:
-            if lpn not in self._log_seen:
-                # Virtual epoch-0 entry: the lpn's pre-window location,
-                # consulted by reads that precede its first in-window write.
-                self._log_seen.add(lpn)
-                self._log.append((lpn, 0, old_ppn))
-            self._log.append(
-                (lpn, self._epoch + 1, block * self.ftl.config.pages_per_block + page)
-            )
         if not self._counter_only:
             self.backend.on_append(block, page, lpn, now)
         if self._chained_observer is not None:
@@ -169,23 +166,51 @@ class SimulationEngine(FtlObserver):
         old_ppns: np.ndarray,
         now: float,
     ) -> None:
-        # Same bookkeeping as per-page on_append, but the backend sees
-        # the whole burst at once (its parallel write path batches the
-        # block's wordline programs).
+        # The backend sees the whole burst at once (its parallel write
+        # path batches the block's wordline programs).
         if self._recording:
-            pages_per_block = self.ftl.config.pages_per_block
-            for page, lpn, old_ppn in zip(pages, lpns, old_ppns):
-                lpn = int(lpn)
-                if lpn not in self._log_seen:
-                    self._log_seen.add(lpn)
-                    self._log.append((lpn, 0, int(old_ppn)))
-                self._log.append(
-                    (lpn, self._epoch + 1, block * pages_per_block + int(page))
+            # Relocation during host write e: visible from epoch e + 1.
+            self._log.append(
+                (
+                    lpns,
+                    np.full(lpns.size, self._epoch + 1, dtype=np.int64),
+                    block * self.ftl.config.pages_per_block + pages,
                 )
+            )
         if not self._counter_only:
             self.backend.on_append_many(block, pages, lpns, now)
         if self._chained_observer is not None:
             self._chained_observer.on_append_many(block, pages, lpns, old_ppns, now)
+
+    def on_write_run(
+        self,
+        block: int,
+        pages: np.ndarray,
+        lpns: np.ndarray,
+        old_ppns: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        if not self._recording:
+            # Runs come from counter windows; anything else gets the
+            # per-write events a write() loop raises.
+            super().on_write_run(block, pages, lpns, old_ppns, times)
+            return
+        # Host write e is visible to reads from epoch e + 1.  The FTL
+        # closes the block and runs GC only after this hook, during the
+        # run's last write, so _epoch moves to that write now.  Host
+        # entries go in before that GC's relocation entries because equal
+        # (lpn, epoch) keys resolve by log order.
+        first = self._epoch + 1
+        self._epoch += int(lpns.size)
+        self._log.append(
+            (
+                lpns,
+                np.arange(first + 1, self._epoch + 2, dtype=np.int64),
+                block * self.ftl.config.pages_per_block + pages,
+            )
+        )
+        if self._chained_observer is not None:
+            self._chained_observer.on_write_run(block, pages, lpns, old_ppns, times)
 
     def on_open(self, block: int, now: float) -> None:
         if self._recording:
@@ -316,38 +341,49 @@ class SimulationEngine(FtlObserver):
     def _run_window_counter(
         self, timestamps: np.ndarray, ops: np.ndarray, lpns: np.ndarray
     ) -> None:
+        """Host writes replay as block-bounded runs; reads resolve at the end.
+
+        :meth:`PageMappingFtl.write_many` applies the window's writes one
+        run at a time (a run fills at most the open block's room, so no
+        block opens and no GC fires before its last write).  The engine
+        observes it, logging each run's and each relocation chunk's
+        mapping changes as array chunks in op-stream order, and each
+        block reopen with its epoch (the index of the host write being
+        applied).  :meth:`_resolve_window_reads` then joins every read
+        against that log.
+        """
         write_positions = np.flatnonzero(ops == OP_WRITE)
         if write_positions.size == 0:
             # Frozen mapping: the whole window is one batched read.
             self.ftl.read_many(lpns)
             self.now = float(timestamps[-1])
             return
-        # Replay writes per-op while logging every mapping change (host
-        # appends and GC relocations) and block reopen with its epoch =
-        # index of the host write being processed.
+        ftl = self.ftl
+        # The mapping each read sees before its lpn's first in-window change.
+        window_start_l2p = ftl.l2p.copy()
         self._log = []
-        self._log_seen = set()
         self._resets = []
+        self._epoch = -1
         self._recording = True
         # Keep feeding any externally installed observer while the engine
         # borrows the hook point, and restore it afterwards.
-        self._chained_observer = self.ftl.observer
-        self.ftl.observer = self
+        self._chained_observer = ftl.observer
+        ftl.observer = self
         try:
-            for epoch, position in enumerate(write_positions):
-                position = int(position)
-                self._epoch = epoch
-                self.now = float(timestamps[position])
-                self.ftl.write(int(lpns[position]), self.now)
+            ftl.write_many(lpns[write_positions], timestamps[write_positions])
         finally:
             self._recording = False
-            self.ftl.observer = self._chained_observer
+            ftl.observer = self._chained_observer
             self._chained_observer = None
-        self._resolve_window_reads(ops, lpns, write_positions)
+        self._resolve_window_reads(ops, lpns, write_positions, window_start_l2p)
         self.now = float(timestamps[-1])
 
     def _resolve_window_reads(
-        self, ops: np.ndarray, lpns: np.ndarray, write_positions: np.ndarray
+        self,
+        ops: np.ndarray,
+        lpns: np.ndarray,
+        write_positions: np.ndarray,
+        window_start_l2p: np.ndarray,
     ) -> None:
         """Charge the window's reads as the per-op loop would have.
 
@@ -362,27 +398,32 @@ class SimulationEngine(FtlObserver):
         ftl = self.ftl
         read_lpns = lpns[read_positions]
         epochs = np.searchsorted(write_positions, read_positions)
-        # Default resolution: the end-of-window mapping (exact for every
-        # lpn the window's writes and relocations never touched).
-        ppns = ftl.l2p[read_lpns].copy()
-        if self._log:
-            log = np.asarray(self._log, dtype=np.int64)
+        ppns = window_start_l2p[read_lpns]
+        log_lpns, log_epochs, log_ppns = (
+            np.concatenate(column) for column in zip(*self._log)
+        )
+        # Only reads of lpns the window changed need the join.
+        changed = np.flatnonzero(np.isin(read_lpns, log_lpns))
+        if changed.size:
+            changed_lpns = read_lpns[changed]
             key_span = write_positions.size + 2
-            order = np.argsort(log[:, 0] * key_span + log[:, 1], kind="stable")
-            log_keys = (log[:, 0] * key_span + log[:, 1])[order]
-            log_ppns = log[:, 2][order]
-            changed = np.isin(read_lpns, log[:, 0])
-            if changed.any():
-                # Rightmost log entry with epoch <= the read's epoch; the
-                # virtual epoch-0 entry guarantees a same-lpn hit.
-                idx = (
-                    np.searchsorted(
-                        log_keys, read_lpns[changed] * key_span + epochs[changed],
-                        side="right",
-                    )
-                    - 1
+            log_keys = log_lpns * key_span + log_epochs
+            # Stable: equal (lpn, epoch) keys keep log order, so the
+            # rightmost is the last change of that lpn within that write.
+            order = np.argsort(log_keys, kind="stable")
+            idx = (
+                np.searchsorted(
+                    log_keys[order],
+                    changed_lpns * key_span + epochs[changed],
+                    side="right",
                 )
-                ppns[changed] = log_ppns[idx]
+                - 1
+            )
+            # The rightmost entry at or before the read's epoch, if it is
+            # the read's own lpn; otherwise the read preceded the lpn's
+            # first change and keeps its window-start location.
+            hit = (idx >= 0) & (log_lpns[order[idx]] == changed_lpns)
+            ppns[changed[hit]] = log_ppns[order[idx[hit]]]
         mapped_mask = ppns != ftl.INVALID
         n_mapped = int(mapped_mask.sum())
         ftl.unmapped_reads += int(ppns.size - n_mapped)

@@ -113,6 +113,25 @@ class FtlObserver:
         for page, lpn, old_ppn in zip(pages, lpns, old_ppns):
             self.on_append(block, int(page), int(lpn), int(old_ppn), now)
 
+    def on_write_run(
+        self,
+        block: int,
+        pages: np.ndarray,
+        lpns: np.ndarray,
+        old_ppns: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        """A run of host writes landed on *block* (one run of
+        :meth:`PageMappingFtl.write_many`): write *i* put ``lpns[i]`` on
+        ``pages[i]`` at ``times[i]``, invalidating ``old_ppns[i]``.  A
+        repeated lpn's old copy is its previous slot in the run.
+
+        The default unrolls into per-write :meth:`on_append` calls with
+        per-write timestamps, the event sequence of a :meth:`write` loop.
+        """
+        for page, lpn, old_ppn, now in zip(pages, lpns, old_ppns, times):
+            self.on_append(block, int(page), int(lpn), int(old_ppn), float(now))
+
 
 class PageMappingFtl:
     """The mapping engine of the simulated SSD controller."""
@@ -122,8 +141,10 @@ class PageMappingFtl:
     def __init__(self, config: SsdConfig | None = None):
         self.config = config if config is not None else SsdConfig()
         cfg = self.config
+        # The property recomputes a float product; every host op checks it.
+        self._logical_pages = cfg.logical_pages
         #: logical page -> physical page id (block * pages_per_block + page).
-        self.l2p = np.full(cfg.logical_pages, self.INVALID, dtype=np.int64)
+        self.l2p = np.full(self._logical_pages, self.INVALID, dtype=np.int64)
         #: physical page id -> logical page (or INVALID).
         self.p2l = np.full(cfg.physical_pages, self.INVALID, dtype=np.int64)
         self.valid_count = np.zeros(cfg.blocks, dtype=np.int64)
@@ -178,7 +199,7 @@ class PageMappingFtl:
         lpns = np.asarray(lpns, dtype=np.int64)
         if lpns.size == 0:
             return lpns
-        if lpns.min() < 0 or lpns.max() >= self.config.logical_pages:
+        if lpns.min() < 0 or lpns.max() >= self._logical_pages:
             raise IndexError("logical page out of range in batched read")
         ppns = self.l2p[lpns]
         mapped = ppns[ppns != self.INVALID]
@@ -198,12 +219,81 @@ class PageMappingFtl:
         self._maybe_gc(now)
         return block, page
 
+    def write_many(self, lpns: np.ndarray, times: np.ndarray) -> None:
+        """Batched host writes: ``write(lpns[i], times[i])`` for every *i*,
+        in order, with bit-identical final state and observer events.
+
+        Writes apply as *runs*: the longest stretch that fits the open
+        block's remaining room, or a single write while the free pool is
+        below the GC threshold (there :meth:`write` runs GC after every
+        write).  Inside a run no block opens and GC cannot fire, because
+        the free pool only shrinks when a block fills, so a run's mapping
+        update is one vectorized step.  The run's last write then closes
+        a full block and runs GC at its own timestamp, exactly as
+        :meth:`write` does.  Observers get one
+        :meth:`FtlObserver.on_write_run` per run.  Out-of-range lpns raise
+        :class:`IndexError` before any write.
+        """
+        lpns = np.asarray(lpns, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
+        if lpns.size == 0:
+            return
+        if lpns.min() < 0 or lpns.max() >= self._logical_pages:
+            raise IndexError("logical page out of range in batched write")
+        cfg = self.config
+        start = 0
+        while start < lpns.size:
+            if len(self._free_blocks) < cfg.gc_threshold_blocks:
+                stop = start + 1
+            else:
+                room = cfg.pages_per_block - int(self.write_pointer[self._active_block])
+                stop = min(start + room, int(lpns.size))
+            self._write_run(lpns[start:stop], times[start:stop])
+            start = stop
+
+    def _write_run(self, lpns: np.ndarray, times: np.ndarray) -> None:
+        """Apply one run of :meth:`write_many` (it fits the open block)."""
+        cfg = self.config
+        size = int(lpns.size)
+        now = float(times[-1])
+        # Fancy indexing copies: the pre-run location of every write.
+        old_ppns = self.l2p[lpns]
+        stale = old_ppns
+        live = later = None
+        if size > 1:
+            # A repeated lpn's old copy is its previous slot in this run,
+            # and only its last occurrence stays mapped; resolved here
+            # rather than through numpy's unspecified order for duplicate
+            # fancy-index assignment.
+            order = lpns.argsort(kind="stable")
+            repeat = lpns[order[1:]] == lpns[order[:-1]]
+            if repeat.any():
+                earlier, later = order[:-1][repeat], order[1:][repeat]
+                live = np.ones(size, dtype=bool)
+                live[earlier] = False
+                # Only first occurrences invalidate a pre-run copy.
+                stale = np.delete(old_ppns, later)
+        stale = stale[stale != self.INVALID]
+        if stale.size:
+            self.p2l[stale] = self.INVALID
+            self.valid_count -= np.bincount(
+                stale // cfg.pages_per_block, minlength=cfg.blocks
+            )
+        block, pages = self._place(lpns, live)
+        if later is not None:
+            old_ppns[later] = block * cfg.pages_per_block + pages[earlier]
+        self.host_writes += size
+        if self.observer is not None:
+            self.observer.on_write_run(block, pages, lpns, old_ppns, times)
+        self._close_if_full(block, now)
+        self._maybe_gc(now)
+
     # ------------------------------------------------------------------
     # Internals shared with refresh / read reclaim
     # ------------------------------------------------------------------
 
     def _check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < self.config.logical_pages:
+        if not 0 <= lpn < self._logical_pages:
             raise IndexError(f"logical page {lpn} out of range")
 
     def _append(self, lpn: int, now: float) -> tuple[int, int]:
@@ -224,10 +314,14 @@ class PageMappingFtl:
         self.flash_writes += 1
         if self.observer is not None:
             self.observer.on_append(block, page, int(lpn), int(old), now)
+        self._close_if_full(block, now)
+        return block, page
+
+    def _close_if_full(self, block: int, now: float) -> None:
+        """Close *block* once its last page is written and open the next."""
         if self.write_pointer[block] == self.config.pages_per_block:
             self.block_state[block] = int(BlockState.CLOSED)
             self._active_block = self._allocate_block(now)
-        return block, page
 
     def _allocate_block(self, now: float) -> int:
         """Take the least-worn free block (wear leveling) and open it."""
@@ -332,25 +426,40 @@ class PageMappingFtl:
         self.valid_count[source_block] -= lpns.size
         position = 0
         while position < lpns.size:
-            block = self._active_block
-            pointer = int(self.write_pointer[block])
-            take = min(cfg.pages_per_block - pointer, int(lpns.size) - position)
+            room = cfg.pages_per_block - int(self.write_pointer[self._active_block])
+            take = min(room, int(lpns.size) - position)
             chunk = lpns[position : position + take]
-            pages = np.arange(pointer, pointer + take, dtype=np.int64)
-            ppns = block * cfg.pages_per_block + pages
-            self.l2p[chunk] = ppns
-            self.p2l[ppns] = chunk
-            self.valid_count[block] += take
-            self.write_pointer[block] += take
-            self.flash_writes += take
+            block, pages = self._place(chunk)
             if self.observer is not None:
                 self.observer.on_append_many(
                     block, pages, chunk, old_ppns[position : position + take], now
                 )
-            if self.write_pointer[block] == cfg.pages_per_block:
-                self.block_state[block] = int(BlockState.CLOSED)
-                self._active_block = self._allocate_block(now)
+            self._close_if_full(block, now)
             position += take
+
+    def _place(
+        self, lpns: np.ndarray, live: np.ndarray | None = None
+    ) -> tuple[int, np.ndarray]:
+        """Lay *lpns* at the open block's write pointer (they must fit its
+        room) and return the block and their pages.
+
+        Old copies are the caller's to invalidate.  *live* masks the
+        writes whose slot stays mapped (default: all); a superseded slot
+        stays INVALID in ``p2l``, as a later overwrite would leave it.
+        """
+        cfg = self.config
+        block = self._active_block
+        pointer = int(self.write_pointer[block])
+        pages = np.arange(pointer, pointer + lpns.size, dtype=np.int64)
+        ppns = block * cfg.pages_per_block + pages
+        if live is not None:
+            lpns, ppns = lpns[live], ppns[live]
+        self.l2p[lpns] = ppns
+        self.p2l[ppns] = lpns
+        self.valid_count[block] += lpns.size
+        self.write_pointer[block] += pages.size
+        self.flash_writes += pages.size
+        return block, pages
 
     # ------------------------------------------------------------------
     # Introspection

@@ -160,3 +160,26 @@ def test_summary_identical_to_pre_vectorization_golden_serial():
     assert engine.backend.summary() == GOLDEN_SERIAL_WORN
     assert (stats.host_reads, stats.host_writes, stats.gc_runs) == (7739, 561, 88)
     assert engine.recovery_relocations == 51
+
+
+@pytest.mark.parametrize("bits", [1, 3, 7, 8, 100, 2048, 2049])
+def test_wordline_data_bits_match_integers_draws(bits):
+    """Raw-word data bits are byte-equal to two ``integers(0, 2, bits,
+    uint8)`` draws over consecutive wordlines, and leave the generator at
+    the same position with no buffered 32-bit half (only the stale
+    ``uinteger`` field of the state may differ)."""
+    from repro.controller.backends import wordline_data_bits
+
+    reference = np.random.default_rng(2024)
+    raw = np.random.default_rng(2024)
+    for _ in range(5):
+        lsb_ref = reference.integers(0, 2, bits, dtype=np.uint8)
+        msb_ref = reference.integers(0, 2, bits, dtype=np.uint8)
+        lsb, msb = wordline_data_bits(raw, bits)
+        assert lsb.dtype == msb.dtype == np.uint8
+        assert np.array_equal(lsb, lsb_ref)
+        assert np.array_equal(msb, msb_ref)
+        state_ref = reference.bit_generator.state
+        state = raw.bit_generator.state
+        assert state["state"] == state_ref["state"]
+        assert state["has_uint32"] == state_ref["has_uint32"] == 0

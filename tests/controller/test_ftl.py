@@ -150,6 +150,7 @@ class _EventRecorder:
 
     def __init__(self):
         self.events = []
+        self.runs = []
 
     def on_append(self, block, page, lpn, old_ppn, now):
         self.events.append(("append", block, page, lpn, old_ppn, now))
@@ -168,6 +169,13 @@ class _EventRecorder:
         from repro.controller.ftl import FtlObserver
 
         FtlObserver.on_append_many(self, block, pages, lpns, old_ppns, now)
+
+    def on_write_run(self, block, pages, lpns, old_ppns, times):
+        # Run lengths are kept apart so the event streams stay comparable.
+        self.runs.append(len(lpns))
+        from repro.controller.ftl import FtlObserver
+
+        FtlObserver.on_write_run(self, block, pages, lpns, old_ppns, times)
 
 
 def _relocate_per_page(ftl, block, now):
@@ -213,9 +221,14 @@ def _assert_same_state(a, b):
     assert np.array_equal(a.write_pointer, b.write_pointer)
     assert np.array_equal(a.pe_cycles, b.pe_cycles)
     assert np.array_equal(a.reads_since_program, b.reads_since_program)
+    assert np.array_equal(a.program_time, b.program_time)
     assert a._free_blocks == b._free_blocks
     assert a._active_block == b._active_block
     assert a.flash_writes == b.flash_writes
+    assert a.host_writes == b.host_writes
+    assert a.host_reads == b.host_reads
+    assert a.unmapped_reads == b.unmapped_reads
+    assert a.gc_runs == b.gc_runs
 
 
 def test_batched_relocation_matches_per_page_loop():
@@ -272,3 +285,103 @@ def test_batched_relocation_of_active_block():
     _relocate_per_page(reference, int(active), now=2.0)
     _assert_same_state(batched, reference)
     assert rec_b.events == rec_r.events
+
+
+# ----------------------------------------------------------------------
+# Batched host writes: block-bounded runs == the write() loop
+# ----------------------------------------------------------------------
+
+
+def _write_both(batched, reference, lpns, t0=2.0):
+    """write_many on *batched*, a write() loop on *reference*, with
+    distinct per-write timestamps."""
+    lpns = np.asarray(lpns, dtype=np.int64)
+    times = t0 + 0.001 * np.arange(lpns.size)
+    batched.write_many(lpns, times)
+    for lpn, now in zip(lpns, times):
+        reference.write(int(lpn), float(now))
+
+
+def _assert_same_run(pair):
+    (batched, rec_b), (reference, rec_r) = pair
+    _assert_same_state(batched, reference)
+    assert rec_b.events == rec_r.events
+    batched.check_invariants()
+
+
+def test_write_many_matches_write_loop_through_gc():
+    """Many runs over a hot set (repeated lpns inside runs), with GC
+    firing at run ends and relocations spanning blocks."""
+    pair = _prepare_pair(seed=11)
+    rng = np.random.default_rng(5)
+    hot = rng.integers(0, SMALL.logical_pages, 6)
+    lpns = np.where(
+        rng.random(900) < 0.6,
+        hot[rng.integers(0, hot.size, 900)],
+        rng.integers(0, SMALL.logical_pages, 900),
+    )
+    _write_both(pair[0][0], pair[1][0], lpns)
+    _assert_same_run(pair)
+    (batched, rec_b), _ = pair
+    assert batched.gc_runs > 0
+    assert max(rec_b.runs) > 1
+    assert sum(rec_b.runs) == lpns.size
+
+
+def test_write_many_repeats_inside_one_run():
+    """A run that rewrites an lpn several times, one whose first copy sits
+    earlier in the open block, and a run that exactly fills the block."""
+    pair = _prepare_pair(seed=2)
+    (batched, rec_b), (reference, _) = pair
+    # Advance until lpn 3's first copy can sit in an open block that still
+    # has room for the whole run below.
+    while SMALL.pages_per_block - int(batched.write_pointer[batched._active_block]) < 8:
+        _write_both(batched, reference, [30], t0=1.4)
+    _write_both(batched, reference, [3, 4], t0=1.5)
+    room = SMALL.pages_per_block - int(batched.write_pointer[batched._active_block])
+    assert room >= 6
+    run = [3, 9, 3, 3, 9] + [20 + i for i in range(room - 5)]
+    rec_b.runs.clear()
+    _write_both(batched, reference, run)
+    assert rec_b.runs == [room]
+    _assert_same_run(pair)
+    # The run filled the block exactly: it closed and the next one opened.
+    assert any(e[0] == "open" for e in rec_b.events)
+
+
+def test_write_many_single_write_runs():
+    """One page of room left: the next run is a single write."""
+    pair = _prepare_pair(seed=4)
+    (batched, rec_b), (reference, _) = pair
+    room = SMALL.pages_per_block - int(batched.write_pointer[batched._active_block])
+    _write_both(batched, reference, np.arange(room - 1), t0=1.5)
+    rec_b.runs.clear()
+    _write_both(batched, reference, [7, 7, 8])
+    assert rec_b.runs[0] == 1
+    _assert_same_run(pair)
+
+
+def test_write_many_shrinks_runs_while_free_pool_is_short():
+    """With the free pool below the GC threshold every write runs GC, so
+    runs shrink to single writes until GC refills the pool."""
+    pair = _prepare_pair(seed=6)
+    for ftl, _ in pair:
+        # Hand-built short pool: park free blocks as closed, empty blocks
+        # (GC reclaims them first, having no valid pages).
+        while len(ftl._free_blocks) >= SMALL.gc_threshold_blocks:
+            block = ftl._free_blocks.pop()
+            ftl.block_state[block] = int(BlockState.CLOSED)
+            ftl.write_pointer[block] = SMALL.pages_per_block
+    (batched, rec_b), (reference, _) = pair
+    _write_both(batched, reference, [1, 2, 1, 5])
+    assert rec_b.runs[0] == 1
+    _assert_same_run(pair)
+
+
+def test_write_many_validates_lpns_before_writing():
+    ftl = PageMappingFtl(SMALL)
+    with pytest.raises(IndexError):
+        ftl.write_many(np.array([0, SMALL.logical_pages]), np.zeros(2))
+    assert ftl.host_writes == 0
+    ftl.write_many(np.empty(0, dtype=np.int64), np.empty(0))
+    assert ftl.flash_writes == 0

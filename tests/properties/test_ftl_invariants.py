@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.controller import SimulationEngine
-from repro.controller.ftl import PageMappingFtl, SsdConfig
+from repro.controller.ftl import FtlObserver, PageMappingFtl, SsdConfig
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
 
@@ -81,3 +81,86 @@ def test_write_amplification_bounded(lpns):
     assert ftl.write_amplification >= 1.0
     # With 30% overprovision WA stays moderate.
     assert ftl.write_amplification < 8.0
+
+
+class _EventLog(FtlObserver):
+    """Every observer event with its timestamp, per write and per page
+    (batched hooks unroll through the FtlObserver defaults)."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_append(self, block, page, lpn, old_ppn, now):
+        self.events.append(("append", block, page, lpn, old_ppn, now))
+
+    def on_open(self, block, now):
+        self.events.append(("open", block, now))
+
+    def on_erase(self, block, now):
+        self.events.append(("erase", block, now))
+
+    def on_relocate_begin(self, block, now):
+        self.events.append(("relocate", block, now))
+
+
+FTL_STATE = (
+    "l2p", "p2l", "valid_count", "block_state", "write_pointer", "pe_cycles",
+    "reads_since_program", "program_time", "_free_blocks", "_active_block",
+    "host_writes", "flash_writes", "host_reads", "unmapped_reads", "gc_runs",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pages_per_block=st.integers(2, 16),
+    gc_threshold=st.integers(1, 2),
+    refresh_days=st.sampled_from([0.5, 2.0, 7.0]),
+    reclaim=st.one_of(st.none(), st.integers(2, 60)),
+    period_days=st.sampled_from([0.25, 1.0]),
+    observe=st.booleans(),
+)
+def test_counter_run_replay_matches_per_op_loop(
+    seed, pages_per_block, gc_threshold, refresh_days, reclaim, period_days, observe
+):
+    """Write-heavy traces over a few hot lpns (so runs repeat lpns) on
+    tiny drives: batched counter windows replay host writes as runs, and
+    must leave the stats, the whole FTL state and the observer's event
+    stream (timestamps included) exactly as the per-op loop does."""
+    config = SsdConfig(
+        blocks=8,
+        pages_per_block=pages_per_block,
+        overprovision=0.4,
+        gc_threshold_blocks=gc_threshold,
+    )
+    rng = np.random.default_rng(seed)
+    n_ops = int(rng.integers(20, 400))
+    hot = rng.integers(0, config.logical_pages, int(rng.integers(1, 5)))
+    lpns = np.where(
+        rng.random(n_ops) < 0.7,
+        hot[rng.integers(0, hot.size, n_ops)],
+        rng.integers(0, config.logical_pages, n_ops),
+    ).astype(np.int64)
+    ops = np.where(rng.random(n_ops) < rng.uniform(0.0, 0.5), OP_READ, OP_WRITE)
+    timestamps = np.sort(rng.uniform(0, days(rng.uniform(0.2, 6.0)), n_ops))
+    trace = IoTrace(timestamps, ops.astype(np.int64), lpns, "hot-writes")
+    runs = []
+    for batch in (False, True):
+        engine = SimulationEngine(
+            config,
+            refresh_interval_days=refresh_days,
+            read_reclaim_threshold=reclaim,
+            maintenance_period_days=period_days,
+            batch=batch,
+        )
+        log = _EventLog() if observe else None
+        engine.ftl.observer = log
+        stats = engine.run_trace(trace)
+        assert engine.ftl.observer is log
+        runs.append((stats, engine.ftl, log))
+    (serial, ftl_s, log_s), (batched, ftl_b, log_b) = runs
+    assert batched == serial
+    for name in FTL_STATE:
+        assert np.array_equal(getattr(ftl_b, name), getattr(ftl_s, name)), name
+    if observe:
+        assert log_b.events == log_s.events

@@ -29,6 +29,16 @@ def test_gate_catches_a_regression():
     assert any("flash_chip_ops_per_sec" in p and "regressed" in p for p in problems)
 
 
+def test_gate_catches_a_write_heavy_counter_regression():
+    data = _committed()
+    # The batched suite rate before host writes replayed as runs.
+    data["engine_throughput"]["counter_suite_ops_per_sec"] = 200_000.0
+    problems = check_bench.check(data)
+    assert any(
+        "counter_suite_ops_per_sec" in p and "regressed" in p for p in problems
+    )
+
+
 def test_gate_catches_campaign_overhead_drift():
     data = _committed()
     data["campaign_store"]["campaign_overhead_ratio"] = 1.3

@@ -37,6 +37,9 @@ FLOORS = [
     # The unified engine: batched counter path and Monte-Carlo physics.
     ("engine_throughput", "counter_batched_ops_per_sec", 5_000_000),
     ("engine_throughput", "counter_batched_speedup", 8.0),
+    # The write-heavy side: the Figure-8 suite, where host-write runs and
+    # GC are the work (per-page change logging ran at ~0.2M here).
+    ("engine_throughput", "counter_suite_ops_per_sec", 250_000),
     ("engine_throughput", "flash_chip_ops_per_sec", 25_000),
     # The batched device primitives.
     ("physics_hotpath", "decode_nominal_speedup", 1.2),
@@ -68,7 +71,12 @@ CORE_GATED_FLOORS = [
 #: keys that must exist per section even when no floor binds (so a bench
 #: cannot silently stop recording a row the README table quotes).
 REQUIRED_KEYS = {
-    "engine_throughput": ["flash_chip_seconds", "flash_chip_trace_ops"],
+    "engine_throughput": [
+        "flash_chip_seconds",
+        "flash_chip_trace_ops",
+        "counter_suite_speedup",
+        "counter_suite_trace_ops",
+    ],
     "physics_hotpath": ["decode_relaxed_pages_per_sec_batched"],
     "sweep_parallel": ["cpu_count", "seconds_workers_1"],
     "intra_scenario": ["cpu_count", "seconds_serial", "serial_ops_per_sec"],

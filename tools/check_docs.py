@@ -49,6 +49,8 @@ DOCUMENTED_NAMES = [
     "ecc.decoder.EccDecoder.check_pages",
     "controller.backends.FlashChipBackend.on_reads",
     "controller.ftl.PageMappingFtl.relocate_block",
+    "controller.ftl.PageMappingFtl.write_many",
+    "controller.ftl.FtlObserver.on_write_run",
     "controller.factory.run_scenario",
     "controller.factory.build_engine",
     "rng.spawn_key",
