@@ -2,12 +2,13 @@
 
 Every other example sizes its chip so the Monte-Carlo cell state fits
 comfortably in RAM.  This one goes the other way: a 4096-block drive
-whose full per-cell state is hundreds of megabytes, simulated with
-``arena="mmap"`` and a small ``resident_blocks`` budget, so only an LRU
-window of blocks occupies memory at any moment.  Evicted blocks are
-flushed to the arena's backing file and dropped from residency
-(``madvise(MADV_DONTNEED)``); touching one again simply refaults it —
-the spill schedule can never change a result, only the peak RSS.
+whose full per-cell state is hundreds of megabytes, simulated with a
+small ``resident_blocks`` budget, so block state lives in a file-backed
+arena and only an LRU window of blocks occupies memory at any moment.
+Evicted blocks are flushed to the arena's backing file and dropped from
+residency (``madvise(MADV_DONTNEED)``); touching one again simply
+refaults it — the spill schedule can never change a result, only the
+peak RSS.
 
 The script preconditions the whole logical space, runs a read-heavy
 workload across it, and reports peak RSS against the size of the full
@@ -43,7 +44,6 @@ def main() -> None:
     backend = FlashChipBackend(
         bitlines_per_block=BITLINES,
         seed=11,
-        arena="mmap",
         resident_blocks=RESIDENT_BLOCKS,
     )
     engine = SimulationEngine(config, backend=backend)

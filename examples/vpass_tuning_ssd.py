@@ -9,7 +9,7 @@ Run:  python examples/vpass_tuning_ssd.py
 """
 
 from repro.analysis import format_table
-from repro.controller import SsdConfig, SsdSimulator
+from repro.controller import SimulationEngine, SsdConfig
 from repro.controller.stats import hottest_block_reads_per_day
 from repro.model import BaselinePolicy, FlashChannelModel, TunedVpassPolicy, endurance
 from repro.workloads import get_workload
@@ -18,12 +18,12 @@ from repro.workloads import get_workload
 def drive_demo() -> None:
     """Controller-in-the-loop: every op goes through the FTL.
 
-    ``SsdSimulator`` is the unified engine with the default counter
-    backend and batched execution; see examples/engine_backends.py for
-    the flash-chip backend with ECC and RDR in the loop.
+    ``SimulationEngine`` with its default counter backend and batched
+    execution; see examples/engine_backends.py for the flash-chip
+    backend with ECC and RDR in the loop.
     """
     print("== SSD controller run (web_0, quarter-day slice) ==")
-    sim = SsdSimulator(
+    sim = SimulationEngine(
         SsdConfig(blocks=64, pages_per_block=64, overprovision=0.15),
         refresh_interval_days=7.0,
         read_reclaim_threshold=50_000,

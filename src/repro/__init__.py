@@ -39,7 +39,6 @@ from repro.core import (
 )
 from repro.controller import (
     SimulationEngine,
-    SsdSimulator,
     SsdConfig,
     SsdRunStats,
     CounterBackend,
@@ -96,7 +95,6 @@ __all__ = [
     "RdrOutcome",
     "predict_worst_page",
     "SimulationEngine",
-    "SsdSimulator",
     "SsdConfig",
     "SsdRunStats",
     "CounterBackend",

@@ -28,14 +28,12 @@ from repro.controller.backends import (
 )
 from repro.controller.executor import (
     BlockGroupExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     resolve_executor,
 )
 from repro.controller.engine import SimulationEngine, SsdRunStats
 from repro.controller.factory import build_backend, build_engine, run_scenario
-from repro.controller.ssd import SsdSimulator
 from repro.controller.stats import block_read_pressure, hottest_block_reads_per_day
 
 __all__ = [
@@ -50,12 +48,10 @@ __all__ = [
     "CounterBackend",
     "FlashChipBackend",
     "BlockGroupExecutor",
-    "ProcessExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
     "resolve_executor",
     "SimulationEngine",
-    "SsdSimulator",
     "SsdRunStats",
     "build_backend",
     "build_engine",

@@ -6,7 +6,7 @@ behind each FTL block:
 - :class:`CounterBackend` — pure bookkeeping.  The FTL's own counters
   (reads since program, P/E cycles, program timestamps) are the whole
   device model.  This is the fast path for multi-million-operation
-  sweeps and reproduces the historical ``SsdSimulator`` semantics.
+  sweeps.
 
 - :class:`FlashChipBackend` — full fidelity.  Every FTL block is bound to
   a Monte-Carlo :class:`~repro.flash.block.FlashBlock`; host writes
@@ -45,7 +45,7 @@ from repro.ecc.fault_model import (
     inject_faults,
     parse_fault_spec,
 )
-from repro.flash.arena import ARENA_BACKINGS, BlockStore
+from repro.flash.arena import BlockStore
 from repro.flash.block import FlashBlock
 from repro.flash.geometry import FlashGeometry
 from repro.controller.executor import BlockGroupExecutor, resolve_executor
@@ -70,68 +70,6 @@ def wordline_data_bits(
     words = -(-bits // 4)
     data = rng.bit_generator.random_raw(words).astype("<u8", copy=False).view(np.uint8)
     return data[:bits] >> 7, data[4 * words : 4 * words + bits] >> 7
-
-
-# ----------------------------------------------------------------------
-# Process-executor worker plumbing
-# ----------------------------------------------------------------------
-#
-# A ProcessExecutor pool is created with the fork start method and an
-# initializer that stashes the owning backend here: under fork the
-# initargs are *inherited* (copy-on-write), not pickled, so the whole
-# backend — decoder tables, geometry, the shared-arena handle — rides
-# into every worker exactly once.  Per-task traffic is then only the
-# small picklable payloads the functions below unpack; the cell state
-# itself lives in the shared arena and is mutated in place.
-
-_WORKER_BACKEND: "FlashChipBackend | None" = None
-
-
-def _install_worker_backend(backend: "FlashChipBackend") -> None:
-    """Pool initializer: bind this worker process to its backend."""
-    global _WORKER_BACKEND
-    _WORKER_BACKEND = backend
-
-
-def _run_read_task(payload: tuple) -> "BlockReadOutcome":
-    """Execute one block's read task in a worker process.
-
-    The payload is ``(block_id, wordlines, counts, pages, now)`` — the
-    index arrays of a :class:`BlockReadTask`, without the live
-    ``FlashBlock`` (which is reattached worker-side over the shared
-    arena slab).  Reads consume no RNG, so no generator state needs to
-    travel; the returned :class:`BlockReadOutcome` is plain ndarrays.
-    """
-    block_id, wordlines, counts, pages, now = payload
-    backend = _WORKER_BACKEND
-    fb = backend._worker_block(block_id)
-    task = BlockReadTask(
-        block_id=block_id,
-        flash_block=fb,
-        wordlines=wordlines,
-        counts=counts,
-        pages=pages,
-    )
-    return backend._sense_and_decode(task, now=now)
-
-
-def _run_program_task(payload: tuple) -> tuple:
-    """Execute one block's deferred program queue in a worker process.
-
-    The payload is ``(block_id, programs, rng_state)`` where *programs*
-    is the queued ``(wordline, now, lsb, msb)`` list and *rng_state* is
-    the authoritative per-block generator state from the parent (the
-    worker's reattached block has only a placeholder RNG).  The final
-    generator state is returned so the parent can adopt it — keeping
-    the per-block stream bit-identical to serial execution.
-    """
-    block_id, programs, rng_state = payload
-    backend = _WORKER_BACKEND
-    fb = backend._worker_block(block_id)
-    fb._rng.bit_generator.state = rng_state
-    for wordline, now, lsb, msb in programs:
-        fb.program_wordline_bits(wordline, lsb, msb, now)
-    return block_id, fb._rng.bit_generator.state
 
 
 @runtime_checkable
@@ -276,14 +214,12 @@ class FlashChipBackend:
        rewrites it to a fresh block, and later pages of the same flush
        on that block are skipped (their data is already being remapped).
 
-    With ``arena="shm"`` or ``arena="mmap"`` every block's mutable
-    state lives in one :class:`~repro.flash.arena.BlockStore` slab
-    instead of per-block heap arrays — required (and defaulted to
-    ``"shm"``) for a multi-worker ``executor="process[:N]"``, whose
-    forked workers mutate the slabs in place, and the enabler of
-    out-of-core drives: ``arena="mmap"`` plus ``resident_blocks=N``
-    spills cold blocks' pages back to the backing file so a
-    ``blocks=4096`` geometry runs under a bounded resident set.
+    With ``resident_blocks=N`` every block's mutable state lives in its
+    slab of one file-backed :class:`~repro.flash.arena.BlockStore`
+    instead of per-block heap arrays, and at most *N* blocks stay
+    resident: cold blocks' pages spill back to the backing file, so a
+    ``blocks=4096`` geometry runs under a bounded resident set
+    (out-of-core drives).
     Parallel executors (``workers > 1``) also defer wordline programs
     into per-block queues flushed in ascending block order at the next
     observation point (read flush, erase, RBER probe, summary), which
@@ -304,7 +240,6 @@ class FlashChipBackend:
         enable_rdr: bool = True,
         seed: int = 0,
         executor: str | BlockGroupExecutor = "serial",
-        arena: str | None = None,
         resident_blocks: int | None = None,
         fault_pattern: str | FaultSpec | None = None,
     ):
@@ -334,31 +269,11 @@ class FlashChipBackend:
         # of it; executors we resolve from a spec are ours to close.
         self._owns_executor = isinstance(executor, (str, type(None)))
         #: block-group executor running each flush's per-block tasks;
-        #: "serial", "threaded[:N]" and "process[:N]" are bit-identical
-        #: by construction.
+        #: "serial" and "threaded[:N]" are bit-identical by construction.
         self.executor: BlockGroupExecutor = resolve_executor(executor)
-        self._process_workers = (
-            getattr(self.executor, "name", "") == "process"
-            and self.executor.workers > 1
-        )
-        if arena is not None and arena not in ARENA_BACKINGS:
-            raise ValueError(
-                f"unknown arena backing {arena!r}; expected one of "
-                f"{ARENA_BACKINGS}"
-            )
-        if arena is None and self._process_workers:
-            # Worker processes need the cell state reachable in place.
-            arena = "shm"
-        if resident_blocks is not None:
-            if arena != "mmap":
-                raise ValueError(
-                    "resident_blocks needs arena='mmap' (only a file-backed "
-                    "arena can spill cold blocks)"
-                )
-            if resident_blocks < 1:
-                raise ValueError("resident_blocks must be at least 1")
-        #: arena backing for block state (None = per-block heap arrays).
-        self.arena = arena
+        if resident_blocks is not None and resident_blocks < 1:
+            raise ValueError("resident_blocks must be at least 1")
+        #: out-of-core residency budget (None = per-block heap arrays).
         self._resident_blocks = resident_blocks
         self._store: BlockStore | None = None
         # Deferred per-block program queue: only a parallel executor
@@ -398,8 +313,7 @@ class FlashChipBackend:
         self._obs_uncorrectable = obs.counter("ecc.uncorrectable_pages")
         self._obs_rdr_attempts = obs.counter("physics.rdr.attempts")
         # Parent span id for per-block task records; set only around the
-        # in-process executor.map of a traced flush (detail "block"), so
-        # process-pool workers (forked with this at None) emit nothing.
+        # executor.map of a traced flush (detail "block").
         self._trace_block_parent: str | None = None
 
     # ------------------------------------------------------------------
@@ -422,10 +336,9 @@ class FlashChipBackend:
         if self._store is not None:
             self._store.close()
             self._store = None
-        if self.arena is not None:
+        if self._resident_blocks is not None:
             self._store = BlockStore(
                 self.geometry,
-                backing=self.arena,
                 resident_limit=self._resident_blocks,
                 on_evict=self._on_arena_evict,
             )
@@ -475,27 +388,11 @@ class FlashChipBackend:
         self._pending_programs = {}
         self._pending_wordlines = set()
         tasks = [(block, pending[block]) for block in sorted(pending)]
-        if self._use_process_pool(len(tasks)):
-            # Ship each block's RNG state out and adopt the final state
-            # back: the workers' arena-attached blocks carry placeholder
-            # generators.
-            payloads = [
-                (
-                    block,
-                    programs,
-                    self._blocks[block]._rng.bit_generator.state,
-                )
-                for block, programs in tasks
-            ]
-            for block, state in self._process_map(_run_program_task, payloads):
-                self._blocks[block]._rng.bit_generator.state = state
-        else:
-            self.executor.map(self._program_block_task, tasks)
+        self.executor.map(self._program_block_task, tasks)
         self._settle_arena(block for block, _ in tasks)
 
     def _program_block_task(self, task: tuple) -> None:
-        """Run one block's queued programs on the live block (pure per
-        block: the serial/threaded flush path)."""
+        """Run one block's queued programs (pure per block)."""
         block, programs = task
         fb = self._blocks[block]
         for wordline, now, lsb, msb in programs:
@@ -545,13 +442,6 @@ class FlashChipBackend:
         the mapping current at flush time (the engine flushes before any
         relocation moves data); the voltage cache is managed by the
         block's own epoch bumps.
-
-        **Process dispatch.**  Under a multi-worker
-        :class:`~repro.controller.executor.ProcessExecutor` the tasks
-        cross to the workers as index tuples only (module-level
-        :func:`_run_read_task`); cell state stays in the shared arena
-        and the outcomes merge in the same ascending-block order, so the
-        result is still bit-identical to serial.
         """
         # Reads observe programmed state: drain the deferred program
         # queue before the empty-batch early-return (a flush with no
@@ -576,21 +466,8 @@ class FlashChipBackend:
         with span("physics.plan"):
             tasks = self._plan_reads(ppns)
         t_start = time.monotonic()
-        if self._use_process_pool(len(tasks)):
-            payloads = [
-                (task.block_id, task.wordlines, task.counts, task.pages, now)
-                for task in tasks
-            ]
-            with span("physics.execute", blocks=len(tasks)):
-                outcomes = self._process_map(_run_read_task, payloads)
-            self._obs_decode_seconds.observe(time.monotonic() - t_start)
-            with span("physics.merge", blocks=len(tasks)):
-                self._merge_outcomes(outcomes, now)
-            self._settle_arena(task.block_id for task in tasks)
-            return
         execute = partial(self._sense_and_decode, now=now)
-        limit = self._store.resident_limit if self._store is not None else None
-        if limit is None:
+        if self._store is None:
             with span("physics.execute", blocks=len(tasks)) as execute_span:
                 if execute_span is not None and tracer.detail_block:
                     self._trace_block_parent = execute_span.id
@@ -610,6 +487,7 @@ class FlashChipBackend:
         # bit-identical results while peak residency stays near the
         # limit instead of near the flush's block count.
         rescued: set[tuple[int, int]] = set()
+        limit = self._resident_blocks
         for start in range(0, len(tasks), limit):
             chunk = tasks[start : start + limit]
             outcomes = self.executor.map(execute, chunk)
@@ -658,8 +536,7 @@ class FlashChipBackend:
         :meth:`~repro.obs.tracing.Tracer.record`, so concurrent tasks
         consume no shared sequence and ids stay deterministic under any
         thread interleaving.  ``_trace_block_parent`` is only ever set
-        around the in-process executor.map of a traced flush — forked
-        process-pool workers hold it at ``None`` and emit nothing.
+        around the executor.map of a traced flush.
         """
         parent = self._trace_block_parent
         if parent is None:
@@ -709,8 +586,8 @@ class FlashChipBackend:
         injected = None
         if self.fault_spec is not None:
             # Spawn-keyed off per-block state only (the post-record read
-            # total), so injection is bit-identical across serial,
-            # threaded, and process executors.
+            # total), so injection is bit-identical across serial and
+            # threaded executors.
             rng = np.random.default_rng(
                 spawn_key(self.seed, "fault", task.block_id, fb.total_reads)
             )
@@ -853,31 +730,6 @@ class FlashChipBackend:
             self._store.touch(block_id)
         return fb
 
-    def _worker_block(self, block_id: int) -> FlashBlock:
-        """Worker-side block lookup: the fork-inherited dict first, then
-        an arena reattach for blocks the parent materialized after the
-        pool forked (slab addressing is deterministic in *block_id*)."""
-        fb = self._blocks.get(block_id)
-        if fb is None:
-            fb = FlashBlock.attach(self.geometry, self._store, block_id)
-            self._blocks[block_id] = fb
-        return fb
-
-    def _use_process_pool(self, n_tasks: int) -> bool:
-        """Whether a flush of *n_tasks* blocks crosses to worker
-        processes (multi-worker process executor, multi-block flush)."""
-        return self._process_workers and n_tasks > 1
-
-    def _process_map(self, fn, payloads: list) -> list:
-        """Run picklable *payloads* on the process executor's pool,
-        installing this backend in each worker by fork inheritance."""
-        return self.executor.process_map(
-            fn,
-            payloads,
-            initializer=_install_worker_backend,
-            initargs=(self,),
-        )
-
     def _settle_arena(self, block_ids) -> None:
         """Re-enter *block_ids* into the arena's LRU after their slabs
         were touched through live views.
@@ -891,7 +743,7 @@ class FlashChipBackend:
         eviction, so the resident set stays bounded by the limit plus
         one batch.  No-op without an out-of-core arena.
         """
-        if self._store is not None and self._store.resident_limit is not None:
+        if self._store is not None:
             for block_id in block_ids:
                 self._store.touch(block_id)
 
@@ -905,7 +757,7 @@ class FlashChipBackend:
             fb._voltage_cache_key = None
 
     def close(self) -> None:
-        """Release pooled workers and the block arena (idempotent).
+        """Release the thread pool and the block arena (idempotent).
 
         Flushes nothing: callers observe final state via
         :meth:`summary` (which flushes) before closing —

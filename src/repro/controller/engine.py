@@ -1,9 +1,9 @@
 """Unified, batched simulation engine: one controller loop, two physics.
 
 The engine drives the page-mapping FTL through a trace under periodic
-maintenance (remap refresh, read reclaim) exactly like the historical
-``SsdSimulator`` — but the device physics behind the FTL is pluggable
-(:mod:`repro.controller.backends`) and trace execution is batched.
+maintenance (remap refresh, read reclaim).  The device physics behind
+the FTL is pluggable (:mod:`repro.controller.backends`) and trace
+execution is batched.
 
 Batched execution segments the trace into maintenance windows and
 replays only the operations that can change the mapping: host writes
@@ -77,7 +77,9 @@ class SsdRunStats:
 class SimulationEngine(FtlObserver):
     """Drive an FTL with a trace under periodic maintenance.
 
-    Parameters mirror the historical ``SsdSimulator`` plus:
+    *config* fixes the drive geometry; *refresh_interval_days*,
+    *read_reclaim_threshold* and *maintenance_period_days* set the
+    maintenance policy.  Further:
 
     - *backend*: the physics model behind the FTL; defaults to the
       bookkeeping-only :class:`~repro.controller.backends.CounterBackend`.
@@ -261,7 +263,7 @@ class SimulationEngine(FtlObserver):
         return self._run_serial(trace, on_window)
 
     def _run_serial(self, trace: IoTrace, on_window=None) -> SsdRunStats:
-        """Per-op reference loop (the historical ``SsdSimulator`` path)."""
+        """Per-op reference loop: one FTL call per trace op."""
         logical_pages = self.ftl.config.logical_pages
         pages_per_block = self.ftl.config.pages_per_block
         counter_only = self._counter_only
@@ -507,7 +509,7 @@ class SimulationEngine(FtlObserver):
         self.backend.on_reads(mapped, self.now)
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared arenas).
+        """Release backend resources (thread pools, block arenas).
 
         Delegates to the backend's ``close`` when it has one; safe to
         call on any backend and idempotent.  Extract results (which

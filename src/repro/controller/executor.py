@@ -14,28 +14,22 @@ that by splitting every flush into three phases:
 1. **plan** (serial): group the batch per block and materialize any
    lazily-created blocks;
 2. **execute** (this module): run the pure per-block tasks on a
-   *block-group executor* — :class:`SerialExecutor` (in-place loop),
+   *block-group executor* — :class:`SerialExecutor` (in-place loop) or
    :class:`ThreadedExecutor` (``N`` worker threads; the per-block numpy
    kernels release the GIL, so threads buy parallelism at kernel
-   granularity without pickling), or :class:`ProcessExecutor` (``N``
-   forked worker processes over a shared-memory block arena — see
-   :mod:`repro.flash.arena` — which sidesteps the GIL entirely while
-   still moving zero cell state per task);
+   granularity without pickling);
 3. **merge** (serial): fold the per-block outcomes back into the shared
    counters and the RDR escalation path in ascending block order.
 
 Because tasks are pure per block and the merge order is fixed,
-``executor="threaded"`` and ``executor="process"`` are **bit-identical**
-to ``executor="serial"`` (pinned by
-``tests/controller/test_block_executor.py``).
+``executor="threaded"`` is **bit-identical** to ``executor="serial"``
+(pinned by ``tests/controller/test_block_executor.py``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Protocol, runtime_checkable
 
@@ -43,7 +37,7 @@ from repro import obs
 
 #: executor kinds accepted by :func:`resolve_executor` and
 #: :class:`~repro.workloads.grid.BackendSpec`.
-EXECUTOR_KINDS = ("serial", "threaded", "process")
+EXECUTOR_KINDS = ("serial", "threaded")
 
 
 def default_executor_workers() -> int:
@@ -138,100 +132,9 @@ class ThreadedExecutor:
         return f"ThreadedExecutor(workers={self.workers})"
 
 
-class ProcessExecutor:
-    """Run block tasks on a persistent pool of ``workers`` forked
-    processes over a shared block arena.
-
-    Protocol-wise this is still an order-preserving
-    :class:`BlockGroupExecutor`: plain :meth:`map` executes in place
-    (live ``FlashBlock`` objects cannot cross a process boundary), so
-    any caller that only knows the protocol gets correct serial
-    behavior.  The parallel path is :meth:`process_map`, which
-    :class:`~repro.controller.backends.FlashChipBackend` routes its
-    multi-block flushes through with *picklable payloads* instead of
-    live tasks: the backend rides along into the workers once, by fork
-    inheritance at pool creation (``initializer`` / ``initargs`` are
-    not pickled under fork), workers reattach each block's state via
-    the shared arena (:meth:`~repro.flash.block.FlashBlock.attach`),
-    and only small index tuples and decode results cross the pipe.
-
-    Requires the ``fork`` start method (Linux/macOS-with-fork); the
-    pool is created lazily on the first multi-payload call and bound to
-    one owner backend for its lifetime.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = (
-            default_executor_workers() if workers is None else int(workers)
-        )
-        if self.workers < 1:
-            raise ValueError("need at least one executor worker")
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner: Any = None
-
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
-        # Live block tasks are not picklable; the backend calls
-        # process_map for the parallel path.  Executing in place keeps
-        # the executor protocol-correct for any other caller.
-        return [fn(task) for task in tasks]
-
-    def process_map(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> list[Any]:
-        """Order-preserving map of *fn* over picklable *payloads* on the
-        worker pool.
-
-        The pool is created lazily with the ``fork`` start method so
-        *initargs* (the owning backend) are inherited copy-on-write
-        rather than pickled; subsequent calls must pass the same owner.
-        Single-payload calls (and ``workers == 1``) bypass the pool.
-        """
-        obs.counter("executor.process.tasks").inc(len(payloads))
-        if self.workers == 1 or len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
-        owner = initargs[0] if initargs else None
-        if self._pool is None:
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise RuntimeError(
-                    "ProcessExecutor needs the 'fork' start method (workers "
-                    "inherit the backend and its shared arena at fork time); "
-                    "use executor='threaded' on this platform"
-                )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=initializer,
-                initargs=initargs,
-            )
-            self._owner = owner
-        elif owner is not self._owner:
-            raise RuntimeError(
-                "ProcessExecutor is already bound to another backend; use "
-                "one executor instance per FlashChipBackend"
-            )
-        return list(self._pool.map(fn, payloads))
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a later process_map
-        lazily recreates it, rebinding to its caller)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._owner = None
-
-    def __repr__(self) -> str:
-        return f"ProcessExecutor(workers={self.workers})"
-
-
 def parse_executor_spec(spec: str) -> tuple[str, int | None]:
-    """Validate an executor spec string: ``"serial"``, ``"threaded"``,
-    ``"threaded:N"``, ``"process"``, or ``"process:N"`` (N workers).
+    """Validate an executor spec string: ``"serial"``, ``"threaded"``, or
+    ``"threaded:N"`` (N workers).
 
     Returns ``(kind, workers)``; *workers* is ``None`` when the spec
     leaves the count to :func:`default_executor_workers`.  This is the
@@ -247,7 +150,7 @@ def parse_executor_spec(spec: str) -> tuple[str, int | None]:
         )
     if not sep:
         return kind, None
-    if kind not in ("threaded", "process"):
+    if kind != "threaded":
         raise ValueError(f"executor {kind!r} does not take a worker count")
     try:
         workers = int(count)
@@ -265,9 +168,8 @@ def resolve_executor(
 
     Accepts a ready executor instance (returned as-is), ``None`` /
     ``"serial"`` (the reference :class:`SerialExecutor`),
-    ``"threaded[:N]"`` (a :class:`ThreadedExecutor`; one thread per CPU
-    when ``N`` is omitted), or ``"process[:N]"`` (a
-    :class:`ProcessExecutor` over forked workers).
+    or ``"threaded[:N]"`` (a :class:`ThreadedExecutor`; one thread per
+    CPU when ``N`` is omitted).
     """
     if spec is None:
         return SerialExecutor()
@@ -278,6 +180,4 @@ def resolve_executor(
     kind, workers = parse_executor_spec(spec)
     if kind == "serial":
         return SerialExecutor()
-    if kind == "process":
-        return ProcessExecutor(workers)
     return ThreadedExecutor(workers)

@@ -41,7 +41,6 @@ def build_backend(spec: BackendSpec, seed: int) -> PhysicsBackend:
         enable_rdr=spec.enable_rdr,
         seed=seed,
         executor=spec.executor,
-        arena=spec.arena,
         resident_blocks=spec.resident_blocks,
         fault_pattern=spec.fault_pattern,
     )
@@ -168,6 +167,6 @@ def _run_scenario_inner(scenario: Scenario) -> ScenarioResult:
         # must run before close() tears down pools and the arena.
         return extract_result(scenario, engine, stats, trajectory)
     finally:
-        # Shared-memory arenas and worker pools must not outlive the
-        # scenario, success or failure (no leaked /dev/shm segments).
+        # Block arenas and thread pools must not outlive the scenario,
+        # success or failure (no arena file left in the temp dir).
         engine.close()

@@ -6,8 +6,9 @@ clears it every interval, so endurance is set by the block that absorbs
 the most reads per interval.  These helpers compute per-block pressure
 from a trace with static logical-to-block binning — a fast, deterministic
 proxy for the placement a page-mapping FTL produces (hot logical pages
-land in some block either way; the FTL path in :mod:`repro.controller.ssd`
-measures the same quantity with full mapping dynamics).
+land in some block either way; the FTL path in
+:mod:`repro.controller.engine` measures the same quantity with full
+mapping dynamics).
 """
 
 from __future__ import annotations

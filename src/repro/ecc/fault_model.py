@@ -26,7 +26,7 @@ Fault specs are compact strings usable as sweep-axis values:
 
 Injection draws from a caller-provided ``numpy`` Generator; the backend
 spawn-keys it from per-block state so results are bit-identical across
-serial, threaded, and process executors.
+serial and threaded executors.
 """
 
 from __future__ import annotations

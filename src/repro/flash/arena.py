@@ -1,13 +1,8 @@
-"""Shared-memory block arenas: cell state that worker processes can share.
+"""File-backed block arenas: out-of-core block state.
 
-The block-group executor's *process* tier
-(:class:`repro.controller.executor.ProcessExecutor`) only pays off if a
-worker can sense and decode a block without the cell arrays crossing the
-process boundary.  This module provides that substrate: a
-:class:`BlockStore` is one contiguous arena — a POSIX shared-memory
-segment (``backing="shm"``) or a ``MAP_SHARED`` temporary file
-(``backing="mmap"``) — holding one fixed-size *slab* per block.  A slab
-carries every piece of mutable per-block device state:
+A :class:`BlockStore` is one contiguous ``MAP_SHARED`` temporary file
+holding one fixed-size *slab* per block.  A slab carries every piece of
+mutable per-block device state:
 
 - the :class:`~repro.flash.cell_array.CellArray` buffers (``v0``,
   ``susceptibility``, ``leak``, ``true_states``),
@@ -18,20 +13,17 @@ carries every piece of mutable per-block device state:
   reads, voltage epoch; ``meta_f``: total disturb exposure).
 
 Every field is addressed by ``block_id`` alone (fixed
-:class:`SlabLayout`), so a forked worker reconstructs views over any
-block deterministically — no coordination, no pickling of cell state.
-Python-level caches (the ``(now, voltage_epoch)`` voltage cache, RNG
-generator objects) deliberately stay *outside* the slab: they are
-per-process derivatives of slab state, coherent through the shared
-voltage epoch.
+:class:`SlabLayout`).  Python-level caches (the ``(now, voltage_epoch)``
+voltage cache, RNG generator objects) deliberately stay *outside* the
+slab: they are derivatives of slab state, kept coherent by the voltage
+epoch.
 
-The ``mmap`` backing adds the out-of-core tier: with a
-``resident_limit``, least-recently-touched slabs are flushed to the
-backing file and dropped from the resident set
-(``msync`` + ``MADV_DONTNEED``), so a drive with thousands of blocks
-runs under a bounded resident-set size.  Eviction is purely a residency
-hint — views stay valid and the next access refaults the pages from the
-file — so it cannot change a bit of any result.
+With a ``resident_limit``, least-recently-touched slabs are flushed to
+the backing file and dropped from the resident set (``msync`` +
+``MADV_DONTNEED``), so a drive with thousands of blocks runs under a
+bounded resident-set size.  Eviction is purely a residency hint — views
+stay valid and the next access refaults the pages from the file — so it
+cannot change a bit of any result.
 """
 
 from __future__ import annotations
@@ -49,11 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry
-
-#: arena backings accepted by :class:`BlockStore` (and the backend's
-#: ``arena=`` knob): a POSIX shared-memory segment or a MAP_SHARED
-#: temporary file (the spillable, out-of-core tier).
-ARENA_BACKINGS = ("shm", "mmap")
 
 #: slab sizes are rounded up to this, so every slab starts page-aligned —
 #: the alignment ``mmap.flush`` / ``madvise`` need to operate per slab.
@@ -89,9 +76,8 @@ class SlabLayout:
     """Byte layout of one block's slab inside a :class:`BlockStore`.
 
     Purely a function of the geometry: field offsets are 8-byte aligned
-    and the slab size is rounded up to a page, so any process that knows
-    the geometry can address any field of any block without metadata
-    exchange — the property the fork-inherited process workers rely on.
+    and the slab size is rounded up to a page, so every slab starts
+    page-aligned and can be spilled on its own.
     """
 
     def __init__(self, geometry: FlashGeometry):
@@ -150,7 +136,7 @@ class BlockSlab:
 
 
 class BlockStore:
-    """One shared arena of per-block slabs, with an optional LRU spill.
+    """One file-backed arena of per-block slabs, with an optional LRU spill.
 
     Parameters
     ----------
@@ -159,43 +145,36 @@ class BlockStore:
         :class:`SlabLayout` and the arena size.
     blocks:
         Number of slabs (defaults to ``geometry.blocks``).
-    backing:
-        ``"shm"`` — a ``multiprocessing.shared_memory`` segment (RAM-backed,
-        not spillable); ``"mmap"`` — a ``MAP_SHARED`` temp file, the
-        out-of-core tier.
     resident_limit:
-        Only with ``backing="mmap"``: keep at most this many slabs
-        resident; least-recently-touched slabs are flushed to the file
-        and dropped from memory (views stay valid; access refaults).
+        Keep at most this many slabs resident; least-recently-touched
+        slabs are flushed to the file and dropped from memory (views
+        stay valid; access refaults).  ``None`` never spills.
     on_evict:
         Called with the evicted ``block_id`` after each spill — the
         backend uses it to drop that block's (heap-resident) voltage
         cache, which is what actually bounds the resident set.
 
-    **Ownership.**  The creating process owns the backing resource:
-    forked children inherit the mapping but :meth:`close` in a child
-    never unlinks (guarded by PID), and a ``weakref.finalize`` backstop
-    unlinks in the owner even if :meth:`close` is never called.
+    **Ownership.**  The creating process owns the backing file: a
+    forked child inherits the mapping, but :meth:`close` in a child
+    never deletes the file (guarded by PID), and a ``weakref.finalize``
+    backstop deletes it in the owner even if :meth:`close` is never
+    called.
     """
 
     def __init__(
         self,
         geometry: FlashGeometry,
         blocks: int | None = None,
-        backing: str = "shm",
         resident_limit: int | None = None,
         on_evict: Callable[[int], None] | None = None,
         dir: str | None = None,
     ):
-        if backing not in ARENA_BACKINGS:
-            raise ValueError(
-                f"unknown arena backing {backing!r}; expected one of {ARENA_BACKINGS}"
-            )
+        if resident_limit is not None and resident_limit < 1:
+            raise ValueError("resident_limit must be at least 1")
         self.geometry = geometry
         self.blocks = int(geometry.blocks if blocks is None else blocks)
         if self.blocks < 1:
             raise ValueError("arena needs at least one block")
-        self.backing = backing
         self.layout = SlabLayout(geometry)
         self.nbytes = self.layout.slab_bytes * self.blocks
         self.on_evict = on_evict
@@ -204,41 +183,18 @@ class BlockStore:
         self._lru: OrderedDict[int, None] = OrderedDict()
         self._owner_pid = os.getpid()
         self._closed = False
-        self._shm = None
-        self._mmap = None
-        self.path: str | None = None
-        if backing == "shm":
-            if resident_limit is not None:
-                raise ValueError(
-                    "resident_limit needs backing='mmap' (a shm segment's "
-                    "pages *are* the data and cannot spill)"
-                )
-            from multiprocessing import shared_memory
-
-            self._shm = shared_memory.SharedMemory(create=True, size=self.nbytes)
-            self.name = self._shm.name
-            self._buffer = self._shm.buf
-            self._finalizer = weakref.finalize(
-                self, _cleanup_shm, self._shm, self._owner_pid
-            )
-        else:
-            if resident_limit is not None and resident_limit < 1:
-                raise ValueError("resident_limit must be at least 1")
-            fd, path = tempfile.mkstemp(
-                prefix="repro-arena-", suffix=".bin", dir=dir
-            )
-            try:
-                os.ftruncate(fd, self.nbytes)
-                self._mmap = mmap.mmap(fd, self.nbytes, mmap.MAP_SHARED)
-            finally:
-                os.close(fd)
-            self.path = path
-            self.name = path
-            self._buffer = self._mmap
-            self._finalizer = weakref.finalize(
-                self, _cleanup_mmap, self._mmap, path, self._owner_pid
-            )
         self.resident_limit = resident_limit
+        fd, path = tempfile.mkstemp(prefix="repro-arena-", suffix=".bin", dir=dir)
+        try:
+            os.ftruncate(fd, self.nbytes)
+            self._mmap = mmap.mmap(fd, self.nbytes, mmap.MAP_SHARED)
+        finally:
+            os.close(fd)
+        #: the backing file (deleted by :meth:`close` or the finalizer).
+        self.path = path
+        self._finalizer = weakref.finalize(
+            self, _cleanup_mmap, self._mmap, path, self._owner_pid
+        )
 
     # ------------------------------------------------------------------
     # Slab access
@@ -254,7 +210,7 @@ class BlockStore:
                 )
             slab = BlockSlab(
                 self.layout,
-                self._buffer,
+                self._mmap,
                 block_id * self.layout.slab_bytes,
                 block_id,
             )
@@ -293,13 +249,11 @@ class BlockStore:
     def resident_blocks(self) -> tuple[int, ...]:
         """Block ids currently resident (LRU order, oldest first).
 
-        Only meaningful under an ``mmap`` backing with a
-        ``resident_limit`` — a shm arena never spills.
+        Only meaningful with a ``resident_limit``: an unlimited arena
+        never spills.
         """
         if self.resident_limit is None:
-            raise ValueError(
-                "resident tracking needs backing='mmap' with a resident_limit"
-            )
+            raise ValueError("resident tracking needs a resident_limit")
         return tuple(self._lru)
 
     # ------------------------------------------------------------------
@@ -311,14 +265,13 @@ class BlockStore:
         return self._closed
 
     def close(self) -> None:
-        """Release the backing resource (idempotent).
+        """Release the mapping (idempotent).
 
-        In the owning process this also unlinks the shm segment /
-        deletes the backing file; forked children only drop their
-        references.  Live numpy views may still pin the exported buffer
-        — the mapping then persists until those views die, but the
-        *name* is gone immediately, so nothing leaks in ``/dev/shm`` or
-        the temp dir.
+        In the owning process this also deletes the backing file;
+        forked children only drop their references.  Live numpy views
+        may still pin the exported buffer — the mapping then persists
+        until those views die, but the file is gone immediately, so
+        nothing leaks in the temp dir.
         """
         if self._closed:
             return
@@ -326,45 +279,22 @@ class BlockStore:
         self._slabs.clear()
         self._lru.clear()
         self._finalizer.detach()
-        if self._shm is not None:
-            _cleanup_shm(self._shm, self._owner_pid)
-        else:
-            _cleanup_mmap(self._mmap, self.path, self._owner_pid)
+        _cleanup_mmap(self._mmap, self.path, self._owner_pid)
 
     def __repr__(self) -> str:
         return (
-            f"BlockStore(backing={self.backing!r}, blocks={self.blocks}, "
+            f"BlockStore(blocks={self.blocks}, "
             f"slab_bytes={self.layout.slab_bytes}, nbytes={self.nbytes})"
         )
 
 
-def _cleanup_shm(shm, owner_pid: int) -> None:
-    """Close (and, in the owner, unlink) a shm segment; never raises."""
-    try:
-        shm.close()
-    except BufferError:
-        # Live numpy views still export the buffer; the mapping stays
-        # until they die, but the segment can be unlinked regardless.
-        # Detach the instance's mmap/fd ourselves so SharedMemory's own
-        # __del__ does not retry close() and print an ignored error.
-        shm._mmap = None
-        if getattr(shm, "_fd", -1) >= 0:
-            os.close(shm._fd)
-            shm._fd = -1
-    if os.getpid() == owner_pid:
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _cleanup_mmap(mm, path: str | None, owner_pid: int) -> None:
+def _cleanup_mmap(mm, path: str, owner_pid: int) -> None:
     """Close (and, in the owner, delete) a file-backed arena; never raises."""
     try:
         mm.close()
     except BufferError:
         pass
-    if path is not None and os.getpid() == owner_pid:
+    if os.getpid() == owner_pid:
         try:
             os.unlink(path)
         except FileNotFoundError:

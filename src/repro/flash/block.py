@@ -102,7 +102,7 @@ class FlashBlock:
             self.cells = CellArray(geometry, self._rng)
         else:
             # Arena-backed: every mutable array is a view into the
-            # block's slab, shared with any process mapping the arena.
+            # block's slab of the file-backed arena.
             slab = store.slab(block_id)
             self._meta_i = slab.meta_i
             self._meta_i[:] = 0
@@ -123,46 +123,10 @@ class FlashBlock:
         # disturb recording).  `block_voltages` caches one full-block
         # materialization per (now, epoch) key, so any number of sensing
         # operations between mutations shares a single physics pass.  The
-        # cache itself is per-process (plain heap arrays); the epoch lives
-        # in the (possibly shared) meta slot, so caches in other processes
-        # invalidate coherently.
+        # cache itself stays on the heap (an out-of-core spill drops it);
+        # the epoch lives in the meta slot with the rest of the state.
         self._voltage_cache_key: tuple[float, int] | None = None
         self._voltage_cache: np.ndarray | None = None
-
-    @classmethod
-    def attach(
-        cls,
-        geometry: FlashGeometry,
-        store: BlockStore,
-        block_id: int,
-    ) -> "FlashBlock":
-        """Reconstruct a block over its existing arena slab, touching
-        nothing.
-
-        This is how a forked executor worker binds to a block the parent
-        materialized *after* the fork: slab addressing is deterministic
-        in ``block_id``, so no coordination is needed, and no state is
-        initialized — the views expose whatever the owning process has
-        written.  The attached block has a placeholder RNG (program
-        tasks ship the authoritative generator state explicitly; read
-        tasks consume no RNG at all).
-        """
-        self = cls.__new__(cls)
-        self.geometry = geometry
-        self.block_id = block_id
-        self._rng = np.random.default_rng(0)  # placeholder; see docstring
-        self.disturb_model = DEFAULT_READ_DISTURB
-        slab = store.slab(block_id)
-        self._meta_i = slab.meta_i
-        self._meta_f = slab.meta_f
-        self.program_time = slab.program_time
-        self.programmed = slab.programmed
-        self._exposure_targeted = slab.exposure_targeted
-        self.reads_targeted = slab.reads_targeted
-        self.cells = CellArray.attach(geometry, slab)
-        self._voltage_cache_key = None
-        self._voltage_cache = None
-        return self
 
     # ------------------------------------------------------------------
     # Scalar meta state (slab slots when arena-backed)
@@ -204,9 +168,7 @@ class FlashBlock:
 
         Bumped by every program, erase, and disturb-recording operation;
         :meth:`block_voltages` reuses a materialization only while the
-        epoch (and requested time) are unchanged.  Arena-backed blocks
-        keep the epoch in the shared slab, so a mutation in one process
-        invalidates every process's cache.
+        epoch (and requested time) are unchanged.
         """
         return int(self._meta_i[META_VOLTAGE_EPOCH])
 

@@ -25,7 +25,7 @@ class CellArray:
     By default the four arrays live on the heap.  With *storage* — a
     :class:`~repro.flash.arena.BlockSlab` (or anything exposing
     ``true_states`` / ``v0`` / ``susceptibility`` / ``leak`` views of
-    the right shape) — they are *views into a shared arena* instead:
+    the right shape) — they are *views into a block arena* instead:
     same dtypes, same values, same RNG draw order (susceptibility before
     leak), so an arena-backed array is bit-identical to a heap one.
     """
@@ -66,19 +66,6 @@ class CellArray:
             self.leak[...] = sample_leak_factors(
                 rng, geometry.cells_per_block
             ).reshape(shape).astype(np.float32)
-
-    @classmethod
-    def attach(cls, geometry: FlashGeometry, storage) -> "CellArray":
-        """Wrap existing slab *storage* without initializing (or consuming
-        any RNG) — the reconstruction path of a forked worker process
-        attaching to a block another process already materialized."""
-        self = cls.__new__(cls)
-        self.geometry = geometry
-        self.true_states = storage.true_states
-        self.v0 = storage.v0
-        self.susceptibility = storage.susceptibility
-        self.leak = storage.leak
-        return self
 
     def sample_voltages(
         self,

@@ -12,43 +12,23 @@ import numpy as np
 
 from repro.rng import RngFactory
 from repro.units import VPASS_NOMINAL
-from repro.flash.arena import BlockStore
 from repro.flash.block import FlashBlock
 from repro.flash.geometry import FlashGeometry
 from repro.flash.sensing import DEFAULT_REFERENCES, ReadReferences
 
 
 class FlashChip:
-    """Array of flash blocks sharing a simulation clock.
+    """Array of flash blocks sharing a simulation clock."""
 
-    With *arena* (``"shm"`` or ``"mmap"``) the blocks' mutable state
-    lives in one :class:`~repro.flash.arena.BlockStore` instead of
-    per-block heap arrays — bit-identical physics, shareable across
-    forked processes; call :meth:`close` when done to release it.
-    """
-
-    def __init__(
-        self,
-        geometry: FlashGeometry | None = None,
-        seed: int = 0,
-        arena: str | None = None,
-    ):
+    def __init__(self, geometry: FlashGeometry | None = None, seed: int = 0):
         self.geometry = geometry if geometry is not None else FlashGeometry()
         self.rng_factory = RngFactory(seed)
-        self.store = (
-            BlockStore(self.geometry, backing=arena) if arena is not None else None
-        )
         self.blocks = [
-            FlashBlock(self.geometry, self.rng_factory, block_id=i, store=self.store)
+            FlashBlock(self.geometry, self.rng_factory, block_id=i)
             for i in range(self.geometry.blocks)
         ]
         #: simulation time in seconds.
         self.now = 0.0
-
-    def close(self) -> None:
-        """Release the block arena, if any (idempotent)."""
-        if self.store is not None:
-            self.store.close()
 
     def advance_time(self, seconds: float) -> None:
         """Advance the simulation clock (retention accrues implicitly)."""

@@ -1,7 +1,7 @@
 """``repro.obs``: the unified telemetry layer (tracing + metrics + export).
 
 Zero-dependency observability for the whole stack — the engine's
-windows, the flash backend's plan/execute/merge flushes, the three
+windows, the flash backend's plan/execute/merge flushes, the two
 block-group executors, the sweep runner, and the campaign layer's
 attempts/leases/store all report here.  Three pieces:
 
@@ -17,8 +17,8 @@ attempts/leases/store all report here.  Three pieces:
 **The out-of-band contract.**  Telemetry observes the run; it never
 participates.  Nothing in this package feeds an RNG stream, a scenario
 id, a seed derivation, or a result payload — so every equivalence
-suite (serial vs. threaded vs. process executors, ``workers=1`` vs.
-``workers=N``, resumed vs. uninterrupted campaigns) passes bit-for-bit
+suite (serial vs. threaded executors, ``workers=1`` vs. ``workers=N``,
+resumed vs. uninterrupted campaigns) passes bit-for-bit
 with tracing on, and the disabled path is cheap enough that the
 flash-chip bench gates it at <2% (``telemetry_overhead_ratio`` in
 ``BENCH_physics.json``).

@@ -70,11 +70,7 @@ from repro.parallel.leases import (
     sanitize_owner,
 )
 from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
-from repro.parallel.runner import (
-    _pool_context,
-    _reject_nested_process_pools,
-    default_workers,
-)
+from repro.parallel.runner import _pool_context, default_workers
 from repro.parallel.store import ResultStore
 from repro.workloads.grid import Scenario, ScenarioGrid
 
@@ -257,12 +253,10 @@ def _campaign_worker(
 ) -> None:
     """Worker entry: run one scenario, report through the pipe, exit.
 
-    Runs in its own (non-daemonic) process so any failure mode — an
-    exception (shipped back as ``("err", traceback)``), a hard crash
-    (the pipe just hits EOF), a hang (the parent kills us) — is
-    isolated to this one attempt.  Non-daemonic matters: a scenario is
-    free to fork its own block-group executor pool under ``workers=1``
-    campaigns, exactly like the in-process sweep path.
+    Runs in its own process so any failure mode — an exception
+    (shipped back as ``("err", traceback)``), a hard crash (the pipe
+    just hits EOF), a hang (the parent kills us) — is isolated to this
+    one attempt.
 
     *trace_label* / *span_parent* carry the parent's telemetry identity
     in: the worker traces into its own deterministically named file,
@@ -511,8 +505,6 @@ class Campaign:
                 self.aggregate.observe(result)
         to_run = [s for s in mine if s.scenario_id not in stored]
         self.resumed = len(mine) - len(to_run)
-        if self.workers > 1:
-            _reject_nested_process_pools(to_run, self.workers)
         context = _pool_context()
         if to_run and context.get_start_method() == "fork":
             # Forked workers inherit every pre-generated trace

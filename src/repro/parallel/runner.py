@@ -67,12 +67,6 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _available_cpus() -> int:
-    """CPUs the nested-parallelism budget check counts against
-    (a module function so tests can monkeypatch the machine size)."""
-    return os.cpu_count() or 1
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Fork where available (cheap, inherits the imported simulator);
     spawn otherwise.  The choice cannot affect results — workers rebuild
@@ -276,8 +270,6 @@ class SweepRunner:
             raise ValueError(
                 f"scenario ids must be unique; duplicated: {duplicates}"
             )
-        if self.workers > 1 and len(scenarios) > 1:
-            self._check_executor_budget(scenarios)
         if (
             self.workers > 1
             and len(scenarios) > 1
@@ -292,55 +284,6 @@ class SweepRunner:
             )
         ordered = tuple(sorted(results, key=lambda r: r.scenario_id))
         return SweepReport(results=ordered, workers=self.workers)
-
-    def _check_executor_budget(
-        self, scenarios: Sequence[Scenario]
-    ) -> None:
-        """Reject multi-worker sweeps over multi-process executors
-        (see :func:`_reject_nested_process_pools`)."""
-        _reject_nested_process_pools(scenarios, self.workers)
-
-
-def _reject_nested_process_pools(
-    scenarios: Sequence[Scenario], workers: int
-) -> None:
-    """Reject multi-worker sweeps over multi-process executors.
-
-    Two reasons, one hard and one soft.  Hard: the sweep pool's
-    workers are daemonic processes, and daemonic processes cannot
-    spawn the executor's own worker pool at all.  Soft (why no
-    silent fallback either): even if they could, ``sweep workers x
-    executor processes`` would oversubscribe the machine and thrash
-    rather than speed anything up.  Scenario-level sharding already
-    uses the cores, so the fix is to pick one level: ``workers=1``
-    with ``executor="process:N"`` for few large scenarios, or
-    ``workers=N`` with a serial/threaded executor for many.  The
-    campaign layer applies the same check (its per-scenario workers
-    are non-daemonic, so nesting is merely ruinous rather than
-    impossible there — rejected all the same).
-    """
-    from repro.controller.executor import (
-        default_executor_workers,
-        parse_executor_spec,
-    )
-
-    for scenario in scenarios:
-        spec = getattr(scenario.backend, "executor", "serial")
-        kind, count = parse_executor_spec(spec)
-        if kind != "process":
-            continue
-        procs = count if count is not None else default_executor_workers()
-        if procs <= 1:
-            continue
-        raise ValueError(
-            f"scenario {scenario.scenario_id!r} requests executor "
-            f"{spec!r} ({procs} processes) inside a {workers}-worker "
-            f"sweep: nested process pools are impossible (pool workers "
-            f"are daemonic) and {workers} x {procs} processes would "
-            f"oversubscribe {_available_cpus()} CPU(s) anyway. Use "
-            f"workers=1 with the process executor, or a serial/threaded "
-            f"executor with sweep workers."
-        )
 
 
 def run_sweep(

@@ -142,23 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="pass-through voltage(s); several values form a backend axis",
     )
     physics.add_argument(
-        "--executor", choices=("serial", "threaded", "process"), default="serial",
+        "--executor", choices=("serial", "threaded"), default="serial",
         help="intra-scenario block-group executor for flash-chip physics "
-        "(bit-identical in every mode; threaded/process default to one "
-        "worker per CPU; process needs --workers 1)",
+        "(bit-identical in every mode; threaded defaults to one thread "
+        "per CPU)",
     )
     physics.add_argument(
         "--executor-workers", type=int, default=None, metavar="N",
-        help="worker count for --executor threaded/process (default: one per CPU)",
-    )
-    physics.add_argument(
-        "--arena", choices=("shm", "mmap"), default=None,
-        help="block-state arena backing (default: heap arrays; the process "
-        "executor implies shm)",
+        help="thread count for --executor threaded (default: one per CPU)",
     )
     physics.add_argument(
         "--resident-blocks", type=int, default=None, metavar="N",
-        help="out-of-core: keep at most N blocks resident (needs --arena mmap)",
+        help="out-of-core: keep block state in a file-backed arena with at "
+        "most N blocks resident (unset: every block on the heap)",
     )
     physics.add_argument(
         "--decoder", choices=("threshold", "rs"), nargs="+",
@@ -324,10 +320,8 @@ def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
     """
     executor = args.executor
     if args.executor_workers is not None:
-        if executor not in ("threaded", "process"):
-            raise SystemExit(
-                "--executor-workers needs --executor threaded or process"
-            )
+        if executor != "threaded":
+            raise SystemExit("--executor-workers needs --executor threaded")
         executor = f"{executor}:{args.executor_workers}"
     if args.backend == "counter" and (len(args.pe_cycles), len(args.vpass)) != (1, 1):
         raise SystemExit(
@@ -361,7 +355,6 @@ def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
                                     initial_pe_cycles=pe_cycles,
                                     vpass=vpass,
                                     executor=executor,
-                                    arena=args.arena,
                                     resident_blocks=args.resident_blocks,
                                     decoder=decoder,
                                     rs_n=rs_n,
@@ -685,8 +678,7 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
     except ScenarioFailure as exc:
         raise SystemExit(f"campaign aborted (fail_fast): {exc}") from None
     except ValueError as exc:
-        # e.g. a grid-fingerprint mismatch against the stored manifest,
-        # or the nested process-pool budget guard.
+        # e.g. a grid-fingerprint mismatch against the stored manifest.
         raise SystemExit(str(exc)) from None
     if campaign.resumed:
         print(f"resumed: {campaign.resumed} scenario(s) already stored")
@@ -741,11 +733,7 @@ def main(argv: list[str] | None = None) -> int:
             f"worker{'s' if runner.workers != 1 else ''}...",
             flush=True,
         )
-        try:
-            report = runner.run(grid)
-        except ValueError as exc:
-            # e.g. the runner's nested process-pool budget guard.
-            raise SystemExit(str(exc)) from None
+        report = runner.run(grid)
         if args.serial_check:
             serial_check(grid, report)
     print(summary_table(report))

@@ -113,16 +113,17 @@ class BackendSpec:
     flash-chip knobs are ignored by the counter backend.
 
     *executor* selects the flash-chip backend's intra-scenario
-    block-group executor (``"serial"``, ``"threaded[:N]"``, or
-    ``"process[:N]"``; see :mod:`repro.controller.executor`).  Like
+    block-group executor (``"serial"`` or ``"threaded[:N]"``; see
+    :mod:`repro.controller.executor`).  Like
     :attr:`Scenario.batch` it is an *execution* knob, not a physics
     knob: executors are bit-identical by contract, so the executor never
     enters :attr:`label` — and therefore never perturbs scenario ids or
     derived seeds.  Consequently two specs differing only in executor
-    are the *same* scenario and cannot share a grid axis.  *arena* and
-    *resident_blocks* (the shared/out-of-core block-state storage; see
-    :mod:`repro.flash.arena`) are storage knobs under the same
-    bit-identity contract and stay out of the label too.
+    are the *same* scenario and cannot share a grid axis.
+    *resident_blocks* (out-of-core block state: at most that many blocks
+    resident in a file-backed arena; see :mod:`repro.flash.arena`) is a
+    storage knob under the same bit-identity contract and stays out of
+    the label too.
     """
 
     kind: str = "counter"
@@ -131,7 +132,6 @@ class BackendSpec:
     vpass: float = VPASS_NOMINAL
     enable_rdr: bool = True
     executor: str = "serial"
-    arena: str | None = None
     resident_blocks: int | None = None
     #: ECC engine: "threshold" (capability count) or "rs" (the GF(256)
     #: Reed-Solomon codec; see :mod:`repro.ecc`).  A *physics* knob —
@@ -184,22 +184,15 @@ class BackendSpec:
         # package); repro.controller.executor.parse_executor_spec is the
         # authoritative parser the engine factory resolves through.
         kind, sep, count = self.executor.partition(":")
-        if kind not in ("serial", "threaded", "process") or (
+        if kind not in ("serial", "threaded") or (
             sep and (kind == "serial" or not count.isdigit() or int(count) < 1)
         ):
             raise ValueError(
-                f"bad executor spec {self.executor!r}; expected 'serial', "
-                "'threaded[:N]', or 'process[:N]'"
+                f"bad executor spec {self.executor!r}; expected 'serial' or "
+                "'threaded[:N]'"
             )
-        if self.arena not in (None, "shm", "mmap"):
-            raise ValueError(
-                f"bad arena {self.arena!r}; expected None, 'shm', or 'mmap'"
-            )
-        if self.resident_blocks is not None:
-            if self.arena != "mmap":
-                raise ValueError("resident_blocks needs arena='mmap'")
-            if self.resident_blocks < 1:
-                raise ValueError("resident_blocks must be at least 1")
+        if self.resident_blocks is not None and self.resident_blocks < 1:
+            raise ValueError("resident_blocks must be at least 1")
 
     @property
     def label(self) -> str:

@@ -3,13 +3,20 @@
 The contract under test (docs/architecture.md, "The block-group
 executor"): `FlashChipBackend.on_reads` splits every flush into pure
 per-block tasks plus a deterministic ordered merge, so the executor
-choice — `"serial"`, `"threaded[:N]"`, `"process[:N]"` — cannot change a
-single bit of the engine summary, the backend counters, the per-block
-device state, the relocation order, or the RDR escalation bookkeeping.
-The worn/relaxed-Vpass configuration drives the uncorrectable-page path
+choice — `"serial"` or `"threaded[:N]"` — cannot change a single bit of
+the engine summary, the backend counters, the per-block device state,
+the relocation order, or the RDR escalation bookkeeping.  The
+worn/relaxed-Vpass configuration drives the uncorrectable-page path
 (including the skip of later pages of a failing block's flush), so the
-equivalence covers escalation, not just the happy path.
+equivalence covers escalation, not just the happy path.  The same holds
+for the deferred program queue a parallel executor writes through, and
+for out-of-core runs ("The block arena (out-of-core block state)"):
+spilling blocks to the arena file under any executor changes no bit,
+and the arena file never outlives the engine.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,7 +24,6 @@ import pytest
 from repro.controller import (
     CounterBackend,
     FlashChipBackend,
-    ProcessExecutor,
     SerialExecutor,
     SimulationEngine,
     SsdConfig,
@@ -26,6 +32,8 @@ from repro.controller import (
 )
 from repro.controller.executor import parse_executor_spec
 from repro.controller.factory import run_scenario
+from repro.parallel import SweepRunner
+from repro.parallel.results import ScenarioFailure
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
 from repro.workloads.grid import BackendSpec, GeometrySpec, PolicySpec, ScenarioGrid
@@ -39,7 +47,7 @@ FRESH = dict(bitlines_per_block=512, seed=5)
 WORN = dict(bitlines_per_block=512, seed=5, initial_pe_cycles=12000, vpass=500.0)
 
 
-def _traces(footprint=300, n_ops=12_000, seed=11):
+def _traces(footprint=300, n_ops=12_000, seed=11, read_fraction=0.97, span_days=3.0):
     rng = np.random.default_rng(seed)
     precondition = IoTrace(
         np.zeros(footprint),
@@ -48,8 +56,10 @@ def _traces(footprint=300, n_ops=12_000, seed=11):
         "precondition",
     )
     trace = IoTrace(
-        np.sort(rng.uniform(days(0.05), days(3.0), n_ops)),
-        np.where(rng.random(n_ops) < 0.97, OP_READ, OP_WRITE).astype(np.int64),
+        np.sort(rng.uniform(days(0.05), days(span_days), n_ops)),
+        np.where(rng.random(n_ops) < read_fraction, OP_READ, OP_WRITE).astype(
+            np.int64
+        ),
         rng.integers(0, footprint, n_ops).astype(np.int64),
         "hot-read",
     )
@@ -92,7 +102,7 @@ def _per_block_state(backend):
 
 
 @pytest.mark.parametrize("backend_kwargs", [FRESH, WORN], ids=["fresh", "worn"])
-@pytest.mark.parametrize("executor", ["threaded", "threaded:2", "process:2"])
+@pytest.mark.parametrize("executor", ["threaded", "threaded:2"])
 def test_parallel_executor_bit_identical_to_serial(backend_kwargs, executor):
     serial_engine, serial_stats, serial_relocs = _run(backend_kwargs, "serial")
     threaded_engine, threaded_stats, threaded_relocs = _run(
@@ -125,7 +135,7 @@ def test_worn_path_actually_escalates():
     assert summary["pages_checked"] < fresh_engine.backend.summary()["pages_checked"]
 
 
-@pytest.mark.parametrize("executor", ["threaded:2", "process:2"])
+@pytest.mark.parametrize("executor", ["threaded:2"])
 def test_per_op_reference_loop_supports_executors(executor):
     serial_engine, serial_stats, _ = _run(WORN, "serial", batch=False)
     parallel_engine, parallel_stats, _ = _run(WORN, executor, batch=False)
@@ -158,10 +168,6 @@ def test_executor_equivalence_through_scenarios_both_backends():
         scenario(BackendSpec(**flash, executor="threaded:2"))
     )
     assert serial_result == threaded_result
-    process_result = run_scenario(
-        scenario(BackendSpec(**flash, executor="process:2"))
-    )
-    assert serial_result == process_result
     counter_serial = run_scenario(scenario(BackendSpec(kind="counter")))
     counter_threaded = run_scenario(
         scenario(BackendSpec(kind="counter", executor="threaded:2"))
@@ -178,10 +184,8 @@ def test_parse_executor_spec():
     assert parse_executor_spec("serial") == ("serial", None)
     assert parse_executor_spec("threaded") == ("threaded", None)
     assert parse_executor_spec("threaded:3") == ("threaded", 3)
-    assert parse_executor_spec("process") == ("process", None)
-    assert parse_executor_spec("process:4") == ("process", 4)
     for bad in ("serial:2", "serial:", "threaded:", "threaded:0", "threaded:x",
-                "process:", "process:0", "process:x", "fibers"):
+                "process", "process:2", "fibers"):
         with pytest.raises(ValueError):
             parse_executor_spec(bad)
 
@@ -191,8 +195,6 @@ def test_resolve_executor():
     assert isinstance(resolve_executor("serial"), SerialExecutor)
     threaded = resolve_executor("threaded:3")
     assert isinstance(threaded, ThreadedExecutor) and threaded.workers == 3
-    process = resolve_executor("process:2")
-    assert isinstance(process, ProcessExecutor) and process.workers == 2
     ready = ThreadedExecutor(workers=2)
     assert resolve_executor(ready) is ready
     with pytest.raises(TypeError):
@@ -218,12 +220,11 @@ def test_threaded_executor_maps_in_order_and_reuses_pool():
 
 def test_backend_spec_validates_executor():
     assert BackendSpec(executor="threaded:4").executor == "threaded:4"
-    assert BackendSpec(executor="process:4").executor == "process:4"
     # The grid-level check must reject exactly what parse_executor_spec
     # rejects — a spec that passes grid construction but fails in a
     # worker would surface as a mid-sweep ScenarioFailure instead.
     for bad in ("serial:2", "serial:", "threaded:", "threaded:0",
-                "process:", "process:0", "pool"):
+                "process", "process:2", "pool"):
         with pytest.raises(ValueError):
             BackendSpec(executor=bad)
 
@@ -242,3 +243,156 @@ def test_executor_is_excluded_from_labels_and_ids():
             workloads=(WORKLOAD_SUITE["webmail"],),
             backends=(base, threaded),
         )
+
+
+# ----------------------------------------------------------------------
+# The deferred program queue and out-of-core runs
+# ----------------------------------------------------------------------
+
+SMALL = dict(bitlines_per_block=128, seed=7)
+#: a mixed 90%-read day over 200 lpns.
+MIXED = dict(footprint=200, n_ops=3_000, seed=13, read_fraction=0.9, span_days=1.0)
+
+
+def _run_small(executor="serial", resident_blocks=None):
+    """A mixed 90%-read run on 128-bitline blocks; returns the stats,
+    the backend summary and the arena's eviction count (0 on the heap)."""
+    backend = FlashChipBackend(
+        **SMALL, executor=executor, resident_blocks=resident_blocks
+    )
+    engine = SimulationEngine(CONFIG, backend=backend)
+    precondition, trace = _traces(**MIXED)
+    engine.run_trace(precondition)
+    stats = engine.run_trace(trace)
+    summary = backend.summary()
+    evictions = backend._store.evictions if backend._store is not None else 0
+    engine.close()
+    return stats, summary, evictions
+
+
+def test_deferred_programs_flush_at_every_observer():
+    """A parallel backend queues programs; summary()/erase/rber flush
+    them, so a write-only run still lands every wordline."""
+    backend = FlashChipBackend(bitlines_per_block=64, seed=1, executor="threaded:2")
+    engine = SimulationEngine(CONFIG, backend=backend)
+    footprint = 40
+    precondition, _ = _traces(footprint=footprint, seed=13)
+    engine.run_trace(precondition)  # write-only: nothing calls on_reads
+    assert backend.summary()["bound_blocks"] > 0
+    programmed = sum(
+        int(fb.programmed.sum()) for fb in backend._blocks.values()
+    )
+    assert programmed >= footprint // 2
+    assert not backend._pending_programs
+    engine.close()
+
+
+def test_scenario_equivalence_with_write_heavy_workload():
+    """Writes exercise the deferred program path hard (GC relocations
+    included); a threaded run must still match serial bits."""
+    geometry = GeometrySpec(blocks=12, pages_per_block=16, overprovision=0.25)
+
+    def scenario(executor):
+        return ScenarioGrid(
+            workloads=(WORKLOAD_SUITE["wdev_0"],),
+            geometries=(geometry,),
+            backends=(
+                BackendSpec(
+                    kind="flash_chip",
+                    bitlines_per_block=128,
+                    initial_pe_cycles=6000,
+                    executor=executor,
+                ),
+            ),
+            duration_days=0.02,
+            record_trajectory=True,
+        ).scenarios()[0]
+
+    assert run_scenario(scenario("serial")) == run_scenario(scenario("threaded:2"))
+
+
+@pytest.mark.parametrize("executor", ["serial", "threaded:2"])
+@pytest.mark.parametrize("resident_blocks", [1, 2])
+def test_out_of_core_run_is_bit_identical_to_heap(resident_blocks, executor):
+    """A tiny residency budget forces chunked execute/merge and constant
+    spilling; neither the spill schedule nor the executor may change a
+    bit."""
+    heap_stats, heap_summary, _ = _run_small("serial")
+    ooc_stats, ooc_summary, evictions = _run_small(executor, resident_blocks)
+    assert evictions > 0, "the budget must actually force spills"
+    assert (ooc_stats, ooc_summary) == (heap_stats, heap_summary)
+
+
+def test_resident_blocks_must_be_positive():
+    with pytest.raises(ValueError, match="at least 1"):
+        FlashChipBackend(resident_blocks=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        BackendSpec(kind="flash_chip", resident_blocks=0)
+
+
+@pytest.fixture
+def arena_dir(tmp_path, monkeypatch):
+    """Route arena files into a private directory and return a lister
+    of the ``repro-arena-*`` files left in it."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return lambda: sorted(
+        name for name in os.listdir(tmp_path) if name.startswith("repro-arena-")
+    )
+
+
+@pytest.mark.parametrize("executor", ["serial", "threaded:2"])
+def test_no_arena_file_leak_on_normal_engine_run(arena_dir, executor):
+    backend = FlashChipBackend(**SMALL, executor=executor, resident_blocks=2)
+    engine = SimulationEngine(CONFIG, backend=backend)
+    precondition, trace = _traces(**MIXED)
+    engine.run_trace(precondition)
+    assert arena_dir(), "the out-of-core engine must back blocks by a file"
+    engine.run_trace(trace)
+    assert backend.summary()["pages_checked"] > 0
+    engine.close()
+    assert arena_dir() == []
+
+
+def test_no_arena_file_leak_on_exception_mid_run(arena_dir):
+    backend = FlashChipBackend(**SMALL, resident_blocks=2)
+    engine = SimulationEngine(CONFIG, backend=backend)
+    precondition, trace = _traces(**MIXED)
+    engine.run_trace(precondition)
+    assert arena_dir(), "the out-of-core engine must back blocks by a file"
+
+    def exploding_drain():
+        raise RuntimeError("mid-run failure")
+
+    backend.drain_relocations = exploding_drain
+    with pytest.raises(RuntimeError, match="mid-run failure"):
+        engine.run_trace(trace)
+    # The engine surface contract: whoever drives the engine closes it
+    # on the way out (run_scenario does this in a finally).
+    engine.close()
+    assert arena_dir() == []
+
+
+def test_no_arena_file_leak_on_scenario_failure_in_sweep(arena_dir, monkeypatch):
+    scenarios = ScenarioGrid(
+        workloads=(WORKLOAD_SUITE["webmail"],),
+        geometries=(GeometrySpec(blocks=12, pages_per_block=16, overprovision=0.25),),
+        backends=(
+            BackendSpec(kind="flash_chip", bitlines_per_block=128, resident_blocks=2),
+        ),
+        duration_days=0.01,
+    ).scenarios()
+    runner = SweepRunner(workers=1)
+    assert len(runner.run(scenarios).results) == 1
+    assert arena_dir() == []
+    # Fail the same scenario mid-run, while its arena file exists.
+    files_at_failure = []
+
+    def exploding_drain(self):
+        files_at_failure.append(arena_dir())
+        raise RuntimeError("mid-scenario failure")
+
+    monkeypatch.setattr(FlashChipBackend, "drain_relocations", exploding_drain)
+    with pytest.raises(ScenarioFailure, match="mid-scenario failure"):
+        runner.run(scenarios)
+    assert files_at_failure[0], "the failing scenario must own an arena file"
+    assert arena_dir() == []

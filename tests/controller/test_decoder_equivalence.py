@@ -3,7 +3,7 @@
 Within capability the two engines must be indistinguishable: every page
 the threshold model passes, the RS codec also corrects, raw bit errors
 are popcounts of the same masks, and the summary dictionaries come out
-bit-identical — under the serial, threaded, and process executors alike
+bit-identical — under the serial and threaded executors alike
 (the RS mask path exercises different flash-block kernels than the
 threshold count path, so executor equivalence is re-pinned here rather
 than assumed from ``test_block_executor``).  Beyond capability the RS
@@ -74,7 +74,7 @@ def test_rs_summary_bit_identical_to_threshold_within_capability():
     assert summary["miscorrected_pages"] == 0
 
 
-@pytest.mark.parametrize("executor", ["threaded:2", "process:2"])
+@pytest.mark.parametrize("executor", ["threaded:2"])
 def test_rs_decode_is_executor_independent(executor):
     serial_engine, serial_stats = _run(FRESH, ecc=RS_ECC)
     parallel_engine, parallel_stats = _run(FRESH, executor=executor, ecc=RS_ECC)
@@ -102,7 +102,7 @@ def test_weak_rs_code_reports_miscorrections():
     assert burst_like > patterns["scattered"]
 
 
-@pytest.mark.parametrize("executor", ["threaded:2", "process:2"])
+@pytest.mark.parametrize("executor", ["threaded:2"])
 def test_fault_injection_is_executor_independent(executor):
     weak = EccConfig(decoder="rs", rs_n=32, rs_k=30)
     serial_engine, serial_stats = _run(

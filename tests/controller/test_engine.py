@@ -9,7 +9,6 @@ from repro.controller import (
     PhysicsBackend,
     SimulationEngine,
     SsdConfig,
-    SsdSimulator,
 )
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
@@ -32,12 +31,10 @@ def test_backends_satisfy_protocol():
     assert isinstance(FlashChipBackend(), PhysicsBackend)
 
 
-def test_ssd_simulator_is_the_engine():
-    """The historical entry point is the unified engine."""
-    assert issubclass(SsdSimulator, SimulationEngine)
-    sim = SsdSimulator(SMALL)
-    assert isinstance(sim.backend, CounterBackend)
-    assert sim.batch
+def test_engine_defaults_to_batched_counter_backend():
+    engine = SimulationEngine(SMALL)
+    assert isinstance(engine.backend, CounterBackend)
+    assert engine.batch
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-"""SSD simulator end-to-end on small traces."""
+"""The simulation engine's SSD controller loop end to end on small traces
+(default counter backend)."""
 
 import numpy as np
 import pytest
 
 from repro.controller.ftl import SsdConfig
-from repro.controller.ssd import SsdSimulator
+from repro.controller.engine import SimulationEngine
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
 
@@ -20,7 +21,7 @@ def _trace(n_ops: int, read_fraction: float, duration_days: float, pages: int, s
 
 
 def test_run_trace_accounts_operations():
-    sim = SsdSimulator(SMALL)
+    sim = SimulationEngine(SMALL)
     trace = _trace(5000, 0.6, 2.0, SMALL.logical_pages // 2)
     stats = sim.run_trace(trace)
     # Reads of never-written pages touch no flash; they are accounted
@@ -33,7 +34,7 @@ def test_run_trace_accounts_operations():
 
 def test_refresh_runs_on_old_data():
     """Data written once and then only read must get refreshed at 7 days."""
-    sim = SsdSimulator(SMALL, refresh_interval_days=7)
+    sim = SimulationEngine(SMALL, refresh_interval_days=7)
     n_writes, n_reads = 100, 2000
     write_ts = np.linspace(0.0, days(0.1), n_writes)
     read_ts = np.linspace(days(0.2), days(10.0), n_reads)
@@ -53,7 +54,7 @@ def test_refresh_runs_on_old_data():
 
 
 def test_read_reclaim_engages_for_hot_reads():
-    sim = SsdSimulator(SMALL, read_reclaim_threshold=200)
+    sim = SimulationEngine(SMALL, read_reclaim_threshold=200)
     rng = np.random.default_rng(1)
     n = 4000
     ts = np.sort(rng.uniform(0, days(4), n))
@@ -69,7 +70,7 @@ def test_read_reclaim_engages_for_hot_reads():
 
 
 def test_peak_interval_reads_tracked():
-    sim = SsdSimulator(SMALL, refresh_interval_days=7)
+    sim = SimulationEngine(SMALL, refresh_interval_days=7)
     trace = _trace(3000, 0.9, 3.0, SMALL.logical_pages // 8)
     stats = sim.run_trace(trace)
     assert stats.peak_block_reads_per_interval > 0
@@ -77,4 +78,4 @@ def test_peak_interval_reads_tracked():
 
 def test_invalid_maintenance_period():
     with pytest.raises(ValueError):
-        SsdSimulator(SMALL, maintenance_period_days=0.0)
+        SimulationEngine(SMALL, maintenance_period_days=0.0)

@@ -1,12 +1,11 @@
-"""The block arena: slab layout, bit-identity, attach, and spilling.
+"""The block arena: slab layout, bit-identity, spilling, and cleanup.
 
-Contract under test (docs/architecture.md, "The process executor and the
-block arena"): a :class:`BlockStore` slab carries every piece of mutable
-per-block state at deterministic offsets, an arena-backed
-:class:`FlashBlock` is bit-identical to a heap-backed one, a second
-process (or a plain second handle) can attach to a block without
-consuming RNG or touching state, and the mmap backing's LRU eviction is
-a pure residency hint — data survives any spill schedule.
+Contract under test (docs/architecture.md, "The block arena
+(out-of-core block state)"): a :class:`BlockStore` slab carries every
+piece of mutable per-block state at deterministic offsets, an
+arena-backed :class:`FlashBlock` is bit-identical to a heap-backed one,
+LRU eviction is a pure residency hint — data survives any spill
+schedule — and the backing file never outlives the store.
 """
 
 import os
@@ -14,14 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.flash.arena import (
-    ARENA_BACKINGS,
-    BlockStore,
-    META_I_SLOTS,
-    SlabLayout,
-)
+from repro.flash.arena import BlockStore, META_I_SLOTS, SlabLayout
 from repro.flash.block import FlashBlock
-from repro.flash.cell_array import CellArray
 from repro.flash.geometry import FlashGeometry
 from repro.rng import RngFactory
 
@@ -77,9 +70,8 @@ def test_slab_layout_is_aligned_and_page_rounded():
     assert layout.fields["meta_i"].shape == (META_I_SLOTS,)
 
 
-@pytest.mark.parametrize("backing", ARENA_BACKINGS)
-def test_slab_views_do_not_alias_across_fields_or_blocks(backing):
-    store = BlockStore(GEOMETRY, backing=backing)
+def test_slab_views_do_not_alias_across_fields_or_blocks():
+    store = BlockStore(GEOMETRY)
     try:
         a, b = store.slab(0), store.slab(1)
         a.v0.fill(1.0)
@@ -94,15 +86,14 @@ def test_slab_views_do_not_alias_across_fields_or_blocks(backing):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity and attach
+# Bit-identity
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backing", ARENA_BACKINGS)
-def test_arena_backed_block_bit_identical_to_heap(backing):
+def test_arena_backed_block_bit_identical_to_heap():
     heap = FlashBlock(GEOMETRY, RngFactory(9), block_id=2)
     _exercise(heap, seed=1)
-    store = BlockStore(GEOMETRY, backing=backing)
+    store = BlockStore(GEOMETRY)
     try:
         arena = FlashBlock(GEOMETRY, RngFactory(9), block_id=2, store=store)
         _exercise(arena, seed=1)
@@ -113,36 +104,14 @@ def test_arena_backed_block_bit_identical_to_heap(backing):
         store.close()
 
 
-def test_attach_sees_state_without_consuming_rng():
-    store = BlockStore(GEOMETRY, backing="shm")
-    try:
-        owner = FlashBlock(GEOMETRY, RngFactory(3), block_id=1, store=store)
-        _exercise(owner, seed=2)
-        attached = FlashBlock.attach(GEOMETRY, store, 1)
-        assert attached.cells.true_states.tolist() == owner.cells.true_states.tolist()
-        assert attached.pe_cycles == owner.pe_cycles
-        assert attached.voltage_epoch == owner.voltage_epoch
-        # Mutations through either handle are visible through the other.
-        attached.record_reads(np.array([1]), np.array([5]), vpass=6.0)
-        assert owner.total_reads == attached.total_reads
-        assert owner.voltage_epoch == attached.voltage_epoch
-        # CellArray.attach is the no-init path: same buffers, no writes.
-        view = CellArray.attach(GEOMETRY, store.slab(1))
-        assert view.v0 is store.slab(1).v0 or (view.v0 == owner.cells.v0).all()
-    finally:
-        store.close()
-
-
 # ----------------------------------------------------------------------
-# Out-of-core spilling (mmap backing)
+# Out-of-core spilling
 # ----------------------------------------------------------------------
 
 
 def test_mmap_lru_evicts_and_data_survives():
     evicted = []
-    store = BlockStore(
-        GEOMETRY, backing="mmap", resident_limit=2, on_evict=evicted.append
-    )
+    store = BlockStore(GEOMETRY, resident_limit=2, on_evict=evicted.append)
     try:
         blocks = [
             FlashBlock(GEOMETRY, RngFactory(4), block_id=i, store=store)
@@ -163,11 +132,9 @@ def test_mmap_lru_evicts_and_data_survives():
         store.close()
 
 
-def test_shm_backing_rejects_resident_limit():
-    with pytest.raises(ValueError, match="mmap"):
-        BlockStore(GEOMETRY, backing="shm", resident_limit=2)
-    with pytest.raises(ValueError, match="backing"):
-        BlockStore(GEOMETRY, backing="tape")
+def test_store_rejects_non_positive_resident_limit():
+    with pytest.raises(ValueError, match="at least 1"):
+        BlockStore(GEOMETRY, resident_limit=0)
 
 
 # ----------------------------------------------------------------------
@@ -175,22 +142,8 @@ def test_shm_backing_rejects_resident_limit():
 # ----------------------------------------------------------------------
 
 
-def test_shm_close_unlinks_segment_immediately():
-    before = set(os.listdir("/dev/shm"))
-    store = BlockStore(GEOMETRY, backing="shm")
-    fb = FlashBlock(GEOMETRY, RngFactory(0), block_id=0, store=store)
-    created = set(os.listdir("/dev/shm")) - before
-    assert created, "shm arena should appear in /dev/shm"
-    # Views are still alive (fb) — close must swallow the BufferError
-    # and unlink the name anyway.
-    store.close()
-    assert set(os.listdir("/dev/shm")) == before
-    store.close()  # idempotent
-    assert fb.cells.v0.shape  # views stay usable until they die
-
-
 def test_mmap_close_deletes_backing_file():
-    store = BlockStore(GEOMETRY, backing="mmap")
+    store = BlockStore(GEOMETRY)
     path = store.path
     assert os.path.exists(path)
     FlashBlock(GEOMETRY, RngFactory(0), block_id=0, store=store)
@@ -199,9 +152,20 @@ def test_mmap_close_deletes_backing_file():
     store.close()  # idempotent
 
 
-def test_finalizer_cleans_up_unclosed_store():
-    before = set(os.listdir("/dev/shm"))
-    store = BlockStore(GEOMETRY, backing="shm")
-    assert set(os.listdir("/dev/shm")) != before
-    del store  # never closed: the weakref.finalize backstop unlinks
-    assert set(os.listdir("/dev/shm")) == before
+def test_mmap_close_with_live_views_deletes_file_immediately():
+    store = BlockStore(GEOMETRY)
+    path = store.path
+    fb = FlashBlock(GEOMETRY, RngFactory(0), block_id=0, store=store)
+    # Views are still alive (fb) — close must swallow the BufferError
+    # and delete the file anyway.
+    store.close()
+    assert not os.path.exists(path)
+    store.close()  # idempotent
+    assert fb.cells.v0.shape  # views stay usable until they die
+
+
+def test_finalizer_cleans_up_unclosed_store(tmp_path):
+    store = BlockStore(GEOMETRY, dir=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(store.path)]
+    del store  # never closed: the weakref.finalize backstop deletes
+    assert list(tmp_path.iterdir()) == []

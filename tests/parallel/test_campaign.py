@@ -8,8 +8,9 @@ run.  Every failure mode here is injected deterministically via
 torn and bit-rotted store records — never by timing luck.
 
 Scenarios use the counter backend throughout: a SIGKILL'd campaign
-parent cannot run finalizers, so kill tests must not involve
-/dev/shm arenas (the process-executor suite owns arena lifecycle).
+parent cannot run finalizers, so kill tests must not involve block
+arena files (``tests/controller/test_block_executor.py`` and
+``tests/flash/test_arena.py`` own arena lifecycle).
 """
 
 import os

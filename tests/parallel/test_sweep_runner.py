@@ -202,77 +202,6 @@ def test_runner_validation():
 
 
 # ----------------------------------------------------------------------
-# Nested-parallelism budget guard (process executor inside a sweep)
-# ----------------------------------------------------------------------
-
-PROCESS_GEOMETRY = GeometrySpec(blocks=12, pages_per_block=16, overprovision=0.25)
-
-
-def process_grid(workloads=("webmail", "web_0"), executor="process:2"):
-    return ScenarioGrid(
-        workloads=tuple(WORKLOAD_SUITE[name] for name in workloads),
-        geometries=(PROCESS_GEOMETRY,),
-        backends=(
-            BackendSpec(
-                kind="flash_chip", bitlines_per_block=128, executor=executor
-            ),
-        ),
-        duration_days=0.01,
-    )
-
-
-def test_multi_worker_sweep_rejects_process_executor():
-    """Sweep workers are daemonic — they cannot host a nested process
-    pool, so the runner refuses the combination up front by name."""
-    with pytest.raises(ValueError, match="daemonic") as excinfo:
-        SweepRunner(workers=2).run(process_grid())
-    message = str(excinfo.value)
-    assert "process:2" in message
-    assert "2 x 2" in message
-    assert "workers=1" in message  # the error names the fix
-
-
-def test_bare_process_spec_counts_default_executor_workers(monkeypatch):
-    """A bare ``process`` spec resolves its worker count the same way
-    the executor itself would, so the guard sees the real budget."""
-    import repro.controller.executor as executor_module
-    import repro.parallel.runner as runner_module
-
-    monkeypatch.setattr(
-        executor_module, "default_executor_workers", lambda: 8
-    )
-    monkeypatch.setattr(runner_module, "_available_cpus", lambda: 8)
-    with pytest.raises(ValueError, match=r"4 x 8 .*8 CPU"):
-        SweepRunner(workers=4).run(process_grid(executor="process"))
-
-
-def test_single_process_scenario_allowed_under_multi_worker_sweep():
-    """One scenario runs in-process regardless of the worker count, so
-    its executor is free to fork — no nesting, nothing to reject."""
-    grid = process_grid(workloads=("webmail",))
-    report = SweepRunner(workers=4).run(grid)
-    assert len(report.results) == 1
-
-
-def test_serial_sweep_runs_process_executor_scenarios():
-    """``workers=1`` is the sanctioned shape for process-executor
-    grids: every scenario forks its own pool from the parent."""
-    grid = process_grid()
-    report = SweepRunner(workers=1).run(grid)
-    assert len(report.results) == 2
-    assert all(r.stats["host_reads"] > 0 for r in report.results)
-
-
-def test_guard_ignores_serial_threaded_and_single_process_executors():
-    for executor in ("serial", "threaded:2", "process:1"):
-        grid = process_grid(executor=executor)
-        # The guard runs before any scenario executes; reaching the
-        # pool proves acceptance, and the report proves execution.
-        report = SweepRunner(workers=2).run(grid)
-        assert len(report.results) == 2
-
-
-# ----------------------------------------------------------------------
 # Worker loss, env parsing, and the spawn start method
 # ----------------------------------------------------------------------
 

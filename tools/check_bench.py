@@ -65,7 +65,6 @@ CEILINGS = [
 CORE_GATED_FLOORS = [
     ("sweep_parallel", "speedup_workers_4", 1.5, 4),
     ("intra_scenario", "speedup_threaded_4", 1.5, 4),
-    ("process_executor", "speedup_process_4", 1.5, 4),
 ]
 
 #: keys that must exist per section even when no floor binds (so a bench
@@ -80,7 +79,6 @@ REQUIRED_KEYS = {
     "physics_hotpath": ["decode_relaxed_pages_per_sec_batched"],
     "sweep_parallel": ["cpu_count", "seconds_workers_1"],
     "intra_scenario": ["cpu_count", "seconds_serial", "serial_ops_per_sec"],
-    "process_executor": ["cpu_count", "seconds_serial", "serial_ops_per_sec"],
     # No floor on the append rate (fsync latency is filesystem-dependent)
     # — the gate only demands the durability-overhead row keeps being
     # recorded alongside the ratio the README quotes.

@@ -34,13 +34,10 @@ DOCUMENTED_NAMES = [
     "controller.executor.BlockGroupExecutor",
     "controller.executor.SerialExecutor",
     "controller.executor.ThreadedExecutor",
-    "controller.executor.ProcessExecutor",
-    "controller.executor.ProcessExecutor.process_map",
     "controller.executor.resolve_executor",
     "controller.backends.FlashChipBackend.flush_programs",
     "flash.arena.BlockStore",
     "flash.arena.SlabLayout",
-    "flash.block.FlashBlock.attach",
     "rng.block_spawn_key",
     "workloads.trace_cache.generated_trace",
     "workloads.trace_cache.warm_trace_cache",

@@ -3,8 +3,8 @@
 #
 # The committed BENCH_physics.json is *data recorded on one machine*;
 # tools/check_bench.py gates later commits against it.  The multi-core
-# speedup floors (sweep workers, threaded executor, process executor —
-# all >=1.5x at 4 workers) arm themselves only when the recorded
+# speedup floors (sweep workers and threaded executor, both >=1.5x at
+# 4 workers) arm themselves only when the recorded
 # payloads say cpu_count >= 4, so re-recording on a >=4-core machine is
 # what turns those floors on.  Procedure:
 #
@@ -30,7 +30,6 @@ PYTHONPATH=src python -m pytest \
     benchmarks/bench_physics_hotpath.py \
     benchmarks/bench_sweep_parallel.py \
     benchmarks/bench_intra_scenario.py \
-    benchmarks/bench_process_executor.py \
     benchmarks/bench_campaign_store.py \
     benchmarks/bench_rs_decode.py \
     -o python_functions='bench_*' -q "$@"
