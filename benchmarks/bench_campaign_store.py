@@ -70,36 +70,6 @@ def _append_load(tmp: Path) -> dict:
     }
 
 
-def _compaction(tmp: Path) -> dict:
-    """Fold the append-bench store into a segment and reload it.
-
-    Also asserts the structural claim behind the O(segments)+tail load:
-    after a fold, the records dir holds no live files at all — every
-    read is served from the checksummed segment.
-    """
-    results = [_fake_result(i) for i in range(APPEND_RECORDS)]
-    store = ResultStore(tmp / "append")
-    start = time.perf_counter()
-    summary = store.compact()
-    compact_seconds = time.perf_counter() - start
-    assert summary is not None and summary["records"] == APPEND_RECORDS
-    compacted = ResultStore(tmp / "append")
-    start = time.perf_counter()
-    loaded = compacted.load()
-    load_seconds = time.perf_counter() - start
-    assert [loaded[r.scenario_id] for r in results] == results
-    shape = compacted.describe()
-    assert shape["live_files"] == 0, "fold left live files behind"
-    assert not list(compacted.records_dir.glob("*.jsonl"))
-    return {
-        "records": APPEND_RECORDS,
-        "segments": shape["segments"],
-        "compact_seconds": compact_seconds,
-        "load_seconds": load_seconds,
-        "compact_records_per_second": APPEND_RECORDS / compact_seconds,
-    }
-
-
 def _campaign_overhead(tmp: Path) -> dict:
     start = time.perf_counter()
     runner_report = SweepRunner(workers=1).run(GRID)
@@ -122,13 +92,9 @@ def _campaign_overhead(tmp: Path) -> dict:
 def bench_campaign_store(benchmark, emit, emit_json):
     def _run():
         with tempfile.TemporaryDirectory() as tmp:
-            return (
-                _append_load(Path(tmp)),
-                _compaction(Path(tmp)),
-                _campaign_overhead(Path(tmp)),
-            )
+            return _append_load(Path(tmp)), _campaign_overhead(Path(tmp))
 
-    append, fold, overhead = benchmark.pedantic(_run, rounds=1, iterations=1)
+    append, overhead = benchmark.pedantic(_run, rounds=1, iterations=1)
     table = format_table(
         ["path", "work", "seconds", "rate"],
         [
@@ -143,18 +109,6 @@ def bench_campaign_store(benchmark, emit, emit_json):
                 f"{append['records']} records",
                 f"{append['load_seconds']:.3f}",
                 f"{append['records'] / append['load_seconds']:,.0f}/s",
-            ],
-            [
-                "store compact (fold to segment)",
-                f"{fold['records']} records",
-                f"{fold['compact_seconds']:.3f}",
-                f"{fold['compact_records_per_second']:,.0f}/s",
-            ],
-            [
-                "store load (segments + tail)",
-                f"{fold['records']} records",
-                f"{fold['load_seconds']:.3f}",
-                f"{fold['records'] / fold['load_seconds']:,.0f}/s",
             ],
             [
                 "SweepRunner (in-process)",
@@ -185,13 +139,6 @@ def bench_campaign_store(benchmark, emit, emit_json):
             "loads_per_second": round(
                 append["records"] / append["load_seconds"], 1
             ),
-            "compact_records_per_second": round(
-                fold["compact_records_per_second"], 1
-            ),
-            "compacted_loads_per_second": round(
-                fold["records"] / fold["load_seconds"], 1
-            ),
-            "compacted_segments": fold["segments"],
             "scenarios": overhead["scenarios"],
             "runner_seconds": round(overhead["runner_seconds"], 3),
             "campaign_seconds": round(overhead["campaign_seconds"], 3),

@@ -2,10 +2,10 @@
 
 ``python -m repro.obs.export <campaign-dir>`` renders a
 machine-readable snapshot of a campaign directory from its durable
-artifacts alone — the result store (records, segments, failure
-ledger), the lease ledger, and any trace files under
-``<campaign>/trace`` — so it works identically on a running, crashed,
-or finished campaign, with no connection to any worker.
+artifacts alone — the result store (records, failure ledger), the
+lease ledger, and any trace files under ``<campaign>/trace`` — so it
+works identically on a running, crashed, or finished campaign, with no
+connection to any worker.
 
 Two files land in ``<campaign>/obs/`` (or ``--out DIR``):
 
@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.obs.metrics import render_prometheus
 
 EXPORT_FORMAT = "repro-obs-snapshot"
-EXPORT_VERSION = 1
+EXPORT_VERSION = 2
 
 
 def trace_summary(trace_dir: str | os.PathLike) -> dict:

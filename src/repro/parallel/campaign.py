@@ -571,7 +571,8 @@ class Campaign:
                 )
                 continue
             # Re-read stored ids per batch: a previous holder may have
-            # completed part of it before dying (O(segments)+tail scan).
+            # completed part of it before dying (re-validates every
+            # stored record).
             stored = self.store.scenario_ids()
             to_run = [
                 by_id[i]
@@ -833,15 +834,17 @@ def campaign_status(
     """Live health of a campaign directory, from store state alone.
 
     Works on a running, crashed, or finished campaign — everything is
-    derived from the durable artifacts (manifest, records, segments,
-    failure ledger, lease claim files), so ``--status`` needs no
-    connection to any worker.  *ttl* only affects which leases are
-    flagged stale (a reader cannot know the workers' actual TTL).
+    derived from the durable artifacts (manifest, records, failure
+    ledger, lease claim files), so ``--status`` needs no connection to
+    any worker.  A directory without a store manifest raises
+    :class:`ValueError` and is left untouched.  *ttl* only affects which
+    leases are flagged stale (a reader cannot know the workers' actual
+    TTL).
     """
+    if not ResultStore.is_initialized(root):
+        raise ValueError(f"{root} is not an initialized campaign store")
     store = ResultStore(root)
     manifest = store.read_manifest()
-    if manifest is None:
-        raise ValueError(f"{root} is not an initialized campaign store")
     results = store.load()
     aggregate = StreamingAggregate()
     for scenario_id in sorted(results):
@@ -876,7 +879,7 @@ def campaign_status(
         "completed": len(results),
         "corrupt_records": store.corrupt_records,
         "zombie_writes": store.zombie_writes,
-        "store": store.describe(),
+        "store": {"live_files": len(list(store.records_dir.glob("*.jsonl")))},
         "failures": {"total": len(failures), "kinds": dict(kinds)},
         "leases": leases,
         "aggregate": aggregate.snapshot(),

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
+from repro.parallel.store import write_atomic
 
 #: on-disk format identifier for the batch plan.
 PLAN_FORMAT = "repro-campaign-leases"
@@ -189,7 +190,7 @@ class LeaseLedger:
                 "scenario_count": len(ids),
                 "ids_sha256": fingerprint,
             }
-            self._write_atomic(self.plan_path, json.dumps(plan, indent=2) + "\n")
+            write_atomic(self.plan_path, json.dumps(plan, indent=2) + "\n")
             # Two workers may race the first write; re-read so everyone
             # adopts whichever plan os.replace made durable last.
             existing = self._read_plan()
@@ -216,20 +217,6 @@ class LeaseLedger:
         ):
             raise ValueError(f"{self.plan_path} is not a lease plan: {plan!r}")
         return plan
-
-    @staticmethod
-    def _write_atomic(path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
 
     # ------------------------------------------------------------------
     # Claim-file replay
@@ -408,17 +395,6 @@ class LeaseLedger:
                 {"op": "done", "owner": self.owner, "token": lease.token,
                  "at": time.time()},
             )
-
-    def active_leases(self, now: float | None = None) -> list[LeaseState]:
-        """Every batch currently held by a live (fresh-heartbeat) worker."""
-        now = time.time() if now is None else now
-        return [
-            state
-            for state in self.states()
-            if not state.done
-            and state.owner is not None
-            and state.age(now) < self.ttl
-        ]
 
     def __repr__(self) -> str:
         return f"LeaseLedger(root={str(self.root)!r}, owner={self.owner!r})"

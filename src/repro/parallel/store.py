@@ -2,8 +2,7 @@
 
 A :class:`ResultStore` is a directory that survives anything the
 campaign layer (:mod:`repro.parallel.campaign`) can throw at it — killed
-parents, killed workers, torn writes, bit flips, a crash at any byte of
-a compaction — and merges back into a
+parents, killed workers, torn writes, bit flips — and merges back into a
 :class:`~repro.parallel.results.SweepReport` by construction:
 
 ``manifest.json``
@@ -14,8 +13,8 @@ a compaction — and merges back into a
     results of a different grid.
 
 ``records/<writer>.jsonl``
-    The **live tail**: append-only result records, one JSON object per
-    line, each carrying a SHA-256 checksum of its canonical payload.
+    Append-only result records, one JSON object per line, each
+    carrying a SHA-256 checksum of its canonical payload.
     Appends are flushed and ``fsync``'d before :meth:`append` returns,
     so a record either exists completely or not at all: a parent killed
     mid-append leaves at most one torn final line, which fails to parse
@@ -29,26 +28,6 @@ a compaction — and merges back into a
     a zombie writer's late duplicates are attributable (see
     :attr:`zombie_writes`).
 
-``segments/``
-    The **compacted tier**: :meth:`compact` folds the live tail's cold
-    records into an indexed, checksummed columnar segment —
-    ``segment-NNNNN.data.json`` (per-field column arrays of every
-    record, one JSON parse per segment instead of one per record) plus
-    ``segment-NNNNN.index.json`` (scenario ids, per-record checksums,
-    and the data file's length and SHA-256, so resume can enumerate a
-    segment without parsing its data).  A segment becomes real only
-    when ``segments/MANIFEST.json`` (atomic tmp + fsync + rename) lists
-    it — the *compaction commit point* — and the folded live files are
-    deleted only **after** that commit.  A crash at any byte of
-    compaction therefore loses nothing: uncommitted segment files are
-    invisible to :meth:`load`, and committed segments coexist
-    harmlessly with not-yet-deleted live duplicates (duplicate ids must
-    agree, which compaction guarantees).  After compaction,
-    :meth:`load` reads O(segments) files plus the live tail instead of
-    re-parsing every record ever appended, and :meth:`scenario_ids`
-    (what resume consults) verifies one whole-file checksum per segment
-    instead of one per record.
-
 ``failures/<writer>.jsonl``
     The failure ledger: one record per failed *attempt* (scenario id,
     attempt number, failure kind, detail, wall-clock timestamp, and the
@@ -57,11 +36,11 @@ a compaction — and merges back into a
     policy.  Purely diagnostic — never merged into reports.
 
 **Order-free merge by construction.**  Results are keyed by scenario
-id; :meth:`load` reads committed segments then every live record file
-in sorted-name order and keeps the first valid record per id.  Scenario
-results are deterministic in the scenario (the sweep substrate's
-contract), so duplicate ids across files — a retried scenario, two
-overlapping shards, a fenced-off zombie's late write — must agree, and
+id; :meth:`load` reads every record file in sorted-name order and
+keeps the first valid record per id.  Scenario results are
+deterministic in the scenario (the sweep substrate's contract), so
+duplicate ids across files — a retried scenario, two overlapping
+shards, a fenced-off zombie's late write — must agree, and
 :meth:`load` verifies they do.  Merging two hosts' stores is therefore
 just copying record files into one store (:meth:`ingest`); no ordering,
 locking, or coordination exists to get wrong.
@@ -82,16 +61,6 @@ from repro.parallel.results import ScenarioResult
 #: on-disk format identifier (bump STORE_VERSION on incompatible change).
 STORE_FORMAT = "repro-campaign-store"
 STORE_VERSION = 1
-
-#: on-disk identifiers of the compacted tier.
-SEGMENT_FORMAT = "repro-campaign-segment"
-SEGMENT_INDEX_FORMAT = "repro-campaign-segment-index"
-SEGMENTS_MANIFEST_FORMAT = "repro-campaign-segments"
-SEGMENT_VERSION = 1
-
-#: the columnar layout: one array per record field, index-aligned.
-_SEGMENT_COLUMNS = ("scenario_id", "stats", "backend", "per_block",
-                    "trajectory", "lease_token")
 
 
 def grid_fingerprint(scenarios) -> str:
@@ -123,6 +92,26 @@ def _payload_sha(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write *text* to *path* atomically and durably.
+
+    temp file in the same directory → flush → fsync → ``os.replace``
+    → fsync the directory, so a crash leaves either the old file or the
+    new one, never a torn file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class ResultStore:
     """One campaign's persistent results under *root* (see module docs).
 
@@ -130,7 +119,8 @@ class ResultStore:
     ----------
     root:
         Store directory; created (with ``records/`` and ``failures/``)
-        if missing.
+        if missing.  A directory holding a ``segments/`` tier raises
+        :class:`ValueError`.
     writer:
         Name of this writer's append files.  Each concurrently-writing
         campaign run must use a distinct name; the campaign layer derives
@@ -145,10 +135,19 @@ class ResultStore:
         self.writer = writer
         self.records_dir = self.root / "records"
         self.failures_dir = self.root / "failures"
-        self.segments_dir = self.root / "segments"
+        segments = self.root / "segments"
+        if segments.exists():
+            # Segment files hold results this store cannot read; loading
+            # around them would read the store as partial (resume re-runs
+            # finished work, reports silently drop results).
+            raise ValueError(
+                f"{segments} holds a compacted segment tier; segment "
+                f"tiers are no longer read, so this store cannot be loaded"
+            )
         self.records_dir.mkdir(parents=True, exist_ok=True)
         self.failures_dir.mkdir(parents=True, exist_ok=True)
-        #: invalid records seen by the last :meth:`load` (torn/corrupt).
+        #: invalid records (torn/corrupt) seen by the last scan, either
+        #: :meth:`load` or :meth:`scenario_ids`.
         self.corrupt_records = 0
         #: scenario ids the last :meth:`load` saw recorded under more
         #: than one lease fencing token — the signature of a zombie
@@ -166,10 +165,6 @@ class ResultStore:
     @property
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
-
-    @property
-    def segments_manifest_path(self) -> Path:
-        return self.segments_dir / "MANIFEST.json"
 
     @classmethod
     def is_initialized(cls, root: str | os.PathLike) -> bool:
@@ -218,27 +213,8 @@ class ResultStore:
             "grid_fingerprint": fingerprint,
             "scenario_count": len(list(scenarios)),
         }
-        self._write_atomic(self.manifest_path, json.dumps(manifest, indent=2) + "\n")
+        write_atomic(self.manifest_path, json.dumps(manifest, indent=2) + "\n")
         return manifest
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        """Write *text* to *path* atomically and durably.
-
-        temp file in the same directory → flush → fsync → ``os.replace``
-        → fsync the directory, so a crash leaves either the old manifest
-        or the new one, never a torn file.
-        """
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
 
     # ------------------------------------------------------------------
     # Appending
@@ -356,108 +332,17 @@ class ResultStore:
     # Loading / merging
     # ------------------------------------------------------------------
 
-    def _read_segments_manifest(self) -> dict | None:
-        """The committed-segments manifest, or ``None`` when absent."""
-        try:
-            text = self.segments_manifest_path.read_text()
-        except FileNotFoundError:
-            return None
-        manifest = json.loads(text)
-        if (
-            manifest.get("format") != SEGMENTS_MANIFEST_FORMAT
-            or manifest.get("version") != SEGMENT_VERSION
-        ):
-            raise ValueError(
-                f"{self.segments_manifest_path} is not a segments "
-                f"manifest: {manifest!r}"
-            )
-        return manifest
-
-    def _read_segment_index(self, name: str) -> dict | None:
-        """A committed segment's index, or ``None`` when unreadable."""
-        try:
-            index = json.loads(
-                (self.segments_dir / f"{name}.index.json").read_text()
-            )
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        if (
-            index.get("format") != SEGMENT_INDEX_FORMAT
-            or index.get("version") != SEGMENT_VERSION
-            or index.get("segment") != name
-        ):
-            return None
-        return index
-
-    def _read_segment_data(self, name: str, index: dict) -> dict | None:
-        """A segment's verified column arrays, or ``None`` when corrupt."""
-        try:
-            raw = (self.segments_dir / f"{name}.data.json").read_bytes()
-        except FileNotFoundError:
-            return None
-        if (
-            len(raw) != index.get("data_bytes")
-            or hashlib.sha256(raw).hexdigest() != index.get("data_sha256")
-        ):
-            return None
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError:
-            return None
-        if (
-            data.get("format") != SEGMENT_FORMAT
-            or data.get("version") != SEGMENT_VERSION
-        ):
-            return None
-        return data.get("columns")
-
-    def _iter_segment_records(self):
-        """Yield ``(scenario_id, payload, lease_token)`` per committed
-        segment record.
-
-        Anything torn or bit-rotted — an unreadable index, a data file
-        whose length or whole-file SHA-256 mismatches, a row whose
-        reconstructed payload fails its per-record checksum — is
-        counted in :attr:`corrupt_records` and skipped, exactly like a
-        torn live line: the affected scenarios simply re-run on resume.
-        """
-        manifest = self._read_segments_manifest()
-        if manifest is None:
-            return
-        for entry in manifest["segments"]:
-            name, expected = entry["name"], int(entry["records"])
-            index = self._read_segment_index(name)
-            if index is None:
-                self.corrupt_records += expected
-                continue
-            columns = self._read_segment_data(name, index)
-            if columns is None:
-                self.corrupt_records += expected
-                continue
-            ids = columns.get("scenario_id", [])
-            shas = index.get("record_sha256", [])
-            for i, scenario_id in enumerate(ids):
-                payload = {
-                    "scenario_id": scenario_id,
-                    "stats": columns["stats"][i],
-                    "backend": columns["backend"][i],
-                    "per_block": columns["per_block"][i],
-                    "trajectory": columns["trajectory"][i],
-                }
-                if i >= len(shas) or _payload_sha(payload) != shas[i]:
-                    self.corrupt_records += 1
-                    continue
-                yield scenario_id, payload, columns["lease_token"][i]
-
-    def _iter_live_records(self):
+    def _iter_records(self):
         """Yield ``(scenario_id, payload, lease_token)`` for every valid
-        live-tail record.
+        record.
 
         Files are visited in sorted-name order and lines in file order —
         a deterministic scan, though nothing downstream depends on it
-        (results merge by id).  Invalid lines (torn appends, checksum
-        mismatches) increment :attr:`corrupt_records` and are skipped.
+        (results merge by id).  :attr:`corrupt_records` restarts at zero
+        with each scan; invalid lines (torn appends, checksum
+        mismatches) increment it and are skipped.
         """
+        self.corrupt_records = 0
         for path in sorted(self.records_dir.glob("*.jsonl")):
             with open(path) as handle:
                 for line in handle:
@@ -477,12 +362,6 @@ class ResultStore:
                     lease = record.get("lease") or {}
                     yield payload["scenario_id"], payload, lease.get("token")
 
-    def _iter_valid_records(self):
-        """Every valid record — committed segments first, then the tail."""
-        self.corrupt_records = 0
-        yield from self._iter_segment_records()
-        yield from self._iter_live_records()
-
     def load(self) -> dict[str, ScenarioResult]:
         """All valid stored results, keyed by scenario id.
 
@@ -497,7 +376,7 @@ class ResultStore:
         merged: dict[str, dict] = {}
         tokens: dict[str, set] = {}
         self.zombie_writes = 0
-        for scenario_id, payload, token in self._iter_valid_records():
+        for scenario_id, payload, token in self._iter_records():
             previous = merged.get(scenario_id)
             if previous is None:
                 merged[scenario_id] = payload
@@ -522,38 +401,9 @@ class ResultStore:
     def scenario_ids(self) -> set[str]:
         """Ids of every validly stored scenario (what resume skips).
 
-        The compacted tier's fast path: a committed segment contributes
-        its indexed ids after **one** whole-file checksum pass over its
-        data (no JSON parse, no per-record hashing), so on a compacted
-        store this is O(segments) + the live tail rather than a full
-        re-validation of every record ever appended.
+        Re-validates every record's checksum, exactly like :meth:`load`.
         """
-        self.corrupt_records = 0
-        ids: set[str] = set()
-        manifest = self._read_segments_manifest()
-        if manifest is not None:
-            for entry in manifest["segments"]:
-                name, expected = entry["name"], int(entry["records"])
-                index = self._read_segment_index(name)
-                if index is None:
-                    self.corrupt_records += expected
-                    continue
-                try:
-                    raw = (self.segments_dir / f"{name}.data.json").read_bytes()
-                except FileNotFoundError:
-                    self.corrupt_records += expected
-                    continue
-                if (
-                    len(raw) != index.get("data_bytes")
-                    or hashlib.sha256(raw).hexdigest() != index.get("data_sha256")
-                ):
-                    self.corrupt_records += expected
-                    continue
-                ids.update(index["scenario_ids"])
-        ids.update(
-            scenario_id for scenario_id, _, _ in self._iter_live_records()
-        )
-        return ids
+        return {scenario_id for scenario_id, _, _ in self._iter_records()}
 
     def failures(self) -> list[dict]:
         """Every failure-ledger entry, across all writers."""
@@ -571,197 +421,6 @@ class ResultStore:
         return entries
 
     # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Cheap structural summary (for ``--status`` and benches)."""
-        manifest = self._read_segments_manifest()
-        segments = [] if manifest is None else manifest["segments"]
-        return {
-            "segments": len(segments),
-            "segment_records": sum(int(s["records"]) for s in segments),
-            "live_files": len(list(self.records_dir.glob("*.jsonl"))),
-        }
-
-    def compact(self, min_records: int = 1) -> dict | None:
-        """Fold the live tail into one committed columnar segment.
-
-        The crash-safety protocol, in commit order (each arrow is an
-        fsync'd boundary; the named points are the deterministic
-        fault-injection hooks in :mod:`repro.testing.faults`):
-
-        1. collect every valid live record (duplicates must agree —
-           the same check :meth:`load` applies) → write the columnar
-           data file to a temp name [``compact/tmp``] → rename it in
-           [``compact/data``];
-        2. write + rename the index file carrying the ids, per-record
-           checksums, and the data file's length and SHA-256
-           [``compact/index``];
-        3. atomically rewrite ``segments/MANIFEST.json`` listing the
-           new segment — **the commit point** [``compact/manifest``];
-        4. only now delete the folded live files [``compact/cleanup``
-           fires mid-deletion].
-
-        A crash before step 3 leaves orphan segment files no reader
-        looks at (the live tail is untouched); a crash after it leaves
-        live duplicates of committed records, which merge harmlessly.
-        Either way :meth:`load` returns exactly the pre-compaction
-        record set.
-
-        Refuses to run while any *other* worker holds a fresh lease
-        (:mod:`repro.parallel.leases`) — folding a file a live writer
-        has open would drop that writer's subsequent appends with it.
-        Returns a summary dict, or ``None`` when fewer than
-        *min_records* valid live records exist.
-        """
-        from repro.testing.faults import maybe_inject
-
-        tracer = obs.tracer()
-        with tracer.span("store.compact"):
-            with tracer.span("store.compact.collect"):
-                self._guard_active_leases()
-                live_files = sorted(self.records_dir.glob("*.jsonl"))
-                merged: dict[str, dict] = {}
-                tokens: dict[str, object] = {}
-                self.corrupt_records = 0
-                for scenario_id, payload, token in self._iter_live_records():
-                    previous = merged.get(scenario_id)
-                    if previous is None:
-                        merged[scenario_id] = payload
-                        tokens[scenario_id] = token
-                    elif previous != payload:
-                        raise ValueError(
-                            f"store at {self.root} holds two different results "
-                            f"for scenario {scenario_id!r}; refusing to compact"
-                        )
-            if len(merged) < max(1, min_records):
-                return None
-            ids = sorted(merged)
-            columns = {
-                "scenario_id": ids,
-                "stats": [merged[i]["stats"] for i in ids],
-                "backend": [merged[i]["backend"] for i in ids],
-                "per_block": [merged[i]["per_block"] for i in ids],
-                "trajectory": [merged[i]["trajectory"] for i in ids],
-                "lease_token": [tokens[i] for i in ids],
-            }
-            assert set(columns) == set(_SEGMENT_COLUMNS)
-            name = self._next_segment_name()
-            data_text = _canonical(
-                {"format": SEGMENT_FORMAT, "version": SEGMENT_VERSION,
-                 "columns": columns}
-            )
-            data_bytes = data_text.encode()
-            with tracer.span("store.compact.data", segment=name):
-                self.segments_dir.mkdir(parents=True, exist_ok=True)
-                data_path = self.segments_dir / f"{name}.data.json"
-                tmp = data_path.with_name(data_path.name + ".tmp")
-                with open(tmp, "w") as handle:
-                    handle.write(data_text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                maybe_inject("compact/tmp")
-                os.replace(tmp, data_path)
-                self._fsync_dir(self.segments_dir)
-                maybe_inject("compact/data")
-            with tracer.span("store.compact.index", segment=name):
-                index = {
-                    "format": SEGMENT_INDEX_FORMAT,
-                    "version": SEGMENT_VERSION,
-                    "segment": name,
-                    "records": len(ids),
-                    "scenario_ids": ids,
-                    "record_sha256": [_payload_sha(merged[i]) for i in ids],
-                    "data_bytes": len(data_bytes),
-                    "data_sha256": hashlib.sha256(data_bytes).hexdigest(),
-                }
-                self._write_atomic(
-                    self.segments_dir / f"{name}.index.json",
-                    _canonical(index) + "\n",
-                )
-                maybe_inject("compact/index")
-            with tracer.span("store.compact.manifest", segment=name):
-                manifest = self._read_segments_manifest() or {
-                    "format": SEGMENTS_MANIFEST_FORMAT,
-                    "version": SEGMENT_VERSION,
-                    "segments": [],
-                }
-                manifest["segments"].append(
-                    {"name": name, "records": len(ids),
-                     "data_sha256": index["data_sha256"]}
-                )
-                self._write_atomic(
-                    self.segments_manifest_path,
-                    json.dumps(manifest, indent=2) + "\n",
-                )
-                maybe_inject("compact/manifest")
-            with tracer.span("store.compact.cleanup", segment=name):
-                deleted = 0
-                for path in live_files:
-                    path.unlink()
-                    deleted += 1
-                    if deleted == 1:
-                        maybe_inject("compact/cleanup")
-                self._fsync_dir(self.records_dir)
-            obs.counter("store.compactions").inc()
-            return {
-                "segment": name,
-                "records": len(ids),
-                "folded_files": deleted,
-            }
-
-    def _next_segment_name(self) -> str:
-        """First segment name not taken by the manifest *or* stray files
-        (orphans of a crashed compaction must never be overwritten —
-        they could be mid-rename twins of a committed file)."""
-        taken = set()
-        manifest = (
-            self._read_segments_manifest()
-            if self.segments_manifest_path.exists()
-            else None
-        )
-        if manifest is not None:
-            taken.update(entry["name"] for entry in manifest["segments"])
-        if self.segments_dir.exists():
-            for path in self.segments_dir.glob("segment-*.json"):
-                taken.add(path.name.split(".", 1)[0])
-        index = 0
-        while f"segment-{index:05d}" in taken:
-            index += 1
-        return f"segment-{index:05d}"
-
-    def _guard_active_leases(self) -> None:
-        from repro.parallel.leases import LeaseLedger
-
-        if not (self.root / "leases").exists():
-            return
-        ledger = LeaseLedger(self.root, owner=self.writer)
-        active = [
-            state
-            for state in ledger.active_leases()
-            if state.owner != ledger.owner
-        ]
-        if active:
-            holders = ", ".join(
-                f"{s.batch_id}@{s.owner}" for s in active[:4]
-            )
-            raise ValueError(
-                f"store at {self.root} has {len(active)} active lease(s) "
-                f"({holders}{'…' if len(active) > 4 else ''}); compaction "
-                f"requires a quiescent store — wait for the workers to "
-                f"finish or for their leases to expire"
-            )
-
-    @staticmethod
-    def _fsync_dir(path: Path) -> None:
-        dir_fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-
-    # ------------------------------------------------------------------
     # Cross-store merge
     # ------------------------------------------------------------------
 
@@ -772,16 +431,21 @@ class ResultStore:
         machines, then ingest each remote store into one — duplicate
         scenario ids are harmless (deterministic results; :meth:`load`
         verifies agreement), and fingerprint-bound manifests guarantee
-        both stores describe the same grid.  A compacted source store is
-        re-expanded into live records on this side (segments stay owned
-        by the store that committed them).  Returns the number of files
-        copied (a re-expanded segment tier counts as one file).
+        both stores describe the same grid.  The source must be an
+        initialized store (a mistyped path raises instead of silently
+        merging nothing); this store may still be unbound.  Returns the
+        number of files copied.
         """
+        source = other.root if isinstance(other, ResultStore) else Path(other)
+        if not self.is_initialized(source):
+            raise ValueError(
+                f"cannot ingest {source}: not an initialized campaign store"
+            )
         if not isinstance(other, ResultStore):
-            other = ResultStore(other)
+            other = ResultStore(source)
         mine = self.read_manifest()
         theirs = other.read_manifest()
-        if mine is not None and theirs is not None and (
+        if mine is not None and (
             mine["grid_fingerprint"] != theirs["grid_fingerprint"]
         ):
             raise ValueError(
@@ -801,23 +465,6 @@ class ResultStore:
                     continue
                 shutil.copyfile(src, dst)
                 copied += 1
-        # Re-expand the source's committed segments into one live record
-        # file on our side (never copy segment files: their manifest is
-        # the source store's commit log, not ours).
-        other.corrupt_records = 0
-        segment_records = list(other._iter_segment_records())
-        if segment_records and other.root.resolve() != self.root.resolve():
-            digest = hashlib.sha256(str(other.root.resolve()).encode())
-            dst = self.records_dir / f"ingested-{digest.hexdigest()[:10]}-segments.jsonl"
-            with open(dst, "w") as handle:
-                for _, payload, token in segment_records:
-                    record = {"sha256": _payload_sha(payload), "result": payload}
-                    if token is not None:
-                        record["lease"] = {"token": token}
-                    handle.write(_canonical(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            copied += 1
         return copied
 
     def __repr__(self) -> str:

@@ -45,10 +45,6 @@ Examples::
     # Live health of any campaign directory (running or not)
     python -m repro.sweep --status runs/night1
 
-    # Fold a finished campaign's records into a checksummed segment
-    # (load drops to O(segments) + live tail)
-    python -m repro.sweep --compact runs/night1
-
     # What can I sweep?
     python -m repro.sweep --list-workloads
 """
@@ -239,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-worker leases, failure summary, streaming aggregate) and "
         "exit; derived from store state alone",
     )
-    campaign.add_argument(
-        "--compact", type=Path, default=None, metavar="DIR",
-        help="fold the campaign store's live records into a "
-        "checksummed columnar segment and exit (refuses while workers "
-        "hold fresh leases)",
-    )
     telemetry = parser.add_argument_group(
         "telemetry (repro.obs; strictly out-of-band — results are "
         "bit-identical with tracing on)"
@@ -252,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--trace", nargs="?", const="auto", default=None, metavar="DIR",
         help="emit span traces as JSONL files under DIR; a bare --trace "
-        "defaults to <campaign-or-compact-dir>/trace",
+        "defaults to <campaign-dir>/trace",
     )
     telemetry.add_argument(
         "--trace-detail", choices=DETAIL_LEVELS, default="coarse",
@@ -491,12 +481,7 @@ def render_status(status: dict) -> str:
     pct = f" ({100.0 * done / total:.1f}%)" if total else ""
     lines.append(f"campaign store {status['root']}")
     lines.append(f"  progress: {done}/{total} scenario(s){pct}")
-    store = status["store"]
-    lines.append(
-        f"  store: {store['segments']} segment(s) holding "
-        f"{store['segment_records']} record(s), {store['live_files']} live "
-        f"file(s)"
-    )
+    lines.append(f"  store: {status['store']['live_files']} live file(s)")
     if status["corrupt_records"]:
         lines.append(
             f"  corrupt records skipped: {status['corrupt_records']} "
@@ -547,7 +532,7 @@ def render_status(status: dict) -> str:
 
 #: schema identity of the ``--status --json`` document.
 STATUS_FORMAT = "repro-campaign-status"
-STATUS_VERSION = 1
+STATUS_VERSION = 2
 
 
 def run_status_cli(args: argparse.Namespace) -> int:
@@ -579,45 +564,19 @@ def run_status_cli(args: argparse.Namespace) -> int:
 def _resolve_trace_dir(args: argparse.Namespace) -> Path | None:
     """Where ``--trace`` writes, or ``None`` when tracing is off.
 
-    A bare ``--trace`` means "into the campaign/compact directory" —
-    the one place every elastic worker of a campaign can agree on.
+    A bare ``--trace`` means "into the campaign directory" — the one
+    place every elastic worker of a campaign can agree on.
     """
     if args.trace is None:
         return None
     if args.trace != "auto":
         return Path(args.trace)
-    base = args.campaign if args.campaign is not None else args.compact
-    if base is None:
+    if args.campaign is None:
         raise SystemExit(
-            "a bare --trace needs --campaign DIR or --compact DIR to "
-            "anchor the trace directory; pass --trace DIR explicitly "
-            "for a plain sweep"
+            "a bare --trace needs --campaign DIR to anchor the trace "
+            "directory; pass --trace DIR explicitly for a plain sweep"
         )
-    return Path(base) / "trace"
-
-
-def run_compact_cli(args: argparse.Namespace) -> int:
-    from repro.parallel.store import ResultStore
-
-    trace_dir = _resolve_trace_dir(args)
-    if trace_dir is not None:
-        obs.configure(trace_dir, label="compact", detail=args.trace_detail)
-    store = ResultStore(args.compact)
-    if store.read_manifest() is None:
-        raise SystemExit(f"{args.compact} is not an initialized campaign store")
-    try:
-        summary = store.compact()
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    if summary is None:
-        print("nothing to compact: no live records")
-    else:
-        print(
-            f"compacted {summary['records']} record(s) from "
-            f"{summary['folded_files']} live file(s) into "
-            f"{summary['segment']}"
-        )
-    return 0
+    return Path(args.campaign) / "trace"
 
 
 def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
@@ -705,8 +664,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.status is not None:
         return run_status_cli(args)
-    if args.compact is not None:
-        return run_compact_cli(args)
     if args.resume and args.campaign is None:
         raise SystemExit("--resume needs --campaign DIR")
     if args.shard is not None and args.campaign is None:

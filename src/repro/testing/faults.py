@@ -32,13 +32,6 @@ is a positive integer or ``*`` for "every attempt".  Scenario ids
 contain ``/`` and ``.`` but never ``:`` or ``;``, so the two delimiters
 cannot collide.
 
-Besides scenario ids, :func:`maybe_inject` is called at every commit
-boundary of store compaction with the pseudo-ids ``compact/tmp``,
-``compact/data``, ``compact/index``, ``compact/manifest``, and
-``compact/cleanup`` — arming a ``crash`` or ``raise`` fault on one of
-those kills the compaction at that exact byte boundary, which is how
-the crash-mid-compaction suite walks every stage of the protocol.
-
 The store-corruption injectors (:func:`corrupt_store_record`,
 :func:`truncate_store_tail`) operate on a
 :class:`~repro.parallel.store.ResultStore` directory from the outside —

@@ -170,7 +170,7 @@ def test_torn_claim_line_is_skipped(tmp_path):
     assert a.state("b00000").owner == "worker-a"
 
 
-def test_states_and_active_leases(tmp_path):
+def test_states_resolve_every_planned_batch(tmp_path):
     a = ledger(tmp_path, "worker-a", ttl=30.0)
     a.plan(IDS, batch_size=4)  # 3 batches
     lease = a.claim("b00000")
@@ -181,10 +181,6 @@ def test_states_and_active_leases(tmp_path):
     assert states["b00000"].done
     assert states["b00001"].owner == "worker-a"
     assert states["b00002"].owner is None
-    active = a.active_leases()
-    assert [state.batch_id for state in active] == ["b00001"]
-    expire_leases(tmp_path, rewind_seconds=60.0, batch_id="b00001")
-    assert a.active_leases() == []
 
 
 def test_claim_entries_are_canonical_json_lines(tmp_path):

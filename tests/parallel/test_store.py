@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.parallel.leases import Lease
 from repro.parallel.results import ScenarioResult
 from repro.parallel.store import ResultStore, grid_fingerprint
 from repro.testing.faults import corrupt_store_record, truncate_store_tail
@@ -87,6 +88,33 @@ def test_conflicting_duplicate_records_raise(tmp_path):
         ResultStore(tmp_path).load()
 
 
+def test_agreeing_duplicates_under_two_tokens_count_as_zombie_writes(tmp_path):
+    result = fake_result("s/00")
+    with ResultStore(tmp_path, writer="w1") as a:
+        a.append(result, lease=Lease("b00000", 1, "w1"))
+    with ResultStore(tmp_path, writer="w2") as b:
+        b.append(result, lease=Lease("b00000", 2, "w2"))
+    store = ResultStore(tmp_path)
+    assert store.load() == {"s/00": result}  # payloads agree -> merged
+    assert store.zombie_writes == 1
+    # A third token on the same id is still one zombie-written scenario:
+    # the count is of scenario ids, not of extra tokens.
+    with ResultStore(tmp_path, writer="w3") as c:
+        c.append(result, lease=Lease("b00000", 3, "w3"))
+    reread = ResultStore(tmp_path)
+    assert reread.load() == {"s/00": result}
+    assert reread.zombie_writes == 1
+
+
+def test_disagreeing_duplicates_still_raise_regardless_of_tokens(tmp_path):
+    with ResultStore(tmp_path, writer="w1") as a:
+        a.append(fake_result("s/00", value=0.5), lease=Lease("b0", 1, "w1"))
+    with ResultStore(tmp_path, writer="w2") as b:
+        b.append(fake_result("s/00", value=0.9), lease=Lease("b0", 2, "w2"))
+    with pytest.raises(ValueError, match="two different results"):
+        ResultStore(tmp_path).load()
+
+
 # ----------------------------------------------------------------------
 # Torn and corrupted records
 # ----------------------------------------------------------------------
@@ -112,6 +140,17 @@ def test_checksum_catches_bit_rot(tmp_path):
     store = ResultStore(tmp_path)
     assert set(store.load()) == {"s/0"}
     assert store.corrupt_records == 1
+
+
+def test_every_scan_recounts_corrupt_records(tmp_path):
+    with ResultStore(tmp_path) as store:
+        store.append(fake_result("s/0"))
+        store.append(fake_result("s/1"))
+    truncate_store_tail(tmp_path, nbytes=20)
+    store = ResultStore(tmp_path)
+    store.load()
+    assert store.scenario_ids() == {"s/0"}
+    assert store.corrupt_records == 1  # restarted per scan, not summed
 
 
 def test_rerun_after_torn_record_restores_it(tmp_path):
@@ -166,6 +205,18 @@ def test_writer_names_are_validated(tmp_path):
     for bad in ("", "a/b", ".hidden"):
         with pytest.raises(ValueError, match="writer"):
             ResultStore(tmp_path, writer=bad)
+
+
+def test_store_holding_a_segment_tier_fails_loudly(tmp_path):
+    """Records compacted into ``segments/`` are unreadable: loading
+    around them would make a finished store look partial."""
+    store = ResultStore(tmp_path)
+    store.bind(list(small_grid()))
+    with store:
+        store.append(fake_result("s/0"))
+    (tmp_path / "segments").mkdir()
+    with pytest.raises(ValueError, match="segment tiers are no longer read"):
+        ResultStore(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -229,3 +280,11 @@ def test_ingest_rejects_stores_of_different_grids(tmp_path):
     store_b.bind(list(small_grid(seeds=3)))
     with pytest.raises(ValueError, match="different scenario grids"):
         store_a.ingest(store_b)
+
+
+def test_ingest_rejects_an_uninitialized_source_and_creates_nothing(tmp_path):
+    store = ResultStore(tmp_path / "a")  # the destination may stay unbound
+    typo = tmp_path / "typo"
+    with pytest.raises(ValueError, match="not an initialized"):
+        store.ingest(typo)
+    assert not typo.exists()

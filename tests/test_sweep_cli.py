@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.parallel.store import ResultStore
 from repro.sweep import build_grid, build_parser, main
 
 
@@ -206,11 +207,11 @@ def test_cli_shard_is_validated_at_parse_time(capsys, spec):
     assert "bad shard spec" in err
 
 
-def test_cli_elastic_campaign_status_and_compact(capsys, tmp_path):
+def test_cli_elastic_campaign_status_and_serial_check(capsys, tmp_path):
     """End-to-end elastic flow: no --shard arithmetic, two workers over
     one store (the second finds everything leased and done), then
-    --status renders the health surface, --compact folds the records,
-    and --serial-check still passes on the compacted store."""
+    --status renders the health surface, and a third worker's
+    --serial-check passes over the finished store."""
     store = tmp_path / "store"
     argv = [
         "--workloads", "web_0",
@@ -234,17 +235,10 @@ def test_cli_elastic_campaign_status_and_compact(capsys, tmp_path):
     assert "progress: 2/2 scenario(s)" in out
     assert "b00000: done" in out and "b00001: done" in out
     assert "failed attempts: 0" in out
-    # --compact folds the live tail; the report must survive unchanged.
-    assert main(["--compact", str(store)]) == 0
-    out = capsys.readouterr().out
-    assert "compacted 2 record(s)" in out
+    assert "store: 1 live file(s)" in out  # only wA appended
     assert main(argv + ["--worker-name", "wC", "--serial-check"]) == 0
     out = capsys.readouterr().out
     assert "serial check" in out
-    # Post-compaction status reads segments + live tail only.
-    assert main(["--status", str(store)]) == 0
-    out = capsys.readouterr().out
-    assert "1 segment(s) holding 2 record(s)" in out
 
 
 def test_cli_status_json_document(capsys, tmp_path):
@@ -262,7 +256,8 @@ def test_cli_status_json_document(capsys, tmp_path):
     assert main(["--status", str(store), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["format"] == "repro-campaign-status"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
+    assert doc["store"] == {"live_files": 1}
     assert doc["completed"] == 2
     assert doc["scenario_count"] == 2
     assert doc["failures"]["total"] == 0
@@ -273,10 +268,18 @@ def test_cli_status_json_document(capsys, tmp_path):
 
 
 def test_cli_status_rejects_uninitialized_directory(tmp_path):
+    missing = tmp_path / "nope"
     with pytest.raises(SystemExit, match="not an initialized"):
-        main(["--status", str(tmp_path / "nope")])
-    with pytest.raises(SystemExit, match="not an initialized"):
-        main(["--compact", str(tmp_path / "nope")])
+        main(["--status", str(missing)])
+    assert not missing.exists()  # a read-only probe creates nothing
+
+
+def test_cli_status_rejects_a_store_with_segments(tmp_path):
+    store = tmp_path / "store"
+    ResultStore(store).bind(list(build_grid(_args())))
+    (store / "segments").mkdir()
+    with pytest.raises(SystemExit, match="segment tiers are no longer read"):
+        main(["--status", str(store)])
 
 
 def test_cli_campaign_progress_lines(capsys, tmp_path):

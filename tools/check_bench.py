@@ -82,15 +82,10 @@ REQUIRED_KEYS = {
     # No floor on the append rate (fsync latency is filesystem-dependent)
     # — the gate only demands the durability-overhead row keeps being
     # recorded alongside the ratio the README quotes.
-    # ... and that compaction keeps being measured: fold rate plus the
-    # segments-only reload rate that proves load() is O(segments)+tail.
     "campaign_store": [
         "appends_per_second",
         "campaign_overhead_ratio",
         "scenarios",
-        "compact_records_per_second",
-        "compacted_loads_per_second",
-        "compacted_segments",
     ],
     "rs_decode": ["cpu_count", "pages", "pages_per_sec_batched"],
 }
