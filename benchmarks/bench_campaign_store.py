@@ -117,7 +117,7 @@ def bench_campaign_store(benchmark, emit, emit_json):
                 "1.00x",
             ],
             [
-                "Campaign (store + process/scenario)",
+                "Campaign (store + worker pool)",
                 f"{overhead['scenarios']} scenarios",
                 f"{overhead['campaign_seconds']:.2f}",
                 f"{overhead['overhead_ratio']:.2f}x",

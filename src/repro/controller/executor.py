@@ -41,10 +41,10 @@ EXECUTOR_KINDS = ("serial", "threaded")
 
 
 def default_executor_workers() -> int:
-    """Thread count when the caller does not choose: one per CPU.
+    """Thread count when the caller does not choose: one per usable CPU.
 
     Honors ``REPRO_EXECUTOR_WORKERS`` (useful to pin CI smokes) and
-    falls back to :func:`os.cpu_count`.
+    falls back to :func:`os.sched_getaffinity`, else :func:`os.cpu_count`.
     """
     env = os.environ.get("REPRO_EXECUTOR_WORKERS")
     if env:
@@ -55,6 +55,8 @@ def default_executor_workers() -> int:
                 f"REPRO_EXECUTOR_WORKERS must be an integer worker count, "
                 f"got {env!r}"
             ) from None
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

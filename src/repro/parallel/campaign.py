@@ -1,9 +1,9 @@
 """Fault-tolerant, resumable sweep campaigns.
 
-:class:`~repro.parallel.runner.SweepRunner` is one process pool, one
-shot, results in memory: a worker exception kills the whole sweep, a
-hung worker stalls it forever, and a killed run restarts from zero.  A
-:class:`Campaign` wraps the same deterministic sweep substrate for
+:class:`~repro.parallel.runner.SweepRunner` is one shot, results in
+memory: a worker exception kills the whole sweep, a hung worker stalls
+it forever, and a killed run restarts from zero.  A :class:`Campaign`
+runs on the same deterministic substrate and the same worker pool for
 grids where that is unacceptable — the paper's 10⁴–10⁶-scenario
 characterization cross-products:
 
@@ -14,9 +14,11 @@ characterization cross-products:
   every scenario the store already holds; killing the campaign parent
   at any point (power loss included — appends are fsync'd) and
   rerunning it continues instead of restarting.
-- **Failure isolation.**  Each scenario runs in its own worker process,
-  so a crash (segfault, OOM kill, ``os._exit``) takes down one attempt,
-  not the campaign.  The per-scenario failure policy is
+- **Failure isolation.**  Scenarios run in long-lived worker processes
+  (:mod:`repro.parallel.runner`'s pool), one attempt in flight per
+  worker, so a crash (segfault, OOM kill, ``os._exit``) takes down one
+  attempt, not the campaign; a worker that raised, timed out or died is
+  replaced, never reused.  The per-scenario failure policy is
   ``fail_fast`` (first failure aborts, completed results stay stored),
   ``continue`` (record and move on), or ``retry:N`` (N retries with
   exponential backoff, then continue); every failed attempt lands in
@@ -56,7 +58,6 @@ import os
 import re
 import socket
 import time
-import traceback
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ from repro.parallel.leases import (
     sanitize_owner,
 )
 from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
-from repro.parallel.runner import _pool_context, default_workers
+from repro.parallel.runner import _pool_context, _WorkerPool, default_workers
 from repro.parallel.store import ResultStore
 from repro.workloads.grid import Scenario, ScenarioGrid
 
@@ -246,20 +247,14 @@ class StreamingAggregate:
 
 
 def _campaign_worker(
-    conn,
     scenario: Scenario,
     trace_label: str | None = None,
     span_parent: str | None = None,
-) -> None:
-    """Worker entry: run one scenario, report through the pipe, exit.
-
-    Runs in its own process so any failure mode — an exception
-    (shipped back as ``("err", traceback)``), a hard crash (the pipe
-    just hits EOF), a hang (the parent kills us) — is isolated to this
-    one attempt.
+) -> ScenarioResult:
+    """Pool task: run one attempt of *scenario* in a worker process.
 
     *trace_label* / *span_parent* carry the parent's telemetry identity
-    in: the worker traces into its own deterministically named file,
+    in: each attempt traces into its own deterministically named file,
     with its ``scenario.run`` root span parented (cross-file) under the
     scheduler's per-attempt span.
     """
@@ -267,22 +262,10 @@ def _campaign_worker(
 
     if trace_label is not None:
         # Fork-inherited state wins over the env; rebind gives this
-        # worker its own file and a pid-free deterministic id prefix.
+        # attempt its own file and a pid-free deterministic id prefix.
         obs.configure_from_env(label=trace_label)
         obs.rebind(trace_label)
-    try:
-        result = run_scenario(scenario, span_parent=span_parent)
-        conn.send(("ok", result))
-    except BaseException:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send(("err", traceback.format_exc().strip()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+    return run_scenario(scenario, span_parent=span_parent)
 
 
 @dataclass
@@ -297,10 +280,9 @@ class _Attempt:
 
 @dataclass
 class _Running:
-    """One in-flight attempt: its process, pipe, and kill deadline."""
+    """One in-flight attempt: its worker's pipe end and kill deadline."""
 
     entry: _Attempt
-    process: object
     conn: object
     deadline: float | None
     #: monotonic launch time — failure-ledger durations derive from it.
@@ -309,15 +291,6 @@ class _Running:
     #: begun at launch so a SIGKILL'd worker still has an attempt span,
     #: ended at reap with the outcome attribute.
     span: object = None
-
-    def reap(self) -> int | None:
-        """Join the process and close the parent's pipe end."""
-        self.process.join()
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        return self.process.exitcode
 
 
 class Campaign:
@@ -334,10 +307,10 @@ class Campaign:
         A :class:`~repro.parallel.store.ResultStore` or a directory
         path.  Scenarios already in the store are skipped (resume).
     workers:
-        Maximum in-flight scenario processes (default
-        :func:`~repro.parallel.runner.default_workers`).  Every
-        scenario runs in its own forked worker regardless — ``workers``
-        bounds concurrency, it does not choose an execution mode — so
+        Maximum in-flight scenarios, one per long-lived worker process
+        (default :func:`~repro.parallel.runner.default_workers`).
+        Every attempt runs in a worker regardless — ``workers`` bounds
+        concurrency, it does not choose an execution mode — so
         crash/timeout isolation is uniform from 1 worker up.
     on_failure:
         A :class:`FailurePolicy` or its CLI string form
@@ -505,8 +478,8 @@ class Campaign:
                 self.aggregate.observe(result)
         to_run = [s for s in mine if s.scenario_id not in stored]
         self.resumed = len(mine) - len(to_run)
-        context = _pool_context()
-        if to_run and context.get_start_method() == "fork":
+        pool = _WorkerPool(_pool_context())
+        if to_run and pool.context.get_start_method() == "fork":
             # Forked workers inherit every pre-generated trace
             # copy-on-write (identical results either way — generation
             # is deterministic in the scenario).
@@ -523,10 +496,11 @@ class Campaign:
             )
             self._root_span_id = root_span.id
         try:
-            if self.elastic:
-                self._run_elastic(context, progress)
-            else:
-                self._execute(to_run, context, progress)
+            with pool:
+                if self.elastic:
+                    self._run_elastic(pool, progress)
+                else:
+                    self._execute(to_run, pool, progress)
         except BaseException as exc:
             if root_span is not None:
                 tracer.end(root_span, error=type(exc).__name__)
@@ -539,7 +513,7 @@ class Campaign:
             self._root_span_id = None
         return self.report()
 
-    def _run_elastic(self, context, progress) -> None:
+    def _run_elastic(self, pool, progress) -> None:
         """Claim → execute → mark-done over the lease ledger, until the
         whole plan is retired (by us or by any other worker)."""
         ledger = LeaseLedger(
@@ -583,7 +557,7 @@ class Campaign:
             self._fenced = False
             self._last_renew = time.monotonic()
             try:
-                self._execute(to_run, context, progress)
+                self._execute(to_run, pool, progress)
             finally:
                 self._lease = None
             if self._fenced:
@@ -627,7 +601,7 @@ class Campaign:
         )
         return SweepReport(results=ordered, workers=self.workers)
 
-    def _execute(self, scenarios, context, progress) -> None:
+    def _execute(self, scenarios, pool, progress) -> None:
         """The scheduling loop: launch, multiplex, time out, retry."""
         queue = [_Attempt(scenario) for scenario in scenarios]
         inflight: dict[str, _Running] = {}
@@ -642,20 +616,17 @@ class Campaign:
                         continue
                     queue.remove(entry)
                     inflight[entry.scenario.scenario_id] = self._launch(
-                        entry, context
+                        entry, pool
                     )
-                self._poll(queue, inflight, progress)
+                self._poll(queue, inflight, pool, progress)
         except BaseException:
-            # fail_fast, a store error, or KeyboardInterrupt: don't
-            # leave orphan workers running scenarios nobody will reap.
+            # fail_fast, a store error, or KeyboardInterrupt: the pool
+            # kills every worker on the way out.
             for running in inflight.values():
-                running.process.kill()
-                running.reap()
                 self._end_attempt_span(running, "aborted")
             raise
 
-    def _launch(self, entry: _Attempt, context) -> _Running:
-        parent_conn, child_conn = context.Pipe(duplex=False)
+    def _launch(self, entry: _Attempt, pool) -> _Running:
         tracer = obs.tracer()
         trace_label = None
         span = None
@@ -677,19 +648,17 @@ class Campaign:
                 scenario=entry.scenario.scenario_id,
                 attempt=entry.attempt,
             )
-        process = context.Process(
-            target=_campaign_worker,
-            args=(child_conn, entry.scenario, trace_label,
-                  span.id if span is not None else None),
-            name=f"repro-campaign-{entry.scenario.scenario_id}",
+        conn = pool.submit(
+            _campaign_worker,
+            entry.scenario,
+            trace_label,
+            span.id if span is not None else None,
         )
-        process.start()
-        child_conn.close()
         started = time.monotonic()
         deadline = (
             started + self.timeout if self.timeout is not None else None
         )
-        return _Running(entry, process, parent_conn, deadline, started, span)
+        return _Running(entry, conn, deadline, started, span)
 
     def _end_attempt_span(self, running: _Running, outcome: str) -> None:
         """Close one attempt's detached span with its outcome."""
@@ -697,7 +666,7 @@ class Campaign:
             obs.tracer().end(running.span, outcome=outcome)
             running.span = None
 
-    def _poll(self, queue, inflight, progress) -> None:
+    def _poll(self, queue, inflight, pool, progress) -> None:
         """Wait for one scheduling event: a result, a death, a timeout,
         or a backoff expiry."""
         self._renew_lease()
@@ -725,28 +694,22 @@ class Campaign:
         by_conn = {running.conn: running for running in inflight.values()}
         for conn in ready:
             running = by_conn[conn]
-            scenario_id = running.entry.scenario.scenario_id
-            try:
-                kind, payload = conn.recv()
-            except (EOFError, OSError):
-                exitcode = running.reap()
-                del inflight[scenario_id]
+            del inflight[running.entry.scenario.scenario_id]
+            kind, payload = pool.recv(conn)
+            if kind == "died":
                 self._end_attempt_span(running, "worker-death")
                 self._attempt_failed(
                     queue,
                     running.entry,
                     kind="worker-death",
                     detail=(
-                        f"worker process died with exit code {exitcode} "
+                        f"worker process died with exit code {payload} "
                         f"before reporting a result (crash, os._exit, or "
                         f"kill)"
                     ),
                     duration=time.monotonic() - running.started,
                 )
-                continue
-            running.reap()
-            del inflight[scenario_id]
-            if kind == "ok":
+            elif kind == "ok":
                 self._end_attempt_span(running, "ok")
                 self.store.append(payload, lease=self._lease)
                 self.aggregate.observe(payload)
@@ -768,8 +731,7 @@ class Campaign:
         for scenario_id, running in list(inflight.items()):
             if running.deadline is None or now < running.deadline:
                 continue
-            running.process.kill()
-            running.reap()
+            pool.kill(running.conn)
             del inflight[scenario_id]
             self._end_attempt_span(running, "timeout")
             self._attempt_failed(

@@ -84,21 +84,18 @@ class SweepWorkerLost(ScenarioFailure):
 
     Unlike an exception *inside* a scenario — which the worker catches
     and ships back as a :class:`ScenarioFailure` — a killed worker can
-    report nothing, so the runner cannot know which of the unfinished
-    scenarios was in flight on the dead process.  This error names all
-    of them (a small superset of the true in-flight set), which is what
-    an operator needs to re-run; ``scenario_id`` is the first as a
-    best-effort single-id anchor for code that only knows the base
-    class.
+    report nothing.  Each worker runs one scenario at a time, so the
+    runner knows which one was in flight on the dead process, and
+    ``scenario_ids`` names exactly that one; ``scenario_id`` is the
+    first, for code that only knows the base class.
     """
 
     def __init__(self, scenario_ids, detail: str):
         ids = tuple(scenario_ids)
-        shown = ", ".join(ids[:8]) + ("…" if len(ids) > 8 else "")
         RuntimeError.__init__(
             self,
             f"a sweep worker process died without reporting ({detail}); "
-            f"{len(ids)} unfinished scenario(s): {shown}",
+            f"in flight: {', '.join(ids)}",
         )
         self.scenario_id = ids[0] if ids else "<unknown>"
         self.scenario_ids = ids

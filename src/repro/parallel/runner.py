@@ -23,6 +23,15 @@ Design rules that make ``workers=N`` bit-identical to serial execution:
 
 ``workers=1`` runs in-process with no pool and no pickling — the serial
 reference the equivalence suite compares against.
+
+**One worker pool.**  Every parallel scenario run, :meth:`SweepRunner.map`
+here and :class:`~repro.parallel.campaign.Campaign` alike, goes through
+one private pool of long-lived workers (:class:`_WorkerPool`) that lives
+for one call.  Each worker runs tasks one at a time until one raises,
+times out or dies; it is then reaped and replaced, never reused.  A
+forked worker first closes every parent-side pipe end it inherited, so
+it exits on EOF when the parent dies.  ``docs/architecture.md`` ("Worker
+lifecycle") states the whole contract.
 """
 
 from __future__ import annotations
@@ -32,8 +41,9 @@ import os
 import traceback
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
+from itertools import islice
+from multiprocessing.connection import wait as _connection_wait
 from typing import Any
 
 from repro.parallel.results import (
@@ -50,10 +60,10 @@ from repro.workloads.grid import Scenario, ScenarioGrid
 
 
 def default_workers() -> int:
-    """Worker count when the caller does not choose: one per CPU.
+    """Worker count when the caller does not choose: one per usable CPU.
 
     Honors ``REPRO_SWEEP_WORKERS`` (useful to pin CI smokes) and falls
-    back to :func:`os.cpu_count`.
+    back to :func:`os.sched_getaffinity`, else :func:`os.cpu_count`.
     """
     env = os.environ.get("REPRO_SWEEP_WORKERS")
     if env:
@@ -64,6 +74,8 @@ def default_workers() -> int:
                 f"REPRO_SWEEP_WORKERS must be an integer worker count, "
                 f"got {env!r}"
             ) from None
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -75,47 +87,101 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _run_tagged(tagged: tuple[int, str, Callable[[Any], Any], Any]):
-    """Worker entry: run one item, never raise across the process boundary.
+def _serve(conn, inherited: tuple) -> None:
+    """Worker entry: run ``(fn, args)`` tasks from *conn* one at a time.
 
-    Returns ``(index, result)`` on success or ``(index, ScenarioFailure)``
-    carrying the item's label — exceptions themselves may not pickle, so
-    the failure travels as a typed record (with the worker's full
-    traceback as text, since the live traceback cannot cross the process
-    boundary) and is re-raised by the parent.
+    Replies ``("ok", fn(*args))``, or ``("err", traceback)`` (text: an
+    exception may not pickle) and exits: a worker that raised is never
+    reused.  A ``None`` task, or EOF from a dead parent, ends it.
     """
-    index, label, fn, item = tagged
-    try:
-        return index, fn(item)
-    except Exception:  # noqa: BLE001 - reported to the parent
-        return index, ScenarioFailure(label, traceback.format_exc().strip())
-
-
-def _run_tagged_chunk(chunk: list) -> list:
-    """Worker entry for a chunk: run items until one fails.
-
-    Stops at the first failing item — the parent aborts the whole map on
-    it, so finishing the chunk would only burn compute on a broken grid.
-    """
-    results = []
-    for tagged in chunk:
-        results.append(_run_tagged(tagged))
-        if isinstance(results[-1][1], ScenarioFailure):
-            break
-    return results
-
-
-def _kill_pool(executor: ProcessPoolExecutor) -> None:
-    """Abandon *executor* without draining it: cancel queued work and
-    kill the worker processes mid-item (the terminate() a raw Pool had).
-    """
-    processes = dict(getattr(executor, "_processes", None) or {})
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes.values():
+    for end in inherited:
+        end.close()
+    while True:
         try:
-            process.kill()
-        except (OSError, ValueError):
-            pass
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        fn, args = task
+        try:
+            conn.send(("ok", fn(*args)))
+        except Exception:  # noqa: BLE001 - reported to the parent
+            with suppress(OSError):
+                conn.send(("err", traceback.format_exc().strip()))
+            return
+
+
+class _WorkerPool:
+    """Long-lived workers for one call, each known by the parent's end
+    of its duplex pipe.  :meth:`submit` returns that end; once it is
+    ready, :meth:`recv` gives ``("ok", result)`` (the worker idles
+    again), ``("err", traceback)`` or ``("died", exitcode)`` (it is
+    reaped).  Leaving the ``with`` block normally stops idle workers;
+    an exception kills every worker.
+    """
+
+    def __init__(self, context: multiprocessing.context.BaseContext):
+        self.context = context
+        self._processes: dict[Any, multiprocessing.process.BaseProcess] = {}
+        self._idle: list = []
+
+    def submit(self, fn: Callable, *args):
+        """Run ``fn(*args)`` on an idle worker, forking one if none is."""
+        if self._idle:
+            conn = self._idle.pop()
+        else:
+            conn, child_conn = self.context.Pipe()
+            # A forked child holds a copy of every parent end, and must
+            # close them; a spawned one would get a dup of any it is given.
+            fork = self.context.get_start_method() == "fork"
+            inherited = (*self._processes, conn) if fork else ()
+            process = self.context.Process(
+                target=_serve, args=(child_conn, inherited), name="repro-worker"
+            )
+            process.start()
+            child_conn.close()
+            self._processes[conn] = process
+        with suppress(OSError):  # died idle: recv reads EOF and says so
+            conn.send((fn, args))
+        return conn
+
+    def recv(self, conn) -> tuple[str, Any]:
+        """Collect the outcome of the task running behind *conn*."""
+        try:
+            kind, payload = conn.recv()
+        except (EOFError, OSError):
+            kind, payload = "died", None
+        if kind == "ok":
+            self._idle.append(conn)
+            return kind, payload
+        exitcode = self._reap(conn)  # an "err" worker exits by itself
+        return kind, exitcode if kind == "died" else payload
+
+    def kill(self, conn) -> None:
+        """Kill a busy worker (its task timed out) and reap it."""
+        self._processes[conn].kill()
+        self._reap(conn)
+
+    def _reap(self, conn) -> int | None:
+        process = self._processes.pop(conn)
+        process.join()
+        conn.close()
+        return process.exitcode
+
+    def __enter__(self) -> "_WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for conn, process in self._processes.items():
+            if exc_type is None and conn in self._idle:
+                with suppress(OSError):
+                    conn.send(None)
+            else:
+                process.kill()
+        for conn in list(self._processes):
+            self._reap(conn)
+        self._idle.clear()
 
 
 class SweepRunner:
@@ -131,19 +197,12 @@ class SweepRunner:
     workers:
         Process count.  ``1`` (in-process, no pool) is the serial
         reference; ``None`` picks :func:`default_workers`.
-    chunksize:
-        Items handed to a worker per dispatch.  ``1`` (default) shards
-        finest — best for few, long scenarios; raise it for very many
-        tiny items.
     """
 
-    def __init__(self, workers: int | None = None, chunksize: int = 1):
+    def __init__(self, workers: int | None = None):
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
-        self.chunksize = int(chunksize)
 
     # ------------------------------------------------------------------
     # Generic deterministic parallel map
@@ -164,18 +223,16 @@ class SweepRunner:
         (defaults to ``item[<index>]``).  A failing item raises
         :class:`ScenarioFailure` with its label and stops the run —
         serially at the first failing item, in parallel as soon as any
-        worker reports one (the pool is terminated rather than drained,
+        worker reports one (every worker is killed rather than drained,
         so a broken grid does not burn the rest of the fleet's compute;
         with several failing items, *which* one is reported may vary
         with scheduling).
 
-        A worker that *dies* without reporting — SIGKILL, OOM kill,
-        ``os._exit`` — can return nothing, which stalled the previous
-        ``multiprocessing.Pool`` implementation forever.  The pool here
-        is a :class:`~concurrent.futures.ProcessPoolExecutor`, which
-        detects the death; the run raises :class:`SweepWorkerLost`
-        naming every label whose result had not yet arrived (a small
-        superset of what was actually in flight on the dead worker).
+        In parallel the items run on the module's worker pool, one item
+        in flight per worker, so a worker that *dies* without reporting
+        — SIGKILL, OOM kill, ``os._exit`` — raises
+        :class:`SweepWorkerLost` naming exactly the label that was in
+        flight on it.
         """
         items = list(items)
         if labels is None:
@@ -197,43 +254,25 @@ class SweepRunner:
                     ).strip()
                     raise ScenarioFailure(labels[index], detail) from exc
             return outputs
-        tagged = [
-            (index, labels[index], fn, item) for index, item in enumerate(items)
-        ]
-        chunks = [
-            tagged[i : i + self.chunksize]
-            for i in range(0, len(tagged), self.chunksize)
-        ]
-        received = [False] * len(items)
-        failure: ScenarioFailure | None = None
-        executor = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(chunks)),
-            mp_context=_pool_context(),
-        )
-        try:
-            pending = {executor.submit(_run_tagged_chunk, c) for c in chunks}
-            while pending and failure is None:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    for index, outcome in future.result():
-                        if isinstance(outcome, ScenarioFailure):
-                            failure = outcome
-                            break
-                        outputs[index] = outcome
-                        received[index] = True
-                    if failure is not None:
-                        break
-        except BrokenProcessPool as exc:
-            _kill_pool(executor)
-            lost = [labels[i] for i in range(len(items)) if not received[i]]
-            raise SweepWorkerLost(lost, str(exc) or type(exc).__name__) from exc
-        except BaseException:
-            _kill_pool(executor)
-            raise
-        if failure is not None:
-            _kill_pool(executor)
-            raise failure
-        executor.shutdown(wait=True)
+        todo = iter(range(len(items)))
+        with _WorkerPool(_pool_context()) as pool:
+            inflight = {
+                pool.submit(fn, items[index]): index
+                for index in islice(todo, self.workers)
+            }
+            while inflight:
+                for conn in _connection_wait(list(inflight)):
+                    index = inflight.pop(conn)
+                    kind, payload = pool.recv(conn)
+                    if kind == "err":
+                        raise ScenarioFailure(labels[index], payload)
+                    if kind == "died":
+                        raise SweepWorkerLost(
+                            (labels[index],), f"exit code {payload}"
+                        )
+                    outputs[index] = payload
+                    for index in islice(todo, 1):  # the next, if any
+                        inflight[pool.submit(fn, items[index])] = index
         return outputs
 
     # ------------------------------------------------------------------

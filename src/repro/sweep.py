@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--campaign", type=Path, default=None, metavar="DIR",
         help="run as a campaign over a persistent result store at DIR: "
-        "results land durably as scenarios finish, each scenario runs in "
-        "its own worker process",
+        "results land durably as scenarios finish, and long-lived worker "
+        "processes run them one at a time",
     )
     campaign.add_argument(
         "--resume", action="store_true",

@@ -13,6 +13,7 @@ arena files (``tests/controller/test_block_executor.py`` and
 ``tests/flash/test_arena.py`` own arena lifecycle).
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -22,6 +23,8 @@ import time
 import pytest
 
 import repro
+from repro import obs
+from repro.obs import load_trace_dir
 from repro.parallel import (
     Campaign,
     FailurePolicy,
@@ -68,6 +71,21 @@ def ids_of(grid):
     return [s.scenario_id for s in grid]
 
 
+def attempt_label(scenario_id, attempt=1):
+    """Trace label of one attempt of the non-sharded campaign ("all")."""
+    return f"all.{scenario_id.replace('/', '-')}.a{attempt}"
+
+
+def attempt_pids(trace_dir):
+    """Worker pid in the header of every attempt's trace file, by label."""
+    return {
+        entry["header"]["label"]: entry["header"]["pid"]
+        for entry in load_trace_dir(trace_dir)
+        if entry["header"] is not None
+        and entry["header"]["label"].startswith("all.")
+    }
+
+
 # ----------------------------------------------------------------------
 # The happy path: campaign ≡ serial, resume skips stored work
 # ----------------------------------------------------------------------
@@ -79,6 +97,65 @@ def test_campaign_report_equals_serial(grid, serial_report, tmp_path):
     assert report.results == serial_report.results
     assert campaign.resumed == 0 and not campaign.failed
     assert campaign.aggregate.snapshot()["completed"] == len(grid)
+    assert multiprocessing.active_children() == []  # no worker outlives run
+
+
+# ----------------------------------------------------------------------
+# The worker pool: reuse, replacement, no state carried between runs
+# ----------------------------------------------------------------------
+
+
+def test_one_worker_runs_every_attempt(grid, serial_report, tmp_path):
+    """workers=1 forks one worker for the whole run: each attempt still
+    writes its own trace file, and every file comes from that process."""
+    obs.configure(tmp_path / "trace", label="parent")
+    try:
+        report = Campaign(grid, tmp_path / "store", workers=1).run()
+    finally:
+        obs.reset()
+    assert report.results == serial_report.results
+    pids = attempt_pids(tmp_path / "trace")
+    assert sorted(pids) == sorted(attempt_label(i) for i in ids_of(grid))
+    assert len(set(pids.values())) == 1
+    assert os.getpid() not in pids.values()
+
+
+def test_worker_that_raised_is_replaced(grid, serial_report, tmp_path):
+    """A worker whose attempt raised is never reused: the retry and every
+    later scenario run in a fresh process."""
+    target = ids_of(grid)[0]
+    obs.configure(tmp_path / "trace", label="parent")
+    try:
+        with injected_faults(
+            FaultSpec("raise", 1, target), state_dir=tmp_path / "faults"
+        ):
+            campaign = Campaign(
+                grid, tmp_path / "store", workers=1, on_failure="retry:1"
+            )
+            report = campaign.run()
+    finally:
+        obs.reset()
+    assert report.results == serial_report.results
+    assert [f["kind"] for f in campaign.ledger] == ["exception"]
+    pids = attempt_pids(tmp_path / "trace")
+    raised = pids.pop(attempt_label(target, 1))
+    assert sorted(pids) == sorted(
+        [attempt_label(target, 2)]
+        + [attempt_label(i) for i in ids_of(grid)[1:]]
+    )
+    (replacement,) = set(pids.values())
+    assert replacement != raised
+
+
+def test_reused_worker_carries_no_state(grid, serial_report, tmp_path):
+    """One worker runs the grid forward, another backward: the reports
+    match each other and the in-process serial runner."""
+    forward = Campaign(grid, tmp_path / "forward", workers=1).run()
+    backward = Campaign(
+        list(reversed(list(grid))), tmp_path / "backward", workers=1
+    ).run()
+    assert forward.results == serial_report.results
+    assert backward.results == serial_report.results
 
 
 def test_resume_skips_stored_scenarios(grid, serial_report, tmp_path):
@@ -148,6 +225,7 @@ def test_hung_worker_is_killed_retried_with_backoff(
         )
         report = campaign.run()
     elapsed = time.monotonic() - started
+    assert multiprocessing.active_children() == []  # the hung one was killed
     assert report.results == serial_report.results
     assert [f["kind"] for f in campaign.ledger] == ["timeout"]
     assert campaign.ledger[0]["scenario_id"] == target
@@ -192,6 +270,7 @@ def test_fail_fast_aborts_but_keeps_stored_results(grid, tmp_path):
         with pytest.raises(ScenarioFailure) as excinfo:
             campaign.run()
     assert excinfo.value.scenario_id == target
+    assert multiprocessing.active_children() == []  # the abort killed all
     # workers=1 runs in grid order, so everything before the bomb landed.
     stored = ResultStore(tmp_path / "store").scenario_ids()
     assert stored == set(ids_of(grid)[:-1])
@@ -259,6 +338,65 @@ def test_sigkilled_campaign_resumes_bit_identically(
     report = campaign.run()
     assert campaign.resumed == len(ids) - 1
     assert report.results == serial_report.results
+
+
+def _alive(pid):
+    """Whether *pid* still runs; a zombie awaiting its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_idle_worker_exits_when_its_parent_is_sigkilled(grid, tmp_path):
+    """SIGKILL only the campaign parent (not its process group) while one
+    worker hangs and the other idles.  The idle worker must see EOF on
+    its pipe and exit: no process, itself or its hung sibling included,
+    may keep a copy of the parent's end of that pipe."""
+    ids = ids_of(grid)
+    store, trace = tmp_path / "store", tmp_path / "trace"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(os.path.dirname(os.path.dirname(repro.__file__))),
+        **{ENV_FAULTS: f"hang:*:{ids[0]}"},
+    )
+    process = subprocess.Popen(
+        _campaign_argv(len(ids), store, extra=("--trace", str(trace))),
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    pids = {}
+    try:
+        # The hung scenario pins one worker; the other runs the rest and
+        # then idles.  Wait for both states, then shoot the parent alone.
+        deadline = time.monotonic() + 120
+        while (
+            ResultStore(store).scenario_ids() != set(ids[1:])
+            or attempt_label(ids[0]) not in pids
+        ):
+            assert process.poll() is None, "campaign exited prematurely"
+            assert time.monotonic() < deadline, "campaign made no progress"
+            time.sleep(0.05)
+            pids = attempt_pids(trace) if trace.exists() else {}
+        hung = pids[attempt_label(ids[0])]
+        (idle,) = set(pids.values()) - {hung}
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait()
+        deadline = time.monotonic() + 10
+        while _alive(idle) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(idle), "the idle worker outlived its parent"
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        for pid in set(pids.values()):
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_torn_append_reruns_on_resume(grid, serial_report, tmp_path):

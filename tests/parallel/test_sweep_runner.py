@@ -7,6 +7,7 @@ and a failing scenario surfaces its scenario id, not a bare worker
 traceback.
 """
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -174,6 +175,7 @@ def test_map_preserves_item_order_across_workers():
     items = list(range(20))
     assert SweepRunner(workers=1).map(_square, items) == [x * x for x in items]
     assert SweepRunner(workers=3).map(_square, items) == [x * x for x in items]
+    assert multiprocessing.active_children() == []  # no worker outlives map
 
 
 def test_map_failure_carries_label():
@@ -186,6 +188,7 @@ def test_map_failure_carries_label():
     with pytest.raises(ScenarioFailure) as excinfo:
         SweepRunner(workers=2).map(_explode, [1, 2], labels=["one", "two"])
     assert excinfo.value.scenario_id in ("one", "two")
+    assert multiprocessing.active_children() == []  # the abort killed all
 
 
 def test_map_rejects_mismatched_labels():
@@ -196,8 +199,6 @@ def test_map_rejects_mismatched_labels():
 def test_runner_validation():
     with pytest.raises(ValueError):
         SweepRunner(workers=0)
-    with pytest.raises(ValueError):
-        SweepRunner(chunksize=0)
     assert SweepRunner(workers=None).workers >= 1
 
 
@@ -215,15 +216,15 @@ def _die_or_square(x):
 def test_sigkilled_map_worker_raises_worker_lost_not_hang():
     """A SIGKILL'd pool worker used to stall the sweep forever (a plain
     multiprocessing.Pool never detects the death); now it raises a
-    SweepWorkerLost naming every label still unaccounted for."""
+    SweepWorkerLost naming exactly the label in flight on that worker."""
     with pytest.raises(SweepWorkerLost) as excinfo:
         SweepRunner(workers=2).map(
             _die_or_square, [1, "die", 2, 3], labels=["a", "die", "b", "c"]
         )
     lost = excinfo.value
-    assert "die" in lost.scenario_ids
-    assert set(lost.scenario_ids) <= {"a", "die", "b", "c"}
-    assert lost.scenario_id in lost.scenario_ids  # base-class anchor
+    assert lost.scenario_ids == ("die",)
+    assert lost.scenario_id == "die"  # base-class anchor
+    assert multiprocessing.active_children() == []  # survivors were killed
     assert "died without reporting" in str(lost)
     # It is a ScenarioFailure subclass: existing handlers keep working.
     assert isinstance(lost, ScenarioFailure)
@@ -232,7 +233,7 @@ def test_sigkilled_map_worker_raises_worker_lost_not_hang():
 def test_crashed_scenario_worker_names_unfinished_scenarios():
     """End-to-end through run(): a worker hard-crashing mid-scenario
     (os._exit — what an OOM kill looks like) surfaces the in-flight
-    scenario ids instead of hanging the sweep."""
+    scenario id instead of hanging the sweep."""
     from repro.testing.faults import FaultSpec, injected_faults
 
     grid = counter_grid()
@@ -240,7 +241,7 @@ def test_crashed_scenario_worker_names_unfinished_scenarios():
     with injected_faults(FaultSpec("crash", None, target)):
         with pytest.raises(SweepWorkerLost) as excinfo:
             SweepRunner(workers=2).run(grid)
-    assert target in excinfo.value.scenario_ids
+    assert excinfo.value.scenario_ids == (target,)
 
 
 def test_worker_lost_pickles_across_process_boundary():
@@ -257,6 +258,18 @@ def test_sweep_workers_env_rejects_non_integers(monkeypatch):
         default_workers()
     monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
     assert default_workers() == 3
+
+
+def test_default_worker_counts_honour_the_cpu_affinity_mask(monkeypatch):
+    """Under taskset or a container CPU mask both defaults count the CPUs
+    this process may run on, not every CPU of the machine."""
+    from repro.controller.executor import default_executor_workers
+
+    monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+    monkeypatch.delenv("REPRO_EXECUTOR_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
+    assert default_executor_workers() == 1
 
 
 def test_executor_workers_env_rejects_non_integers(monkeypatch):

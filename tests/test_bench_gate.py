@@ -73,3 +73,16 @@ def test_core_gated_floor_arms_only_with_enough_cpus():
     # And passing when the speedup holds.
     data["intra_scenario"]["speedup_threaded_4"] = 2.1
     assert check_bench.check(data) == []
+
+
+def test_two_worker_sweep_floor_arms_on_two_cpus():
+    data = _committed()
+    data["sweep_parallel"]["cpu_count"] = 1
+    data["sweep_parallel"]["speedup_workers_2"] = 0.9
+    assert check_bench.check(data) == []  # a 1-CPU recording: not armed
+    data["sweep_parallel"]["cpu_count"] = 2
+    data["sweep_parallel"]["speedup_workers_4"] = 1.0  # needs 4: unarmed
+    problems = check_bench.check(data)
+    assert any("speedup_workers_2" in p and "regressed" in p for p in problems)
+    data["sweep_parallel"]["speedup_workers_2"] = 1.6
+    assert check_bench.check(data) == []

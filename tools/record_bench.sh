@@ -3,17 +3,19 @@
 #
 # The committed BENCH_physics.json is *data recorded on one machine*;
 # tools/check_bench.py gates later commits against it.  The multi-core
-# speedup floors (sweep workers and threaded executor, both >=1.5x at
-# 4 workers) arm themselves only when the recorded
-# payloads say cpu_count >= 4, so re-recording on a >=4-core machine is
-# what turns those floors on.  Procedure:
+# speedup floors arm themselves only when the recorded payloads carry
+# enough cores: the workers=2 sweep floor (>=1.3x) needs cpu_count >= 2,
+# the 4-worker sweep and threaded-executor floors (>=1.5x) need
+# cpu_count >= 4.  Re-recording on such a machine is what turns them
+# on.  Procedure:
 #
 #   1. Run this script on the target machine (no BENCH_SMOKE in the
 #      environment — smoke payloads are never written).
 #   2. Inspect the refreshed BENCH_physics.json and the tables under
 #      benchmarks/results/.
 #   3. python tools/check_bench.py   # floors must hold, and the
-#      "armed" count should include the core-gated ones on >=4 cores.
+#      "armed" count should include the core-gated ones the machine
+#      had the cores for.
 #   4. Commit BENCH_physics.json with a note naming the machine.
 #
 # Each bench file asserts bit-identity between its serial reference and
