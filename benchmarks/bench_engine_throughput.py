@@ -40,6 +40,13 @@ from repro.workloads.grid import GeometrySpec
 from repro.workloads.trace_cache import scenario_trace
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
+#: CPUs this process may run on (its affinity mask), not every CPU of
+#: the host: tools/check_bench.py arms core-gated floors from it.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 N_OPS = 30_000 if SMOKE else 1_000_000
 FOOTPRINT = 5_000 if SMOKE else 100_000
@@ -256,7 +263,7 @@ def _sweep():
     )
     payload = {
         "smoke": SMOKE,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": CPUS,
         "counter_per_op_ops_per_sec": round(ops_serial, 1),
         "counter_batched_ops_per_sec": round(ops_batched, 1),
         "counter_batched_speedup": round(t_serial / t_batched, 2),

@@ -1,20 +1,30 @@
-"""Intra-scenario parallelism: block-group executor wall clocks.
+"""Intra-scenario parallelism: what the threaded executor buys.
 
 The sweep runner shards at scenario granularity; this bench measures the
-*next* parallelism level — one long flash-chip scenario whose per-flush
-block groups run on the threaded block-group executor
-(:mod:`repro.controller.executor`).  It runs the identical scenario at
-``executor="serial"`` and ``executor="threaded:N"``, asserts every run
-is bit-identical (same engine stats, same backend summary — the
-executor contract), and records the wall-clock trajectory into
-``BENCH_physics.json``.
+*next* parallelism level — one flash-chip scenario whose read flushes
+run their per-block sense and decode tasks on the threaded block
+executor (:mod:`repro.controller.executor`).  Every other step runs the
+backend's one serial code path under every executor, so the bench times
+two phases of one run separately, on 16,384-bitline blocks (16x32
+blocks at 8000 P/E):
 
-The >=1.5x speedup assertion at four threads only fires on a machine
-with >= 4 CPUs (and not under ``BENCH_SMOKE``): the per-block numpy
-kernels release the GIL, so threads need real cores to overlap.  A
-1-CPU box still exercises the whole plan/execute/merge pipeline and the
-bit-identity assertions, and the recorded payload carries ``cpu_count``
-so trajectory numbers are read in context.
+- a **write phase**: 2,000 host writes after a fill — wordline programs,
+  GC relocation and erase, where ``threaded`` runs serial's code;
+- a **read phase**: 40k ops at 99% reads — the work the threads split.
+
+It runs the identical scenario under ``serial`` and ``threaded:N``,
+asserts every run is bit-identical (same engine stats after each phase,
+same backend summary — the executor contract), and records both phases'
+wall clocks into ``BENCH_physics.json``: ``speedup_threaded_N`` is the
+read-phase ratio, ``write_speedup_threaded_N`` the write-phase ratio
+(recorded, never floored).
+
+The per-block numpy kernels release the GIL, so threads need real cores
+to overlap.  ``tools/check_bench.py`` floors the two-thread read speedup
+at 1.1x on a recording from >= 2 CPUs, and this bench asserts the
+>= 1.5x four-thread read speedup on a machine with >= 4 CPUs (not under
+``BENCH_SMOKE``).  ``cpu_count`` in the payload counts the CPUs this
+process may run on (its affinity mask), which is what arms those floors.
 """
 
 import os
@@ -28,11 +38,17 @@ from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
-CPUS = os.cpu_count() or 1
+#: CPUs this process may run on (its affinity mask), not every CPU of
+#: the host: tools/check_bench.py arms core-gated floors from it.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
-N_OPS = 4_000 if SMOKE else 120_000
-FOOTPRINT = 400 if SMOKE else 2_000
-BITLINES = 256 if SMOKE else 4_096
+N_WRITES = 200 if SMOKE else 2_000
+N_READS = 4_000 if SMOKE else 40_000
+BITLINES = 256 if SMOKE else 16_384
 CONFIG = SsdConfig(blocks=16, pages_per_block=32, overprovision=0.2)
 EXECUTORS = ("serial", "threaded:2") if SMOKE else (
     "serial", "threaded:2", "threaded:4",
@@ -40,23 +56,32 @@ EXECUTORS = ("serial", "threaded:2") if SMOKE else (
 
 
 def _traces():
+    """The fill, the write phase and the 99%-read phase."""
     rng = np.random.default_rng(23)
-    precondition = IoTrace(
-        np.zeros(FOOTPRINT),
-        np.full(FOOTPRINT, OP_WRITE, dtype=np.int64),
-        rng.permutation(FOOTPRINT).astype(np.int64),
-        "precondition",
+    logical = CONFIG.logical_pages
+    fill = IoTrace(
+        np.zeros(logical),
+        np.full(logical, OP_WRITE, dtype=np.int64),
+        rng.permutation(logical).astype(np.int64),
+        "fill",
     )
-    trace = IoTrace(
-        np.sort(rng.uniform(days(0.1), days(6.0), N_OPS)),
-        np.where(rng.random(N_OPS) < 0.99, OP_READ, OP_WRITE).astype(np.int64),
-        rng.integers(0, FOOTPRINT, N_OPS).astype(np.int64),
+    writes = IoTrace(
+        np.sort(rng.uniform(days(0.01), days(0.1), N_WRITES)),
+        np.full(N_WRITES, OP_WRITE, dtype=np.int64),
+        rng.integers(0, logical, N_WRITES).astype(np.int64),
+        "writes",
+    )
+    reads = IoTrace(
+        np.sort(rng.uniform(days(0.1), days(6.0), N_READS)),
+        np.where(rng.random(N_READS) < 0.99, OP_READ, OP_WRITE).astype(np.int64),
+        rng.integers(0, logical, N_READS).astype(np.int64),
         "hot-read",
     )
-    return precondition, trace
+    return fill, writes, reads
 
 
 def _run(executor):
+    """(write seconds, read seconds, everything the executor must not change)."""
     backend = FlashChipBackend(
         bitlines_per_block=BITLINES, initial_pe_cycles=8000, seed=3,
         executor=executor,
@@ -64,74 +89,81 @@ def _run(executor):
     engine = SimulationEngine(
         CONFIG, read_reclaim_threshold=50_000, backend=backend
     )
-    precondition, trace = _traces()
-    engine.run_trace(precondition)
-    start = time.perf_counter()
-    stats = engine.run_trace(trace)
-    elapsed = time.perf_counter() - start
-    return elapsed, stats, backend.summary()
+    fill, writes, reads = _traces()
+    try:
+        engine.run_trace(fill)
+        start = time.perf_counter()
+        write_stats = engine.run_trace(writes)
+        write_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        read_stats = engine.run_trace(reads)
+        read_seconds = time.perf_counter() - start
+        return write_seconds, read_seconds, (write_stats, read_stats, backend.summary())
+    finally:
+        engine.close()
 
 
 def _sweep():
     rows = []
-    timings = {}
+    writes, reads = {}, {}
     reference = None
     for executor in EXECUTORS:
-        elapsed, stats, summary = _run(executor)
-        timings[executor] = elapsed
+        writes[executor], reads[executor], result = _run(executor)
         if reference is None:
-            reference = (stats, summary)
+            reference = result
         else:
-            assert (stats, summary) == reference, (
+            assert result == reference, (
                 f"executor={executor} diverged from the serial reference"
             )
         rows.append(
             [
                 executor,
-                f"{N_OPS:,}",
-                f"{elapsed:.2f}",
-                f"{N_OPS / elapsed:,.0f}",
-                f"{timings['serial'] / elapsed:.2f}x",
+                f"{writes[executor]:.2f}",
+                f"{writes['serial'] / writes[executor]:.2f}x",
+                f"{reads[executor]:.2f}",
+                f"{N_READS / reads[executor]:,.0f}",
+                f"{reads['serial'] / reads[executor]:.2f}x",
             ]
         )
+    threaded = [executor for executor in EXECUTORS if executor != "serial"]
     payload = {
         "smoke": SMOKE,
         "cpu_count": CPUS,
-        "trace_ops": N_OPS,
         "bitlines_per_block": BITLINES,
-        "seconds_serial": round(timings["serial"], 3),
-        "serial_ops_per_sec": round(N_OPS / timings["serial"], 1),
-        **{
-            f"seconds_threaded_{executor.split(':')[1]}": round(elapsed, 3)
-            for executor, elapsed in timings.items()
-            if executor != "serial"
-        },
-        **{
-            f"speedup_threaded_{executor.split(':')[1]}": round(
-                timings["serial"] / elapsed, 2
-            )
-            for executor, elapsed in timings.items()
-            if executor != "serial"
-        },
+        "trace_ops": N_READS,
+        "seconds_serial": round(reads["serial"], 3),
+        "serial_ops_per_sec": round(N_READS / reads["serial"], 1),
+        "write_ops": N_WRITES,
+        "write_seconds_serial": round(writes["serial"], 3),
     }
-    return rows, timings, payload
+    for executor in threaded:
+        n = executor.split(":")[1]
+        payload[f"seconds_threaded_{n}"] = round(reads[executor], 3)
+        payload[f"speedup_threaded_{n}"] = round(reads["serial"] / reads[executor], 2)
+        payload[f"write_seconds_threaded_{n}"] = round(writes[executor], 3)
+        payload[f"write_speedup_threaded_{n}"] = round(
+            writes["serial"] / writes[executor], 2
+        )
+    return rows, reads, payload
 
 
 def bench_intra_scenario(benchmark, emit, emit_json):
-    rows, timings, payload = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+    rows, reads, payload = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     table = format_table(
-        ["executor", "trace ops", "seconds", "ops/sec", "speedup"],
+        ["executor", "write s", "write speedup", "read s", "read ops/sec",
+         "read speedup"],
         rows,
         title=(
-            f"Intra-scenario block-group executor (flash-chip, "
-            f"{BITLINES} bitlines, {CPUS} CPUs{', SMOKE' if SMOKE else ''})"
+            f"Intra-scenario executor (flash-chip, {BITLINES} bitlines, "
+            f"{N_WRITES:,} writes then {N_READS:,} ops at 99% reads, "
+            f"{CPUS} CPUs{', SMOKE' if SMOKE else ''})"
         ),
     )
     emit("intra_scenario", table)
     emit_json("intra_scenario", payload)
-    if not SMOKE and CPUS >= 4 and "threaded:4" in timings:
-        speedup = timings["serial"] / timings["threaded:4"]
+    if not SMOKE and CPUS >= 4 and "threaded:4" in reads:
+        speedup = reads["serial"] / reads["threaded:4"]
         assert speedup >= 1.5, (
-            f"threaded:4 intra-scenario speedup regressed to {speedup:.2f}x "
-            f"on {CPUS} CPUs"
+            f"threaded:4 intra-scenario read speedup regressed to "
+            f"{speedup:.2f}x on {CPUS} CPUs"
         )

@@ -32,6 +32,13 @@ from repro.rng import RngFactory
 from repro.units import hours
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
+#: CPUs this process may run on (its affinity mask), not every CPU of
+#: the host: tools/check_bench.py arms core-gated floors from it.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 #: characterization-class block (paper-scale wordlines x bitlines).
 GEOMETRY = (
@@ -129,7 +136,7 @@ def _sweep():
     rows = []
     payload = {
         "smoke": SMOKE,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": CPUS,
         "wordlines_per_block": GEOMETRY.wordlines_per_block,
         "bitlines_per_block": GEOMETRY.bitlines_per_block,
         "pe_cycles": PE_CYCLES,

@@ -25,7 +25,13 @@ from repro.analysis.reporting import format_table
 from repro.ecc import EccConfig, EccDecoder
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
-CPUS = os.cpu_count() or 1
+#: CPUs this process may run on (its affinity mask), not every CPU of
+#: the host: tools/check_bench.py arms core-gated floors from it.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 PAGES = 64 if SMOKE else 512
 PAGE_BITS = 1024 if SMOKE else 4096

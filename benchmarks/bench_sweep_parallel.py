@@ -24,7 +24,13 @@ from repro.workloads.grid import BackendSpec, GeometrySpec, PolicySpec, Scenario
 from repro.workloads.suites import WORKLOAD_SUITE
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
-CPUS = os.cpu_count() or 1
+#: CPUs this process may run on (its affinity mask), not every CPU of
+#: the host: tools/check_bench.py arms core-gated floors from it.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 DURATION_DAYS = 0.01 if SMOKE else 0.05
 SEEDS = 1

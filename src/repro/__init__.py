@@ -44,8 +44,6 @@ from repro.controller import (
     CounterBackend,
     FlashChipBackend,
     PhysicsBackend,
-    SerialExecutor,
-    ThreadedExecutor,
     build_engine,
     run_scenario,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "CounterBackend",
     "FlashChipBackend",
     "PhysicsBackend",
-    "SerialExecutor",
-    "ThreadedExecutor",
     "build_engine",
     "run_scenario",
     "BackendSpec",

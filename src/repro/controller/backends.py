@@ -48,7 +48,7 @@ from repro.ecc.fault_model import (
 from repro.flash.arena import BlockStore
 from repro.flash.block import FlashBlock
 from repro.flash.geometry import FlashGeometry
-from repro.controller.executor import BlockGroupExecutor, resolve_executor
+from repro.controller.executor import BlockExecutor
 from repro.controller.ftl import PageMappingFtl
 
 
@@ -146,9 +146,8 @@ class BlockReadTask:
     The task is *pure per block*: executing it touches only
     :attr:`flash_block` — its exposure counters, its voltage cache —
     plus read-only configuration (decoder, Vpass).  That purity is what
-    lets the block-group executor run tasks of one flush concurrently
-    and still merge bit-identically (see
-    :mod:`repro.controller.executor`).
+    lets the block executor run tasks of one flush concurrently and
+    still merge bit-identically (see :mod:`repro.controller.executor`).
     """
 
     block_id: int
@@ -197,10 +196,10 @@ class FlashChipBackend:
        unique physical pages (materializing lazily-bound blocks while
        still serial);
     2. **execute** — one pure :class:`BlockReadTask` per touched block
-       on the configured block-group executor
-       (:mod:`repro.controller.executor`): charge Vpass-weighted disturb
-       exposure in one :meth:`FlashBlock.record_reads` call, then
-       ECC-decode each *unique* page of the batch once, at the batch's
+       on the :class:`~repro.controller.executor.BlockExecutor`: charge
+       Vpass-weighted disturb exposure in one
+       :meth:`FlashBlock.record_reads` call, then ECC-decode each
+       *unique* page of the batch once, at the batch's
        final exposure (repeated reads of a page within one flush return
        the same sensed data, so one decode per page per flush is the
        exact per-op semantics at a fraction of the cost) — one
@@ -214,18 +213,18 @@ class FlashChipBackend:
        rewrites it to a fresh block, and later pages of the same flush
        on that block are skipped (their data is already being remapped).
 
+    The executor (``"serial"`` or ``"threaded[:N]"``) only decides how
+    step 2 runs.  Everything else — wordline programs at append time,
+    erases, RBER probes — runs in this class's one serial code path
+    under every executor.
+
     With ``resident_blocks=N`` every block's mutable state lives in its
     slab of one file-backed :class:`~repro.flash.arena.BlockStore`
     instead of per-block heap arrays, and at most *N* blocks stay
     resident: cold blocks' pages spill back to the backing file, so a
     ``blocks=4096`` geometry runs under a bounded resident set
-    (out-of-core drives).
-    Parallel executors (``workers > 1``) also defer wordline programs
-    into per-block queues flushed in ascending block order at the next
-    observation point (read flush, erase, RBER probe, summary), which
-    keeps the write path parallel *and* bit-identical to serial — data
-    bits are drawn at append time, per-block RNG streams advance in
-    queue order.
+    (out-of-core drives).  Steps 2 and 3 then run in chunks of *N*
+    blocks.
     """
 
     name = "flash_chip"
@@ -239,7 +238,7 @@ class FlashChipBackend:
         rdr: RdrConfig | None = None,
         enable_rdr: bool = True,
         seed: int = 0,
-        executor: str | BlockGroupExecutor = "serial",
+        executor: str = "serial",
         resident_blocks: int | None = None,
         fault_pattern: str | FaultSpec | None = None,
     ):
@@ -265,24 +264,14 @@ class FlashChipBackend:
         )
         self.rdr = ReadDisturbRecovery(rdr) if enable_rdr else None
         self.seed = int(seed)
-        # A caller handing us a live executor instance keeps ownership
-        # of it; executors we resolve from a spec are ours to close.
-        self._owns_executor = isinstance(executor, (str, type(None)))
-        #: block-group executor running each flush's per-block tasks;
-        #: "serial" and "threaded[:N]" are bit-identical by construction.
-        self.executor: BlockGroupExecutor = resolve_executor(executor)
+        #: runs each read flush's per-block tasks; "serial" and
+        #: "threaded[:N]" are bit-identical by construction.
+        self.executor = BlockExecutor.from_spec(executor)
         if resident_blocks is not None and resident_blocks < 1:
             raise ValueError("resident_blocks must be at least 1")
         #: out-of-core residency budget (None = per-block heap arrays).
         self._resident_blocks = resident_blocks
         self._store: BlockStore | None = None
-        # Deferred per-block program queue: only a parallel executor
-        # batches programs (the serial path keeps its exact immediate
-        # semantics); data bits are drawn at queue time so the global
-        # data stream stays in append order.
-        self._defer_programs = getattr(self.executor, "workers", 1) > 1
-        self._pending_programs: dict[int, list] = {}
-        self._pending_wordlines: set[tuple[int, int]] = set()
         # Filled in bind().
         self.ftl: PageMappingFtl | None = None
         self.geometry: FlashGeometry | None = None
@@ -348,21 +337,11 @@ class FlashChipBackend:
         wordline = page // 2
         if fb.programmed[wordline]:
             return
-        if self._defer_programs and (block, wordline) in self._pending_wordlines:
-            return
         # First touch of the wordline: program both of its pages at once
         # (the LSB page is always appended first, and MLC wordlines are
-        # programmed as a unit).  Data bits are drawn *now* — whether the
-        # program executes immediately or is queued — so the global data
-        # stream is consumed in append order in both modes.
+        # programmed as a unit).
         lsb, msb = wordline_data_bits(self._data_rng, self.geometry.bitlines_per_block)
-        if self._defer_programs:
-            self._pending_wordlines.add((block, wordline))
-            self._pending_programs.setdefault(block, []).append(
-                (wordline, now, lsb, msb)
-            )
-        else:
-            fb.program_wordline_bits(wordline, lsb, msb, now)
+        fb.program_wordline_bits(wordline, lsb, msb, now)
 
     def on_append_many(
         self, block: int, pages: np.ndarray, lpns: np.ndarray, now: float
@@ -370,38 +349,7 @@ class FlashChipBackend:
         for page, lpn in zip(pages, lpns):
             self.on_append(block, int(page), int(lpn), now)
 
-    def flush_programs(self) -> None:
-        """Execute every queued wordline program, grouped per block.
-
-        Programs are queued only by a parallel executor (see
-        ``__init__``); this flush runs at every point that observes
-        programmed state — a read flush, an erase, an RBER probe, a
-        summary — so deferral is invisible.  Each block's queue runs in
-        append order with the data bits and timestamps fixed at queue
-        time, and blocks flush in ascending id order, so the per-block
-        RNG streams advance exactly as the serial immediate path would
-        have advanced them.
-        """
-        if not self._pending_programs:
-            return
-        pending = self._pending_programs
-        self._pending_programs = {}
-        self._pending_wordlines = set()
-        tasks = [(block, pending[block]) for block in sorted(pending)]
-        self.executor.map(self._program_block_task, tasks)
-        self._settle_arena(block for block, _ in tasks)
-
-    def _program_block_task(self, task: tuple) -> None:
-        """Run one block's queued programs (pure per block)."""
-        block, programs = task
-        fb = self._blocks[block]
-        for wordline, now, lsb, msb in programs:
-            fb.program_wordline_bits(wordline, lsb, msb, now)
-
     def on_erase(self, block: int, now: float) -> None:
-        # Flush all queued programs first: erase draws from the same
-        # per-block stream, and the serial order is programs-then-erase.
-        self.flush_programs()
         fb = self._blocks.get(block)
         if fb is not None:
             fb.erase(now)
@@ -436,17 +384,14 @@ class FlashChipBackend:
         all of it).  Tasks touch only their own block and the merge
         order is fixed, so ``executor="threaded"`` produces the same
         bits as ``executor="serial"``
-        (``tests/controller/test_block_executor.py``).
+        (``tests/controller/test_block_executor.py``).  Out-of-core,
+        execute and merge run in chunks of ``resident_blocks`` blocks.
 
         **Cache precondition.**  Assumes *ppns* were resolved against
         the mapping current at flush time (the engine flushes before any
         relocation moves data); the voltage cache is managed by the
         block's own epoch bumps.
         """
-        # Reads observe programmed state: drain the deferred program
-        # queue before the empty-batch early-return (a flush with no
-        # reads must still surface queued programs to later observers).
-        self.flush_programs()
         if ppns.size == 0:
             return
         tracer = obs.tracer()
@@ -465,35 +410,31 @@ class FlashChipBackend:
             span = lambda name, **attrs: nullcontext(None)  # noqa: E731
         with span("physics.plan"):
             tasks = self._plan_reads(ppns)
-        t_start = time.monotonic()
         execute = partial(self._sense_and_decode, now=now)
-        if self._store is None:
-            with span("physics.execute", blocks=len(tasks)) as execute_span:
+        # One execute/merge pass per chunk: the whole flush on the heap,
+        # ``resident_blocks`` blocks out-of-core, so peak residency stays
+        # near the budget however many blocks the flush touches.  The
+        # merge is a sequential fold in ascending block order and each
+        # block is one task, so with the flush-wide RDR dedup set carried
+        # through, chunking at any boundary is bit-identical.
+        size = self._resident_blocks or len(tasks)
+        rescued: set[tuple[int, int]] = set()
+        decode_seconds = 0.0
+        for start in range(0, len(tasks), size):
+            chunk = tasks[start : start + size]
+            t_start = time.monotonic()
+            with span("physics.execute", blocks=len(chunk)) as execute_span:
                 if execute_span is not None and tracer.detail_block:
                     self._trace_block_parent = execute_span.id
                 try:
-                    outcomes = self.executor.map(execute, tasks)
+                    outcomes = self.executor.map(execute, chunk)
                 finally:
                     self._trace_block_parent = None
-            self._obs_decode_seconds.observe(time.monotonic() - t_start)
-            with span("physics.merge", blocks=len(tasks)):
-                self._merge_outcomes(outcomes, now)
-            return
-        # Out-of-core: one flush can touch far more blocks than the
-        # residency budget, so execute/merge/settle in LRU-sized chunks.
-        # The merge is a sequential fold in ascending block order and
-        # each block is exactly one task, so chunking at any boundary
-        # (with the flush-wide RDR dedup set threaded through) produces
-        # bit-identical results while peak residency stays near the
-        # limit instead of near the flush's block count.
-        rescued: set[tuple[int, int]] = set()
-        limit = self._resident_blocks
-        for start in range(0, len(tasks), limit):
-            chunk = tasks[start : start + limit]
-            outcomes = self.executor.map(execute, chunk)
-            self._merge_outcomes(outcomes, now, rescued)
+            decode_seconds += time.monotonic() - t_start
+            with span("physics.merge", blocks=len(chunk)):
+                self._merge_outcomes(outcomes, now, rescued)
             self._settle_arena(task.block_id for task in chunk)
-        self._obs_decode_seconds.observe(time.monotonic() - t_start)
+        self._obs_decode_seconds.observe(decode_seconds)
 
     def _plan_reads(self, ppns: np.ndarray) -> list[BlockReadTask]:
         """Grouping/planning pass: one :class:`BlockReadTask` per block.
@@ -608,7 +549,7 @@ class FlashChipBackend:
         self,
         outcomes: list[BlockReadOutcome],
         now: float,
-        rescued_wordlines: set[tuple[int, int]] | None = None,
+        rescued_wordlines: set[tuple[int, int]],
     ) -> None:
         """Ordered merge: fold outcomes into shared state, escalate RDR.
 
@@ -616,10 +557,10 @@ class FlashChipBackend:
         every executor preserves), so counter updates, RDR escalations,
         and relocation queuing happen in exactly the sequence the serial
         loop produced.  RDR mutates only the failing block — blocks the
-        executor already decoded are unaffected.
+        executor already decoded are unaffected.  *rescued_wordlines*
+        is the flush-wide RDR dedup set, shared by every chunk of one
+        flush.
         """
-        if rescued_wordlines is None:
-            rescued_wordlines = set()
         for outcome in outcomes:
             if outcome.decode is None:
                 continue
@@ -679,7 +620,6 @@ class FlashChipBackend:
         no RNG is consumed, so observing a run (e.g. the sweep runner's
         per-window trajectory) cannot perturb it.
         """
-        self.flush_programs()
         worst = None
         for block_id, fb in self._blocks.items():
             if not fb.programmed.any():
@@ -691,7 +631,6 @@ class FlashChipBackend:
         return worst
 
     def summary(self) -> dict:
-        self.flush_programs()
         return {
             "backend": self.name,
             "bound_blocks": len(self._blocks),
@@ -734,14 +673,14 @@ class FlashChipBackend:
         """Re-enter *block_ids* into the arena's LRU after their slabs
         were touched through live views.
 
-        Task execution, program flushes, and RBER probes fault slab
-        pages back in *without* going through :meth:`BlockStore.slab`
-        (they hold the numpy views directly), so the LRU would never see
-        those refaults — a block evicted mid-batch and then executed
-        would stay resident forever.  Touching after the fact keeps the
-        spill accounting honest: anything faulted in re-queues for
-        eviction, so the resident set stays bounded by the limit plus
-        one batch.  No-op without an out-of-core arena.
+        Read tasks and RBER probes fault slab pages back in *without*
+        going through :meth:`BlockStore.slab` (they hold the numpy views
+        directly), so the LRU would never see those refaults — a block
+        evicted mid-batch and then executed would stay resident forever.
+        Touching after the fact keeps the spill accounting honest:
+        anything faulted in re-queues for eviction, so the resident set
+        stays bounded by the limit plus one batch.  No-op without an
+        out-of-core arena.
         """
         if self._store is not None:
             for block_id in block_ids:
@@ -757,17 +696,15 @@ class FlashChipBackend:
             fb._voltage_cache_key = None
 
     def close(self) -> None:
-        """Release the thread pool and the block arena (idempotent).
+        """Release the executor's thread pool and the block arena
+        (idempotent).
 
-        Flushes nothing: callers observe final state via
-        :meth:`summary` (which flushes) before closing —
+        Closing deletes the arena file, so callers read final state —
+        :meth:`summary`, RBER probes — before closing;
         :func:`repro.controller.factory.run_scenario` does this inside
         its ``try``/``finally``.
         """
-        if self._owns_executor:
-            close = getattr(self.executor, "close", None)
-            if close is not None:
-                close()
+        self.executor.close()
         if self._store is not None:
             self._store.close()
             self._store = None

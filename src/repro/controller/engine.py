@@ -29,10 +29,11 @@ window's reads vectorized:
   ECC-decoded once per flush at its final exposure, escalating
   uncorrectable pages through Read Disturb Recovery and remapping the
   damaged block.  Within one flush the per-block sense+decode tasks are
-  independent, and the flash-chip backend runs them on a pluggable
-  block-group executor (:mod:`repro.controller.executor`):
-  ``executor="threaded"`` spreads one scenario's physics across cores,
-  bit-identical to serial.
+  independent, and the flash-chip backend runs them on its block
+  executor (:mod:`repro.controller.executor`): ``executor="threaded"``
+  spreads one scenario's read flushes across cores, bit-identical to
+  serial.  Programs, erases and every other step run serially under
+  any executor.
 
 See ``benchmarks/bench_engine_throughput.py`` for the throughput
 trajectory of both backends.

@@ -163,8 +163,6 @@ def _run_scenario_inner(scenario: Scenario) -> ScenarioResult:
                 trajectory.append(record)
 
         stats = engine.run_trace(trace, on_window=on_window)
-        # Extraction flushes pending backend work (summary does), so it
-        # must run before close() tears down pools and the arena.
         return extract_result(scenario, engine, stats, trajectory)
     finally:
         # Block arenas and thread pools must not outlive the scenario,

@@ -21,7 +21,7 @@ Examples::
         --reclaim 0 50000 100000
 
     # Full-fidelity physics sweep with an RBER trajectory, saved to
-    # JSON, using the intra-scenario threaded block-group executor
+    # JSON, with each scenario's read flushes spread across threads
     python -m repro.sweep --workloads webmail --backend flash_chip \\
         --blocks 16 --pages-per-block 32 --overprovision 0.2 \\
         --executor threaded --trajectory --json sweep.json
@@ -139,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     physics.add_argument(
         "--executor", choices=("serial", "threaded"), default="serial",
-        help="intra-scenario block-group executor for flash-chip physics "
-        "(bit-identical in every mode; threaded defaults to one thread "
-        "per CPU)",
+        help="how flash-chip read flushes run their per-block sense and "
+        "decode tasks (bit-identical in every mode; threaded defaults to "
+        "one thread per CPU)",
     )
     physics.add_argument(
         "--executor-workers", type=int, default=None, metavar="N",

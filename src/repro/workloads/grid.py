@@ -39,6 +39,40 @@ def _non_default(spec, name: str) -> bool:
     default = next(f.default for f in fields(spec) if f.name == name)
     return getattr(spec, name) != default
 
+
+#: executor kinds accepted by :func:`parse_executor_spec`.
+EXECUTOR_KINDS = ("serial", "threaded")
+
+
+def parse_executor_spec(spec: str) -> tuple[str, int | None]:
+    """Validate an executor spec string: ``"serial"``, ``"threaded"``, or
+    ``"threaded:N"`` (N ASCII digits, at least 1).
+
+    Returns ``(kind, workers)``; *workers* is ``None`` when the spec
+    leaves the count to the executor's default (one thread per usable
+    CPU).  The one parser of the spec: :class:`BackendSpec` validates
+    with it at grid construction and
+    :meth:`repro.controller.executor.BlockExecutor.from_spec` resolves
+    through it, so a spec the grid accepts never fails inside a worker.
+    It lives here because the controller imports this package, not the
+    other way round.
+    """
+    kind, sep, count = spec.partition(":")
+    if kind not in EXECUTOR_KINDS:
+        raise ValueError(
+            f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
+        )
+    if not sep:
+        return kind, None
+    if kind != "threaded":
+        raise ValueError(f"executor {kind!r} does not take a worker count")
+    if not (count.isascii() and count.isdigit()) or int(count) < 1:
+        raise ValueError(
+            f"bad executor worker count {count!r}; expected an integer >= 1"
+        )
+    return kind, int(count)
+
+
 # SsdConfig lives in the controller layer; importing it here would invert
 # the layering (controller already imports workloads), so geometry rides
 # through the grid as plain numbers and the engine factory
@@ -112,8 +146,9 @@ class BackendSpec:
     :class:`~repro.flash.block.FlashBlock` (ECC + RDR in the loop).  The
     flash-chip knobs are ignored by the counter backend.
 
-    *executor* selects the flash-chip backend's intra-scenario
-    block-group executor (``"serial"`` or ``"threaded[:N]"``; see
+    *executor* selects how the flash-chip backend runs the per-block
+    tasks of a read flush (``"serial"`` or ``"threaded[:N]"``, checked
+    by :func:`parse_executor_spec`; see
     :mod:`repro.controller.executor`).  Like
     :attr:`Scenario.batch` it is an *execution* knob, not a physics
     knob: executors are bit-identical by contract, so the executor never
@@ -179,18 +214,7 @@ class BackendSpec:
             from repro.ecc.fault_model import parse_fault_spec
 
             parse_fault_spec(self.fault_pattern)
-        # Validate the executor spec shape here, at grid construction,
-        # without importing the controller layer (which imports this
-        # package); repro.controller.executor.parse_executor_spec is the
-        # authoritative parser the engine factory resolves through.
-        kind, sep, count = self.executor.partition(":")
-        if kind not in ("serial", "threaded") or (
-            sep and (kind == "serial" or not count.isdigit() or int(count) < 1)
-        ):
-            raise ValueError(
-                f"bad executor spec {self.executor!r}; expected 'serial' or "
-                "'threaded[:N]'"
-            )
+        parse_executor_spec(self.executor)
         if self.resident_blocks is not None and self.resident_blocks < 1:
             raise ValueError("resident_blocks must be at least 1")
 

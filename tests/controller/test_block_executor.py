@@ -8,11 +8,12 @@ the engine summary, the backend counters, the per-block device state,
 the relocation order, or the RDR escalation bookkeeping.  The
 worn/relaxed-Vpass configuration drives the uncorrectable-page path
 (including the skip of later pages of a failing block's flush), so the
-equivalence covers escalation, not just the happy path.  The same holds
-for the deferred program queue a parallel executor writes through, and
-for out-of-core runs ("The block arena (out-of-core block state)"):
-spilling blocks to the arena file under any executor changes no bit,
-and the arena file never outlives the engine.
+equivalence covers escalation, not just the happy path.  Writes run the
+one serial path under every executor, so a wordline is programmed when
+its first page is appended.  The same holds for out-of-core runs ("The
+block arena (out-of-core block state)"): spilling blocks to the arena
+file under any executor changes no bit, and the arena file never
+outlives the engine.
 """
 
 import os
@@ -22,21 +23,25 @@ import numpy as np
 import pytest
 
 from repro.controller import (
+    BlockExecutor,
     CounterBackend,
     FlashChipBackend,
-    SerialExecutor,
     SimulationEngine,
     SsdConfig,
-    ThreadedExecutor,
-    resolve_executor,
 )
-from repro.controller.executor import parse_executor_spec
+from repro.controller.executor import default_executor_workers
 from repro.controller.factory import run_scenario
 from repro.parallel import SweepRunner
 from repro.parallel.results import ScenarioFailure
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
-from repro.workloads.grid import BackendSpec, GeometrySpec, PolicySpec, ScenarioGrid
+from repro.workloads.grid import (
+    BackendSpec,
+    GeometrySpec,
+    PolicySpec,
+    ScenarioGrid,
+    parse_executor_spec,
+)
 from repro.workloads.suites import WORKLOAD_SUITE
 
 CONFIG = SsdConfig(blocks=12, pages_per_block=16, overprovision=0.25)
@@ -190,19 +195,17 @@ def test_parse_executor_spec():
             parse_executor_spec(bad)
 
 
-def test_resolve_executor():
-    assert isinstance(resolve_executor(None), SerialExecutor)
-    assert isinstance(resolve_executor("serial"), SerialExecutor)
-    threaded = resolve_executor("threaded:3")
-    assert isinstance(threaded, ThreadedExecutor) and threaded.workers == 3
-    ready = ThreadedExecutor(workers=2)
-    assert resolve_executor(ready) is ready
-    with pytest.raises(TypeError):
-        resolve_executor(42)
+def test_block_executor_from_spec():
+    assert BlockExecutor.from_spec("serial").workers == 1
+    assert BlockExecutor.from_spec("threaded").workers == default_executor_workers()
+    assert BlockExecutor.from_spec("threaded:3").workers == 3
 
 
 def test_threaded_executor_maps_in_order_and_reuses_pool():
-    executor = ThreadedExecutor(workers=3)
+    serial = BlockExecutor.from_spec("serial")
+    assert serial.map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
+    assert serial._pool is None, "one worker runs the in-place loop"
+    executor = BlockExecutor(workers=3)
     try:
         items = list(range(25))
         assert executor.map(lambda x: x * x, items) == [x * x for x in items]
@@ -218,15 +221,42 @@ def test_threaded_executor_maps_in_order_and_reuses_pool():
     executor.close()  # idempotent
 
 
+#: executor specs and whether they are valid.
+EXECUTOR_SPECS = [
+    ("serial", True),
+    ("threaded", True),
+    ("threaded:1", True),
+    ("threaded:4", True),
+    ("serial:2", False),
+    ("serial:", False),
+    ("threaded:", False),
+    ("threaded:0", False),
+    ("threaded:-1", False),
+    ("threaded:+2", False),
+    ("threaded: 2", False),
+    ("threaded:x", False),
+    ("process", False),
+    ("process:2", False),
+    ("pool", False),
+    ("", False),
+]
+
+
 def test_backend_spec_validates_executor():
+    """The grid and the backend accept and reject exactly the same specs
+    — a spec that passes grid construction but fails in a worker would
+    surface as a mid-sweep ScenarioFailure instead."""
     assert BackendSpec(executor="threaded:4").executor == "threaded:4"
-    # The grid-level check must reject exactly what parse_executor_spec
-    # rejects — a spec that passes grid construction but fails in a
-    # worker would surface as a mid-sweep ScenarioFailure instead.
-    for bad in ("serial:2", "serial:", "threaded:", "threaded:0",
-                "process", "process:2", "pool"):
-        with pytest.raises(ValueError):
-            BackendSpec(executor=bad)
+    for spec, valid in EXECUTOR_SPECS:
+        accepted = []
+        for build in (BackendSpec, FlashChipBackend):
+            try:
+                build(executor=spec)
+            except ValueError:
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        assert accepted == [valid, valid], spec
 
 
 def test_executor_is_excluded_from_labels_and_ids():
@@ -246,7 +276,7 @@ def test_executor_is_excluded_from_labels_and_ids():
 
 
 # ----------------------------------------------------------------------
-# The deferred program queue and out-of-core runs
+# Writes and out-of-core runs
 # ----------------------------------------------------------------------
 
 SMALL = dict(bitlines_per_block=128, seed=7)
@@ -270,26 +300,29 @@ def _run_small(executor="serial", resident_blocks=None):
     return stats, summary, evictions
 
 
-def test_deferred_programs_flush_at_every_observer():
-    """A parallel backend queues programs; summary()/erase/rber flush
-    them, so a write-only run still lands every wordline."""
-    backend = FlashChipBackend(bitlines_per_block=64, seed=1, executor="threaded:2")
-    engine = SimulationEngine(CONFIG, backend=backend)
+def test_programs_land_at_append_time():
+    """Every executor programs a wordline when its first page is
+    appended: after a write-only run, before any summary(), read or
+    erase observes the chip, a threaded backend's blocks equal the
+    serial backend's."""
     footprint = 40
     precondition, _ = _traces(footprint=footprint, seed=13)
-    engine.run_trace(precondition)  # write-only: nothing calls on_reads
-    assert backend.summary()["bound_blocks"] > 0
-    programmed = sum(
-        int(fb.programmed.sum()) for fb in backend._blocks.values()
-    )
-    assert programmed >= footprint // 2
-    assert not backend._pending_programs
-    engine.close()
+    states = []
+    for executor in ("serial", "threaded:2"):
+        backend = FlashChipBackend(bitlines_per_block=64, seed=1, executor=executor)
+        engine = SimulationEngine(CONFIG, backend=backend)
+        engine.run_trace(precondition)  # write-only, too short for GC
+        states.append(_per_block_state(backend))
+        engine.close()
+    serial, threaded = states
+    programmed = sum(sum(state[4]) for state in serial.values())
+    assert programmed == footprint // 2
+    assert threaded == serial
 
 
 def test_scenario_equivalence_with_write_heavy_workload():
-    """Writes exercise the deferred program path hard (GC relocations
-    included); a threaded run must still match serial bits."""
+    """A write-heavy workload (GC relocations included) between the
+    read flushes; a threaded run must still match serial bits."""
     geometry = GeometrySpec(blocks=12, pages_per_block=16, overprovision=0.25)
 
     def scenario(executor):

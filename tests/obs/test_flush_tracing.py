@@ -1,0 +1,86 @@
+"""Traced flash-chip read flushes, end to end through the engine.
+
+At trace detail ``block`` every read flush writes ``physics.execute``
+and ``physics.merge`` spans, and one ``physics.block`` span per block
+task, parented to its execute span.  That holds on the heap, under the
+threaded executor, and out-of-core, where one flush executes and merges
+in chunks of ``resident_blocks`` blocks.  Tracing stays out-of-band:
+the traced run's stats and summary equal the untraced run's.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.controller import FlashChipBackend, SimulationEngine, SsdConfig
+from repro.obs.tracing import merge_spans
+from repro.units import days
+from repro.workloads import IoTrace, OP_READ, OP_WRITE
+
+_spec = importlib.util.spec_from_file_location(
+    "trace_validate",
+    Path(__file__).resolve().parents[2] / "tools" / "trace_validate.py",
+)
+trace_validate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_validate)
+
+CONFIG = SsdConfig(blocks=12, pages_per_block=16, overprovision=0.25)
+CASES = {
+    "heap-serial": dict(executor="serial"),
+    "heap-threaded": dict(executor="threaded:2"),
+    "out-of-core-threaded": dict(executor="threaded:2", resident_blocks=2),
+}
+
+
+def _run(backend_kwargs):
+    """A mixed 90%-read day over 100 lpns; returns (stats, summary)."""
+    rng = np.random.default_rng(13)
+    footprint, n_ops = 100, 1_500
+    precondition = IoTrace(
+        np.zeros(footprint),
+        np.full(footprint, OP_WRITE, dtype=np.int64),
+        rng.permutation(footprint).astype(np.int64),
+        "precondition",
+    )
+    trace = IoTrace(
+        np.sort(rng.uniform(days(0.05), days(1.0), n_ops)),
+        np.where(rng.random(n_ops) < 0.9, OP_READ, OP_WRITE).astype(np.int64),
+        rng.integers(0, footprint, n_ops).astype(np.int64),
+        "mixed",
+    )
+    backend = FlashChipBackend(bitlines_per_block=128, seed=7, **backend_kwargs)
+    engine = SimulationEngine(CONFIG, backend=backend)
+    try:
+        engine.run_trace(precondition)
+        stats = engine.run_trace(trace)
+        return stats, backend.summary()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traced_flushes_validate_and_change_nothing(case, tmp_path):
+    backend_kwargs = CASES[case]
+    untraced = _run(backend_kwargs)
+    obs.configure(tmp_path, label="engine", detail="block")
+    traced = _run(backend_kwargs)
+    obs.reset()
+    assert traced == untraced
+
+    names = ("physics.execute", "physics.merge", "physics.block")
+    assert trace_validate.validate(tmp_path, [(name, 1) for name in names]) == []
+    spans = merge_spans(tmp_path)
+    by_id = {span["id"]: span for span in spans}
+    blocks = [span for span in spans if span["name"] == "physics.block"]
+    assert all(by_id[span["parent"]]["name"] == "physics.execute" for span in blocks)
+    executes = [span for span in spans if span["name"] == "physics.execute"]
+    limit = backend_kwargs.get("resident_blocks")
+    if limit is not None:
+        # Chunked: no execute span holds more blocks than the budget,
+        # and some flush needed more than one chunk.
+        assert max(span["attrs"]["blocks"] for span in executes) <= limit
+        flushes = sum(span["name"] == "physics.flush" for span in spans)
+        assert len(executes) > flushes

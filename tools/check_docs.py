@@ -31,11 +31,10 @@ DOCUMENTED_NAMES = [
     "flash.block.FlashBlock.invalidate_voltage_cache",
     "flash.block.FlashBlock.record_retry_sweep",
     "flash.block.FlashBlock.program_wordline_bits",
-    "controller.executor.BlockGroupExecutor",
-    "controller.executor.SerialExecutor",
-    "controller.executor.ThreadedExecutor",
-    "controller.executor.resolve_executor",
-    "controller.backends.FlashChipBackend.flush_programs",
+    "controller.executor.BlockExecutor",
+    "controller.executor.BlockExecutor.from_spec",
+    "controller.executor.BlockExecutor.map",
+    "workloads.grid.parse_executor_spec",
     "flash.arena.BlockStore",
     "flash.arena.SlabLayout",
     "rng.block_spawn_key",

@@ -4,10 +4,12 @@
 # The committed BENCH_physics.json is *data recorded on one machine*;
 # tools/check_bench.py gates later commits against it.  The multi-core
 # speedup floors arm themselves only when the recorded payloads carry
-# enough cores: the workers=2 sweep floor (>=1.3x) needs cpu_count >= 2,
-# the 4-worker sweep and threaded-executor floors (>=1.5x) need
-# cpu_count >= 4.  Re-recording on such a machine is what turns them
-# on.  Procedure:
+# enough cores: the workers=2 sweep floor (>=1.3x) and the threaded:2
+# read-phase floor (>=1.1x) need cpu_count >= 2, the 4-worker sweep and
+# threaded:4 floors (>=1.5x) need cpu_count >= 4.  cpu_count counts the
+# CPUs in the recording process's affinity mask (nproc reports the
+# same), so a taskset or cpuset cannot arm floors it has no cores for.
+# Re-recording on such a machine is what turns them on.  Procedure:
 #
 #   1. Run this script on the target machine (no BENCH_SMOKE in the
 #      environment — smoke payloads are never written).
