@@ -294,13 +294,6 @@ class FlashChipBackend:
         self.fault_patterns = {
             name: 0 for name in PATTERN_NAMES if name != "clean"
         }
-        # Telemetry handles (shared no-op singletons when disabled).
-        # Out-of-band only: these mirror the accounting counters above,
-        # they never feed RNG streams or results.
-        self._obs_decode_seconds = obs.histogram("physics.decode_pages.seconds")
-        self._obs_miscorrections = obs.counter("ecc.rs.miscorrections")
-        self._obs_uncorrectable = obs.counter("ecc.uncorrectable_pages")
-        self._obs_rdr_attempts = obs.counter("physics.rdr.attempts")
         # Parent span id for per-block task records; set only around the
         # executor.map of a traced flush (detail "block").
         self._trace_block_parent: str | None = None
@@ -402,8 +395,7 @@ class FlashChipBackend:
             self._flush_reads_inner(ppns, now, tracer)
 
     def _flush_reads_inner(self, ppns: np.ndarray, now: float, tracer) -> None:
-        # Phase spans only at detail "flush"+; the histogram observes at
-        # every detail (it is a metric, not a span).
+        # Phase spans only at detail "flush"+.
         if tracer.detail_flush:
             span = tracer.span
         else:
@@ -419,10 +411,8 @@ class FlashChipBackend:
         # through, chunking at any boundary is bit-identical.
         size = self._resident_blocks or len(tasks)
         rescued: set[tuple[int, int]] = set()
-        decode_seconds = 0.0
         for start in range(0, len(tasks), size):
             chunk = tasks[start : start + size]
-            t_start = time.monotonic()
             with span("physics.execute", blocks=len(chunk)) as execute_span:
                 if execute_span is not None and tracer.detail_block:
                     self._trace_block_parent = execute_span.id
@@ -430,11 +420,9 @@ class FlashChipBackend:
                     outcomes = self.executor.map(execute, chunk)
                 finally:
                     self._trace_block_parent = None
-            decode_seconds += time.monotonic() - t_start
             with span("physics.merge", blocks=len(chunk)):
                 self._merge_outcomes(outcomes, now, rescued)
             self._settle_arena(task.block_id for task in chunk)
-        self._obs_decode_seconds.observe(decode_seconds)
 
     def _plan_reads(self, ppns: np.ndarray) -> list[BlockReadTask]:
         """Grouping/planning pass: one :class:`BlockReadTask` per block.
@@ -573,7 +561,6 @@ class FlashChipBackend:
                 continue
             first = int(failures[0])
             self.uncorrectable_pages += 1
-            self._obs_uncorrectable.inc()
             if outcome.patterns is not None:
                 self._count_pattern(int(outcome.patterns[first]))
             # The block is queued for relocation; pages after the failure
@@ -596,7 +583,6 @@ class FlashChipBackend:
         if miscorrected is not None:
             for index in np.flatnonzero(miscorrected[:counted]):
                 self.miscorrected_pages += 1
-                self._obs_miscorrections.inc()
                 if outcome.patterns is not None:
                     self._count_pattern(int(outcome.patterns[index]))
         if outcome.injected is not None:
@@ -727,7 +713,6 @@ class FlashChipBackend:
         rescued.add((block, wordline))
         fb = self._blocks[block]
         self.rdr_attempts += 1
-        self._obs_rdr_attempts.inc()
         outcome, recovered = self.rdr.rescue_wordline(
             fb, wordline, now, self._wordline_capability
         )

@@ -144,10 +144,6 @@ class SimulationEngine(FtlObserver):
         self._resets: list[tuple[int, int]] = []  # (block, epoch)
         #: blocks relocated because the backend escalated a failure.
         self.recovery_relocations = 0
-        # Telemetry handles; re-fetched in run_trace so a registry armed
-        # after construction is still observed.
-        self._windows_counter = obs.counter("engine.windows")
-        self._maintenance_counter = obs.counter("engine.maintenance_runs")
 
     # ------------------------------------------------------------------
     # FtlObserver: mapping events -> backend and/or change log
@@ -255,10 +251,6 @@ class SimulationEngine(FtlObserver):
             # hook and keep forwarding events to theirs.
             self._chained_observer = self.ftl.observer
             self.ftl.observer = self
-        # Telemetry handles, fetched once per run (no-op singletons when
-        # disabled — the gated bench holds the overhead line).
-        self._windows_counter = obs.counter("engine.windows")
-        self._maintenance_counter = obs.counter("engine.maintenance_runs")
         if self.batch:
             return self._run_batched(trace, on_window)
         return self._run_serial(trace, on_window)
@@ -319,7 +311,6 @@ class SimulationEngine(FtlObserver):
                 self._run_maintenance(float(boundary))
                 self._next_maintenance = float(boundary) + self.maintenance_period
                 self._drain_relocations()
-            self._windows_counter.inc()
             if on_window is not None:
                 on_window(self)
             start = split
@@ -332,7 +323,6 @@ class SimulationEngine(FtlObserver):
             self._drain_relocations()
             self._run_maintenance(self.now)
             self._drain_relocations()
-        self._windows_counter.inc()
         if on_window is not None:
             on_window(self)
         return self._stats(trace)
@@ -547,7 +537,6 @@ class SimulationEngine(FtlObserver):
         self.refresh.run(self.ftl, now)
         if self.reclaim is not None:
             self.reclaim.run(self.ftl, now)
-        self._maintenance_counter.inc()
 
     def _stats(self, trace: IoTrace) -> SsdRunStats:
         return SsdRunStats(

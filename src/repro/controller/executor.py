@@ -34,7 +34,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from repro import obs
 from repro.workloads.grid import parse_executor_spec
 
 
@@ -90,7 +89,6 @@ class BlockExecutor:
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
         """Apply *fn* to every task, results in task order."""
-        obs.counter("executor.tasks").inc(len(tasks))
         if self.workers == 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
         if self._pool is None:

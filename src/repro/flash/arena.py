@@ -33,8 +33,6 @@ import os
 import tempfile
 import weakref
 from collections import OrderedDict
-
-from repro import obs
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -241,7 +239,6 @@ class BlockStore:
         if hasattr(mmap, "MADV_DONTNEED"):
             self._mmap.madvise(mmap.MADV_DONTNEED, offset, self.layout.slab_bytes)
         self.evictions += 1
-        obs.counter("arena.evictions").inc()
         if self.on_evict is not None:
             self.on_evict(block_id)
 

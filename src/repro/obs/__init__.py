@@ -1,12 +1,10 @@
-"""``repro.obs``: the unified telemetry layer (tracing + metrics + export).
+"""``repro.obs``: the unified telemetry layer (tracing + export).
 
 Zero-dependency observability for the whole stack — the engine's
-windows, the flash backend's plan/execute/merge flushes, the two
-block-group executors, the sweep runner, and the campaign layer's
-attempts/leases/store all report here.  Three pieces:
+windows, the flash backend's plan/execute/merge flushes, the block
+executor, the sweep runner, and the campaign layer's
+attempts/leases/store all report here.  Two pieces:
 
-- :mod:`repro.obs.metrics` — a process-local registry of counters/
-  gauges/histograms with shared no-op handles when disabled;
 - :mod:`repro.obs.tracing` — nested timed spans emitted as
   crash-tolerant, schema-versioned JSONL, one file per participating
   process, merged by deterministic span ids;
@@ -19,7 +17,8 @@ participates.  Nothing in this package feeds an RNG stream, a scenario
 id, a seed derivation, or a result payload — so every equivalence
 suite (serial vs. threaded executors, ``workers=1`` vs. ``workers=N``,
 resumed vs. uninterrupted campaigns) passes bit-for-bit
-with tracing on, and the disabled path is cheap enough that the
+with tracing on, and the disabled path (the shared
+:class:`~repro.obs.tracing.NullTracer`) is cheap enough that the
 flash-chip bench gates it at <2% (``telemetry_overhead_ratio`` in
 ``BENCH_physics.json``).
 
@@ -37,12 +36,6 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NOOP_COUNTER,
-    NOOP_GAUGE,
-    NOOP_HISTOGRAM,
-)
 from repro.obs.tracing import (
     DETAIL_LEVELS,
     NULL_TRACER,
@@ -58,18 +51,12 @@ from repro.obs.tracing import (
 __all__ = [
     "ENV_TRACE_DIR",
     "ENV_TRACE_DETAIL",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "NullTracer",
     "configure",
     "configure_from_env",
-    "counter",
-    "gauge",
-    "histogram",
-    "is_tracing",
     "rebind",
-    "registry",
     "reset",
     "tracer",
     "load_trace_dir",
@@ -83,26 +70,7 @@ __all__ = [
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 ENV_TRACE_DETAIL = "REPRO_TRACE_DETAIL"
 
-_registry = MetricsRegistry(enabled=False)
 _tracer: Tracer | NullTracer = NULL_TRACER
-
-
-def registry() -> MetricsRegistry:
-    """The process's metrics registry (disabled until :func:`configure`)."""
-    return _registry
-
-
-def counter(name: str):
-    """Shorthand: ``registry().counter(name)``."""
-    return _registry.counter(name)
-
-
-def gauge(name: str):
-    return _registry.gauge(name)
-
-
-def histogram(name: str):
-    return _registry.histogram(name)
 
 
 def tracer() -> Tracer | NullTracer:
@@ -110,29 +78,24 @@ def tracer() -> Tracer | NullTracer:
     return _tracer
 
 
-def is_tracing() -> bool:
-    return _tracer.enabled
-
-
 def configure(
     trace_dir: str | os.PathLike | None,
     *,
     label: str | None = None,
     detail: str = "coarse",
-    metrics: bool | None = None,
     propagate: bool = True,
 ) -> None:
-    """Arm (or with ``trace_dir=None`` disarm) telemetry in this process.
+    """Arm (or with ``trace_dir=None`` disarm) tracing in this process.
 
-    *label* defaults to ``p<pid>`` — deterministic callers (the
-    campaign CLI) pass their worker name instead.  *metrics* defaults
-    to "enabled iff tracing is" — pass ``metrics=True`` with
-    ``trace_dir=None`` for a registry without span files.  *propagate*
-    exports the configuration via :data:`ENV_TRACE_DIR` /
-    :data:`ENV_TRACE_DETAIL` so spawn-start workers can pick it up
-    with :func:`configure_from_env`.
+    With a *trace_dir* the process gets a :class:`Tracer` writing
+    ``trace-<label>.jsonl`` there at *detail*; with ``None`` it gets
+    the shared :class:`NullTracer` back.  *label* defaults to
+    ``p<pid>`` — deterministic callers (the campaign CLI) pass their
+    worker name instead.  *propagate* exports the configuration via
+    :data:`ENV_TRACE_DIR` / :data:`ENV_TRACE_DETAIL` so spawn-start
+    workers can pick it up with :func:`configure_from_env`.
     """
-    global _registry, _tracer
+    global _tracer
     _tracer.close()
     if trace_dir is None:
         _tracer = NULL_TRACER
@@ -148,8 +111,6 @@ def configure(
         if propagate:
             os.environ[ENV_TRACE_DIR] = str(trace_dir)
             os.environ[ENV_TRACE_DETAIL] = detail
-    enabled = bool(trace_dir is not None if metrics is None else metrics)
-    _registry = MetricsRegistry(enabled=enabled)
 
 
 def configure_from_env(label: str | None = None) -> bool:

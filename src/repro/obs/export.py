@@ -27,8 +27,6 @@ import os
 import sys
 from pathlib import Path
 
-from repro.obs.metrics import render_prometheus
-
 EXPORT_FORMAT = "repro-obs-snapshot"
 EXPORT_VERSION = 2
 
@@ -97,6 +95,31 @@ def _flat_metrics(status: dict, trace: dict) -> dict:
     }
     return {"counters": counters, "gauges": gauges,
             "histograms": histograms}
+
+
+def _series(name: str) -> str:
+    """A dotted metric name's Prometheus series name."""
+    return "repro_" + name.replace(".", "_")
+
+
+def render_prometheus(flat: dict) -> str:
+    """Render the flat metrics map as a Prometheus-style textfile.
+
+    Counters gain ``_total``, gauges render as-is, and histograms
+    render as a summary's ``_count`` / ``_sum`` pair.
+    """
+    lines = []
+    for name, value in sorted(flat.get("counters", {}).items()):
+        lines.append(f"# TYPE {_series(name)}_total counter")
+        lines.append(f"{_series(name)}_total {value}")
+    for name, value in sorted(flat.get("gauges", {}).items()):
+        lines.append(f"# TYPE {_series(name)} gauge")
+        lines.append(f"{_series(name)} {value}")
+    for name, summary in sorted(flat.get("histograms", {}).items()):
+        lines.append(f"# TYPE {_series(name)} summary")
+        lines.append(f"{_series(name)}_count {summary['count']}")
+        lines.append(f"{_series(name)}_sum {summary['total']}")
+    return "\n".join(lines) + "\n"
 
 
 def build_snapshot(root: str | os.PathLike) -> dict:

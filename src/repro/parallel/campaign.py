@@ -222,13 +222,14 @@ class StreamingAggregate:
         ordered = sorted(values)
         n = len(ordered)
 
-        def rank(q: float) -> float:
-            return ordered[min(n - 1, max(0, -(-int(q * n) // 1) - 1))]
+        def rank(percent: int) -> float:
+            # Nearest rank: the ceil(percent * n / 100)-th smallest value.
+            return ordered[-(-percent * n // 100) - 1]
 
         return {
-            "p50": rank(0.50),
-            "p90": rank(0.90),
-            "p99": rank(0.99),
+            "p50": rank(50),
+            "p90": rank(90),
+            "p99": rank(99),
             "max": ordered[-1],
             "n": n,
         }
@@ -713,7 +714,6 @@ class Campaign:
                 self._end_attempt_span(running, "ok")
                 self.store.append(payload, lease=self._lease)
                 self.aggregate.observe(payload)
-                obs.counter("campaign.completed").inc()
                 if progress is not None and self.progress_interval is None:
                     progress(self.aggregate.snapshot())
             else:
@@ -765,7 +765,6 @@ class Campaign:
         )
         self.ledger.append(record)
         self.aggregate.observe_failure()
-        obs.counter("campaign.failures").inc()
         if self.policy.kind == "fail_fast":
             raise ScenarioFailure(scenario_id, f"[{kind}] {detail}")
         if self.policy.retry_allowed(entry.attempt):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.parallel.store import write_atomic
+from repro.parallel.store import open_append, write_atomic
 
 #: on-disk format identifier for the batch plan.
 PLAN_FORMAT = "repro-campaign-leases"
@@ -278,22 +278,8 @@ class LeaseLedger:
     def _append(self, batch_id: str, entry: dict) -> None:
         path = self._claims_path(batch_id)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Heal a torn tail first (a worker killed mid-append may have
-        # left no final newline): start our entry on a fresh line so it
-        # is the torn fragment that fails replay, not us.
-        torn = False
-        try:
-            with open(path, "rb") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    torn = existing.read(1) != b"\n"
-        except FileNotFoundError:
-            pass
         line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        with open(path, "a") as handle:
-            if torn:
-                handle.write("\n")
+        with open_append(path) as handle:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -340,7 +326,6 @@ class LeaseLedger:
         # after us, last-writer-wins may have handed them the lease.
         after = self.state(batch_id)
         if after.owner == self.owner and after.token == token:
-            obs.counter("campaign.lease.claims").inc()
             tracer.end(
                 span,
                 claimed=True,
@@ -368,7 +353,6 @@ class LeaseLedger:
         state = self.state(lease.batch_id)
         if state.owner != self.owner or state.token != lease.token:
             # Observed fence: we found our own lease reassigned.
-            obs.counter("campaign.lease.fenced").inc()
             span = tracer.begin(
                 "lease.fenced", batch=lease.batch_id, token=lease.token
             )
@@ -382,7 +366,6 @@ class LeaseLedger:
                 {"op": "renew", "owner": self.owner, "token": lease.token,
                  "at": time.time()},
             )
-        obs.counter("campaign.lease.renewals").inc()
         return True
 
     def mark_done(self, lease: Lease) -> None:

@@ -112,6 +112,29 @@ def write_atomic(path: Path, text: str) -> None:
         os.close(dir_fd)
 
 
+def open_append(path: Path):
+    """Open a JSONL file for appending, healing a torn tail first.
+
+    A writer killed mid-append can leave the file without a final
+    newline; appending straight onto that torn line would corrupt the
+    *new* line too, so start it on a fresh line (the torn fragment then
+    fails to parse on its own, exactly like any other torn line).
+    """
+    torn = False
+    try:
+        with open(path, "rb") as existing:
+            existing.seek(0, os.SEEK_END)
+            if existing.tell() > 0:
+                existing.seek(-1, os.SEEK_END)
+                torn = existing.read(1) != b"\n"
+    except FileNotFoundError:
+        pass
+    handle = open(path, "a")
+    if torn:
+        handle.write("\n")
+    return handle
+
+
 class ResultStore:
     """One campaign's persistent results under *root* (see module docs).
 
@@ -245,37 +268,12 @@ class ResultStore:
                     "owner": lease.owner,
                 }
             if self._records_file is None:
-                self._records_file = self._open_append(
+                self._records_file = open_append(
                     self.records_dir / f"{self.writer}.jsonl"
                 )
             self._records_file.write(_canonical(record) + "\n")
             self._records_file.flush()
             os.fsync(self._records_file.fileno())
-        obs.counter("store.appends").inc()
-
-    @staticmethod
-    def _open_append(path: Path):
-        """Open an append handle, healing a torn tail first.
-
-        A crash mid-append can leave the file without a final newline;
-        appending straight onto that torn line would corrupt the *new*
-        record too, so start it on a fresh line (the torn fragment then
-        fails to parse on its own, exactly like any other torn line).
-        """
-        try:
-            with open(path, "rb") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    torn = existing.read(1) != b"\n"
-                else:
-                    torn = False
-        except FileNotFoundError:
-            torn = False
-        handle = open(path, "a")
-        if torn:
-            handle.write("\n")
-        return handle
 
     def record_failure(
         self,
@@ -306,7 +304,7 @@ class ResultStore:
             ),
         }
         if self._failures_file is None:
-            self._failures_file = self._open_append(
+            self._failures_file = open_append(
                 self.failures_dir / f"{self.writer}.jsonl"
             )
         self._failures_file.write(_canonical(entry) + "\n")

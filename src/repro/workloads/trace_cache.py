@@ -21,108 +21,21 @@ key, so:
 Cached traces are shared across engine runs, so their arrays are frozen
 (``writeable=False``) — an accidental in-place mutation raises instead
 of silently corrupting every later run of the same scenario.
-
-An optional **disk tier** (:func:`enable_disk_tier`) catches what the
-in-memory LRU evicts: evicted traces spill to ``.npz`` files keyed by
-the generation inputs and reload on the next miss instead of
-regenerating — the out-of-core companion to the block arena for grids
-far beyond :data:`MAX_CACHED_TRACES` scenarios.  The round-trip is
-exact (the arrays are stored bit-for-bit), so the tier, like the cache,
-can never change a result.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
-
-import numpy as np
 
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadSpec
 from repro.workloads.trace import IoTrace
 
 #: upper bound on cached traces per process; oldest-touched evicts first.
 #: Grids routinely exceed this — the bound is a memory guard, not a
-#: completeness promise (an evicted trace just regenerates, or reloads
-#: from the disk tier when one is enabled).
+#: completeness promise (an evicted trace just regenerates).
 MAX_CACHED_TRACES = 64
 
 _cache: OrderedDict[tuple[WorkloadSpec, float, int], IoTrace] = OrderedDict()
-
-#: directory evicted traces spill to; ``None`` disables the tier.
-_disk_tier: Path | None = None
-
-
-def enable_disk_tier(path: str | os.PathLike | None = None) -> Path:
-    """Enable the disk tier: spill LRU-evicted traces to *path*.
-
-    *path* defaults to ``$REPRO_TRACE_CACHE_DIR``, or a fresh temporary
-    directory.  Returns the directory in use.  Enabling is idempotent
-    and re-enabling with a different path just switches directories
-    (already-spilled files in the old one are simply no longer found).
-    """
-    global _disk_tier
-    if path is None:
-        path = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    if path is None:
-        path = tempfile.mkdtemp(prefix="repro-trace-cache-")
-    _disk_tier = Path(path)
-    _disk_tier.mkdir(parents=True, exist_ok=True)
-    return _disk_tier
-
-
-def disable_disk_tier() -> None:
-    """Stop spilling/loading (files already on disk are left alone)."""
-    global _disk_tier
-    _disk_tier = None
-
-
-def _tier_path(key: tuple) -> Path:
-    """Spill file for a cache key (hashed: keys hold a frozen dataclass)."""
-    digest = hashlib.sha1(repr(key).encode()).hexdigest()
-    return _disk_tier / f"trace-{digest}.npz"
-
-
-def _spill(key: tuple, trace: IoTrace) -> None:
-    """Write an evicted trace to the disk tier (bit-exact arrays)."""
-    np.savez(
-        _tier_path(key),
-        timestamps=trace.timestamps,
-        ops=trace.ops,
-        lpns=trace.lpns,
-        name=np.array(trace.name),
-    )
-
-
-def _load_spilled(key: tuple) -> IoTrace | None:
-    """Reload a spilled trace, or ``None`` when the tier has no copy.
-
-    A spill file can be torn (process killed mid-write) or bit-rotted;
-    the tier is a pure cache of deterministic generation, so a file
-    that fails to load is deleted and regenerated, never an error.
-    """
-    if _disk_tier is None:
-        return None
-    path = _tier_path(key)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as data:
-            return IoTrace(
-                timestamps=data["timestamps"],
-                ops=data["ops"],
-                lpns=data["lpns"],
-                name=str(data["name"][()]),
-            )
-    except Exception:  # noqa: BLE001 - any unreadable spill means regenerate
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
 
 
 def _freeze(trace: IoTrace) -> IoTrace:
@@ -147,15 +60,10 @@ def generated_trace(
     if hit is not None:
         _cache.move_to_end(key)
         return hit
-    trace = _load_spilled(key)
-    if trace is None:
-        trace = SyntheticWorkload(spec, seed=seed).generate(duration_days)
-    trace = _freeze(trace)
+    trace = _freeze(SyntheticWorkload(spec, seed=seed).generate(duration_days))
     _cache[key] = trace
     while len(_cache) > MAX_CACHED_TRACES:
-        victim_key, victim = _cache.popitem(last=False)
-        if _disk_tier is not None:
-            _spill(victim_key, victim)
+        _cache.popitem(last=False)
     return trace
 
 

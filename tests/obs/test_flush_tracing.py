@@ -4,8 +4,11 @@ At trace detail ``block`` every read flush writes ``physics.execute``
 and ``physics.merge`` spans, and one ``physics.block`` span per block
 task, parented to its execute span.  That holds on the heap, under the
 threaded executor, and out-of-core, where one flush executes and merges
-in chunks of ``resident_blocks`` blocks.  Tracing stays out-of-band:
-the traced run's stats and summary equal the untraced run's.
+in chunks of ``resident_blocks`` blocks.  The trace accounts for the
+work: the ``engine.window`` spans' ``ops`` cover every trace op once,
+and the ``physics.block`` spans are exactly the blocks the execute
+spans scheduled.  Tracing stays out-of-band: the traced run's stats
+and summary equal the untraced run's.
 """
 
 import importlib.util
@@ -77,6 +80,11 @@ def test_traced_flushes_validate_and_change_nothing(case, tmp_path):
     blocks = [span for span in spans if span["name"] == "physics.block"]
     assert all(by_id[span["parent"]]["name"] == "physics.execute" for span in blocks)
     executes = [span for span in spans if span["name"] == "physics.execute"]
+    assert len(blocks) == sum(span["attrs"]["blocks"] for span in executes)
+    windows = [span for span in spans if span["name"] == "engine.window"]
+    # Every op of both traces (100 precondition writes + the 1,500-op
+    # mixed day) lands in exactly one window.
+    assert sum(span["attrs"]["ops"] for span in windows) == 1_600
     limit = backend_kwargs.get("resident_blocks")
     if limit is not None:
         # Chunked: no execute span holds more blocks than the budget,

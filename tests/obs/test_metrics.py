@@ -1,122 +1,38 @@
-"""Metrics registry suite: handles, no-op path, snapshot, Prometheus.
+"""Prometheus rendering of the export's flat metrics map.
 
-Everything drives :class:`~repro.obs.metrics.MetricsRegistry` directly
-— the registry is pure in-process state, so the contracts (create-or-
-fetch identity, kind exclusivity, shared no-op singletons, rendering)
-pin without any I/O.
+:func:`~repro.obs.export.render_prometheus` is a pure function of the
+``{"counters", "gauges", "histograms"}`` map, so series naming and
+shapes pin without a campaign on disk.
 """
 
-import pytest
-
-from repro.obs.metrics import (
-    NOOP_COUNTER,
-    NOOP_GAUGE,
-    NOOP_HISTOGRAM,
-    MetricsRegistry,
-    prometheus_name,
-    render_prometheus,
-)
-
-
-def test_counter_create_or_fetch_returns_same_handle():
-    registry = MetricsRegistry()
-    first = registry.counter("engine.windows")
-    first.inc()
-    first.inc(3)
-    assert registry.counter("engine.windows") is first
-    assert first.value == 4
-
-
-def test_gauge_holds_latest_value():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("arena.resident_blocks")
-    gauge.set(5)
-    gauge.set(2)
-    assert registry.gauge("arena.resident_blocks").value == 2
-
-
-def test_histogram_summary_tracks_count_total_min_max_mean():
-    registry = MetricsRegistry()
-    histogram = registry.histogram("physics.decode_pages.seconds")
-    for value in (0.5, 1.5, 1.0):
-        histogram.observe(value)
-    summary = histogram.summary()
-    assert summary["count"] == 3
-    assert summary["total"] == pytest.approx(3.0)
-    assert summary["min"] == 0.5
-    assert summary["max"] == 1.5
-    assert summary["mean"] == pytest.approx(1.0)
-
-
-def test_empty_histogram_summary_has_no_stats():
-    summary = MetricsRegistry().histogram("h.empty").summary()
-    assert summary == {
-        "count": 0, "total": 0.0, "min": None, "max": None, "mean": None,
-    }
-
-
-def test_disabled_registry_hands_out_shared_noop_singletons():
-    registry = MetricsRegistry(enabled=False)
-    assert registry.counter("a.b") is NOOP_COUNTER
-    assert registry.gauge("c.d") is NOOP_GAUGE
-    assert registry.histogram("e.f") is NOOP_HISTOGRAM
-    # The no-ops accept the full recording API and register nothing.
-    registry.counter("a.b").inc(10)
-    registry.gauge("c.d").set(1)
-    registry.histogram("e.f").observe(2.0)
-    snapshot = registry.snapshot()
-    assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def test_name_bound_to_one_kind_forever():
-    registry = MetricsRegistry()
-    registry.counter("engine.windows")
-    with pytest.raises(ValueError, match="different kind"):
-        registry.gauge("engine.windows")
-    with pytest.raises(ValueError, match="different kind"):
-        registry.histogram("engine.windows")
-
-
-@pytest.mark.parametrize("bad", ["", "Engine.windows", "a..b", "9x", "a-b"])
-def test_bad_metric_names_rejected(bad):
-    with pytest.raises(ValueError, match="bad metric name"):
-        MetricsRegistry().counter(bad)
-
-
-def test_snapshot_is_sorted_and_json_ready():
-    registry = MetricsRegistry()
-    registry.counter("z.last").inc()
-    registry.counter("a.first").inc(2)
-    registry.gauge("m.middle").set(7)
-    snapshot = registry.snapshot()
-    assert list(snapshot["counters"]) == ["a.first", "z.last"]
-    assert snapshot["counters"]["a.first"] == 2
-    assert snapshot["gauges"] == {"m.middle": 7}
+from repro.obs.export import render_prometheus
 
 
 def test_prometheus_name_mangling():
-    assert prometheus_name("ecc.rs.miscorrections") == (
-        "repro_ecc_rs_miscorrections"
+    text = render_prometheus({"gauges": {"ecc.rs.miscorrections": 2}})
+    assert text == (
+        "# TYPE repro_ecc_rs_miscorrections gauge\n"
+        "repro_ecc_rs_miscorrections 2\n"
     )
 
 
 def test_render_prometheus_series_shapes():
-    registry = MetricsRegistry()
-    registry.counter("campaign.completed").inc(3)
-    registry.gauge("campaign.leases.total").set(4)
-    registry.histogram("store.append.seconds").observe(0.25)
-    text = registry.render_prometheus()
+    text = render_prometheus({
+        "counters": {"campaign.completed": 3,
+                     "campaign.failures.worker_death": 1},
+        "gauges": {"campaign.leases.total": 4},
+        "histograms": {"trace.store.append": {
+            "count": 1, "total": 0.25, "min": None, "max": None,
+            "mean": None,
+        }},
+    })
     assert "# TYPE repro_campaign_completed_total counter" in text
     assert "repro_campaign_completed_total 3" in text
+    assert "repro_campaign_failures_worker_death_total 1" in text
+    assert "# TYPE repro_campaign_leases_total gauge" in text
     assert "repro_campaign_leases_total 4" in text
     # Histograms render as a summary pair.
-    assert "repro_store_append_seconds_count 1" in text
-    assert "repro_store_append_seconds_sum 0.25" in text
-
-
-def test_render_prometheus_standalone_matches_registry():
-    registry = MetricsRegistry()
-    registry.counter("a.b").inc()
-    assert render_prometheus(registry.snapshot()) == (
-        registry.render_prometheus()
-    )
+    assert "# TYPE repro_trace_store_append summary" in text
+    assert "repro_trace_store_append_count 1" in text
+    assert "repro_trace_store_append_sum 0.25" in text
+    assert text.endswith("\n")

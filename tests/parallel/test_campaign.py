@@ -495,8 +495,23 @@ def test_streaming_aggregate_percentiles(serial_report):
     assert rber["n"] == 10
     assert rber["p50"] == pytest.approx(0.005)
     assert rber["max"] == pytest.approx(0.010)
+    assert rber["p99"] == rber["max"]
     peak = snapshot["peak_block_reads_per_interval"]
-    assert (peak["p90"], peak["max"]) == (90, 100)
+    assert (peak["p90"], peak["p99"], peak["max"]) == (90, 100, 100)
+    # Nearest rank is the ceil(q * n)-th smallest value: with three
+    # results p50 is the 2nd and p90/p99 the 3rd.
+    three = StreamingAggregate()
+    for i in range(3):
+        three.observe(
+            ScenarioResult(
+                scenario_id=f"t/{i}",
+                stats={"peak_block_reads_per_interval": 10 * (i + 1),
+                       "max_pe_cycles": 100},
+                backend={"uncorrectable_pages": 0, "data_loss_events": 0},
+            )
+        )
+    peak = three.snapshot()["peak_block_reads_per_interval"]
+    assert (peak["p50"], peak["p90"], peak["p99"]) == (20, 30, 30)
     # Real counter results carry no trajectory RBER: percentile is None.
     empty = StreamingAggregate()
     empty.observe(serial_report.results[0])

@@ -101,105 +101,3 @@ def test_engine_run_is_identical_with_and_without_cache():
     warm = run_scenario(scenario)  # second run hits the cached trace
     assert warm == cold
 
-
-# ----------------------------------------------------------------------
-# Disk tier: evicted traces spill and reload bit-exact
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def disk_tier(tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_cache, "MAX_CACHED_TRACES", 2)
-    tier = trace_cache.enable_disk_tier(tmp_path / "tier")
-    yield tier
-    trace_cache.disable_disk_tier()
-
-
-def test_evicted_traces_spill_to_disk(disk_tier):
-    specs = [_spec("web_0"), _spec("prxy_0"), _spec("webmail")]
-    for spec in specs:
-        generated_trace(spec, 0.01, 0)
-    assert cached_trace_count() == 2
-    spilled = sorted(disk_tier.glob("trace-*.npz"))
-    assert len(spilled) == 1  # exactly the one evicted trace
-
-
-def test_spilled_trace_reloads_bit_exact_instead_of_regenerating(
-    disk_tier, monkeypatch
-):
-    original = generated_trace(_spec("web_0"), 0.01, 3)
-    kept = (
-        original.timestamps.copy(),
-        original.ops.copy(),
-        original.lpns.copy(),
-        original.name,
-    )
-    # Push web_0 out of the in-memory LRU...
-    generated_trace(_spec("prxy_0"), 0.01, 3)
-    generated_trace(_spec("webmail"), 0.01, 3)
-    assert cached_trace_count() == 2
-    # ...then make regeneration impossible: a hit must come from disk.
-    def _no_generate(self, duration_days):
-        raise AssertionError("spilled trace must reload, not regenerate")
-
-    monkeypatch.setattr(
-        trace_cache.SyntheticWorkload, "generate", _no_generate
-    )
-    reloaded = generated_trace(_spec("web_0"), 0.01, 3)
-    assert np.array_equal(reloaded.timestamps, kept[0])
-    assert np.array_equal(reloaded.ops, kept[1])
-    assert np.array_equal(reloaded.lpns, kept[2])
-    assert reloaded.name == kept[3]
-    # Reloaded traces re-enter the shared cache frozen, like any other.
-    assert not reloaded.timestamps.flags.writeable
-    with pytest.raises(ValueError):
-        reloaded.lpns[0] = 99
-
-
-def test_truncated_spill_file_regenerates_instead_of_crashing(disk_tier):
-    """A spill file torn by a killed process (or bit rot) must never
-    poison later runs: the bad file is dropped and the trace
-    regenerated — bit-identical, since generation is deterministic."""
-    original = generated_trace(_spec("web_0"), 0.01, 3)
-    kept = original.lpns.copy()
-    # Evict web_0 so its only copy is the spill file, then tear every
-    # spill mid-write.
-    generated_trace(_spec("prxy_0"), 0.01, 3)
-    generated_trace(_spec("webmail"), 0.01, 3)
-    spilled = sorted(disk_tier.glob("trace-*.npz"))
-    assert spilled
-    for path in spilled:
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-    reloaded = generated_trace(_spec("web_0"), 0.01, 3)
-    assert np.array_equal(reloaded.lpns, kept)
-
-
-def test_unreadable_spill_is_deleted_on_probe(disk_tier):
-    generated_trace(_spec("web_0"), 0.01, 3)
-    generated_trace(_spec("prxy_0"), 0.01, 3)
-    generated_trace(_spec("webmail"), 0.01, 3)
-    # Exactly one spill exists: the LRU-evicted web_0 trace.
-    [spill] = list(disk_tier.glob("trace-*.npz"))
-    spill.write_bytes(b"not an npz at all")
-    generated_trace(_spec("web_0"), 0.01, 3)  # must not raise
-    assert not spill.exists()  # the garbage file is gone, not retried
-
-
-def test_disk_tier_disabled_means_no_spill(tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_cache, "MAX_CACHED_TRACES", 1)
-    generated_trace(_spec("web_0"), 0.01, 0)
-    generated_trace(_spec("prxy_0"), 0.01, 0)
-    assert cached_trace_count() == 1
-    assert trace_cache._disk_tier is None
-    assert not list(tmp_path.glob("trace-*.npz"))
-
-
-def test_enable_disk_tier_defaults_and_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "from-env"))
-    try:
-        tier = trace_cache.enable_disk_tier()
-        assert tier == tmp_path / "from-env"
-        assert tier.is_dir()
-    finally:
-        trace_cache.disable_disk_tier()

@@ -35,8 +35,10 @@ telemetry acceptance check: the merged trace (including A's torn,
 SIGKILL'd files) must pass ``tools/trace_validate.py`` with spans for
 every scenario attempt, lease claim/renew, and store append; the
 reclaim must be visible as a ``lease.claim`` span with ``takeover`` and
-a fencing token >= 2; and ``--status --json`` must agree with the
-store's own counts exactly.
+a fencing token >= 2; ``--status --json`` must agree with the store's
+own counts exactly; and ``python -m repro.obs.export`` over the same
+store must agree with that status document, the store, and the trace
+directory.
 
 Exit code 0 means both stories held, including the crash attempt in
 the failure ledger and the fenced re-claim in the lease file.
@@ -222,14 +224,15 @@ def trace_checks(store: Path, ids: list[str]) -> int:
     """Telemetry acceptance over the finished elastic store.
 
     Validates the elastic run's merged trace structurally, asserts the
-    fenced reclaim is visible as a span, and cross-checks
-    ``--status --json`` against the store.
+    fenced reclaim is visible as a span, cross-checks
+    ``--status --json`` against the store, and checks the exported
+    ``metrics.json`` / ``metrics.prom`` against both.
     """
     import json
 
-    from repro.obs.tracing import merge_spans
+    from repro.obs.tracing import merge_spans, trace_file_paths
 
-    print("[5/6] validate the elastic run's merged trace")
+    print("[5/7] validate the elastic run's merged trace")
     validator = subprocess.run(
         [sys.executable, str(Path(__file__).resolve().parent / "trace_validate.py"),
          str(store / "trace"),
@@ -254,7 +257,7 @@ def trace_checks(store: Path, ids: list[str]) -> int:
     if not reclaims:
         print("FAIL: no takeover lease.claim span for b00000 in the trace")
         return 1
-    print("[6/6] --status --json agrees with the store")
+    print("[6/7] --status --json agrees with the store")
     status = subprocess.run(
         [sys.executable, "-m", "repro.sweep", "--status", str(store), "--json"],
         capture_output=True, text=True,
@@ -269,6 +272,40 @@ def trace_checks(store: Path, ids: list[str]) -> int:
         return 1
     if doc["scenario_count"] != len(ids):
         print(f"FAIL: status scenario_count={doc['scenario_count']}")
+        return 1
+    print("[7/7] python -m repro.obs.export agrees with status, store, trace")
+    out = store.parent / "obs-export"
+    export = subprocess.run(
+        [sys.executable, "-m", "repro.obs.export", str(store), "--out", str(out)]
+    )
+    if export.returncode != 0:
+        print(f"FAIL: repro.obs.export exited {export.returncode}")
+        return 1
+    snapshot = json.loads((out / "metrics.json").read_text())
+    for key in ("completed", "scenario_count", "zombie_writes", "corrupt_records"):
+        if snapshot["status"][key] != doc[key]:
+            print(
+                f"FAIL: export status {key}={snapshot['status'][key]} "
+                f"!= --status --json {doc[key]}"
+            )
+            return 1
+    counters = snapshot["metrics"]["counters"]
+    if counters["campaign.completed"] != len(stored):
+        print(
+            f"FAIL: export campaign.completed={counters['campaign.completed']} "
+            f"!= store {len(stored)}"
+        )
+        return 1
+    span_files = len(trace_file_paths(store / "trace"))
+    if counters["trace.span_files"] != span_files:
+        print(
+            f"FAIL: export trace.span_files={counters['trace.span_files']} "
+            f"!= {span_files} files in the trace directory"
+        )
+        return 1
+    prom = (out / "metrics.prom").read_text().splitlines()
+    if f"repro_campaign_completed_total {len(stored)}" not in prom:
+        print("FAIL: metrics.prom lacks the repro_campaign_completed_total line")
         return 1
     return 0
 

@@ -40,7 +40,6 @@ DOCUMENTED_NAMES = [
     "rng.block_spawn_key",
     "workloads.trace_cache.generated_trace",
     "workloads.trace_cache.warm_trace_cache",
-    "workloads.trace_cache.enable_disk_tier",
     "ecc.decoder.EccDecoder.decode_pages",
     "ecc.decoder.EccDecoder.check_pages",
     "controller.backends.FlashChipBackend.on_reads",
