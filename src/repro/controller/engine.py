@@ -15,9 +15,10 @@ window's reads vectorized:
 - with the counter backend, host writes replay as block-bounded runs
   (:meth:`PageMappingFtl.write_many`: no block opens and no GC fires
   before a run's last write, so each run's mapping update is one
-  vectorized step) while the engine logs every mapping change as
-  array chunks; at the window's end each read joins the mapping state
-  at its own position in the op stream (an epoch join), and charges
+  vectorized step) while the engine logs every mapping change in
+  compact chunks (an lpns array, its first epoch, epoch step and first
+  page); at the window's end each read joins the mapping state at its
+  own position in the op stream (an epoch join), and charges
   wiped by an in-window block reopen are filtered out, so the resulting
   :class:`SsdRunStats` are bit-for-bit those of the per-op reference
   loop (``batch=False``);
@@ -132,15 +133,22 @@ class SimulationEngine(FtlObserver):
         # Physical pages of already-resolved reads (FTL counters charged),
         # awaiting the backend's next batch.
         self._pending_ppns: list[np.ndarray] = []
-        # Counter-path change log, active only inside a window's writes:
-        # chronological (lpns, epochs, ppns) chunks, one per host run and
-        # one per relocation chunk.
+        # Counter-path change log, active only inside a window's writes,
+        # one chunk per host run and per relocation chunk, in log order:
+        # the chunk's lpns array in _log_lpns, and its (size, first_epoch,
+        # step, first_ppn) header in the flat int list _log_chunks.  A
+        # chunk's pages are consecutive (the FTL lays them at the write
+        # pointer), and its epochs are consecutive (step 1, a host run) or
+        # constant (step 0, a relocation), so entry i is the change
+        # (lpns[i], first_epoch + step * i, first_ppn + i).  Log epochs
+        # never decrease in log order.
         self._recording = False
         # Externally installed observer to keep feeding while recording.
         self._chained_observer: FtlObserver | None = None
         #: index of the window's host write being applied (-1: none yet).
         self._epoch = -1
-        self._log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._log_lpns: list[np.ndarray] = []
+        self._log_chunks: list[int] = []
         self._resets: list[tuple[int, int]] = []  # (block, epoch)
         #: blocks relocated because the backend escalated a failure.
         self.recovery_relocations = 0
@@ -165,17 +173,13 @@ class SimulationEngine(FtlObserver):
         old_ppns: np.ndarray,
         now: float,
     ) -> None:
-        # The backend sees the whole burst at once (its parallel write
-        # path batches the block's wordline programs).
+        # The backend gets the chunk in one call (FlashChipBackend then
+        # programs it page by page, as per-page appends would).
         if self._recording:
             # Relocation during host write e: visible from epoch e + 1.
-            self._log.append(
-                (
-                    lpns,
-                    np.full(lpns.size, self._epoch + 1, dtype=np.int64),
-                    block * self.ftl.config.pages_per_block + pages,
-                )
-            )
+            first_ppn = block * self.ftl.config.pages_per_block + int(pages[0])
+            self._log_lpns.append(lpns)
+            self._log_chunks += (lpns.size, self._epoch + 1, 0, first_ppn)
         if not self._counter_only:
             self.backend.on_append_many(block, pages, lpns, now)
         if self._chained_observer is not None:
@@ -199,15 +203,10 @@ class SimulationEngine(FtlObserver):
         # run's last write, so _epoch moves to that write now.  Host
         # entries go in before that GC's relocation entries because equal
         # (lpn, epoch) keys resolve by log order.
-        first = self._epoch + 1
+        first_ppn = block * self.ftl.config.pages_per_block + int(pages[0])
+        self._log_lpns.append(lpns)
+        self._log_chunks += (lpns.size, self._epoch + 2, 1, first_ppn)
         self._epoch += int(lpns.size)
-        self._log.append(
-            (
-                lpns,
-                np.arange(first + 1, self._epoch + 2, dtype=np.int64),
-                block * self.ftl.config.pages_per_block + pages,
-            )
-        )
         if self._chained_observer is not None:
             self._chained_observer.on_write_run(block, pages, lpns, old_ppns, times)
 
@@ -339,11 +338,13 @@ class SimulationEngine(FtlObserver):
         :meth:`PageMappingFtl.write_many` applies the window's writes one
         run at a time (a run fills at most the open block's room, so no
         block opens and no GC fires before its last write).  The engine
-        observes it, logging each run's and each relocation chunk's
-        mapping changes as array chunks in op-stream order, and each
-        block reopen with its epoch (the index of the host write being
-        applied).  :meth:`_resolve_window_reads` then joins every read
-        against that log.
+        observes it, logging each run and each relocation chunk in
+        op-stream order as one compact chunk (its lpns array plus a
+        ``(size, first_epoch, step, first_ppn)`` header; no per-chunk
+        epoch or page arrays are built), and each block reopen with its
+        epoch (the index of the host write being applied).
+        :meth:`_resolve_window_reads` then expands the log once and joins
+        the reads of changed lpns against it.
         """
         write_positions = np.flatnonzero(ops == OP_WRITE)
         if write_positions.size == 0:
@@ -354,7 +355,8 @@ class SimulationEngine(FtlObserver):
         ftl = self.ftl
         # The mapping each read sees before its lpn's first in-window change.
         window_start_l2p = ftl.l2p.copy()
-        self._log = []
+        self._log_lpns = []
+        self._log_chunks = []
         self._resets = []
         self._epoch = -1
         self._recording = True
@@ -380,43 +382,65 @@ class SimulationEngine(FtlObserver):
     ) -> None:
         """Charge the window's reads as the per-op loop would have.
 
-        Each read's epoch is the number of host writes that preceded it;
-        the change log yields the mapping it saw, and charges to blocks
-        reopened at a later epoch are dropped (the per-op loop's counter
-        reset would have wiped them).
+        Each read's epoch is the number of host writes that preceded it.
+        Log epochs never decrease in log order, so the entries a read can
+        see (epoch at or before its own) are a prefix of the log, and the
+        mapping it saw is the last entry of its lpn in that prefix: equal
+        (lpn, epoch) entries resolve by log order.  A read of an lpn with
+        no such entry keeps its window-start location.  Only reads of lpns
+        the window changed are joined.  The log and those reads are sorted
+        by lpn alone, stably (log order and read order survive inside an
+        lpn), on the narrowest unsigned key dtype, which numpy radix-sorts
+        at 8 and 16 bits; one ``searchsorted`` of the sorted reads then
+        finds each read's entry.  Charges to blocks reopened at a later
+        epoch are dropped (the per-op loop's counter reset would have
+        wiped them).
         """
         read_positions = np.flatnonzero(ops == OP_READ)
         if read_positions.size == 0:
             return
         ftl = self.ftl
+        logical_pages = ftl.config.logical_pages
         read_lpns = lpns[read_positions]
         epochs = np.searchsorted(write_positions, read_positions)
         ppns = window_start_l2p[read_lpns]
-        log_lpns, log_epochs, log_ppns = (
-            np.concatenate(column) for column in zip(*self._log)
-        )
+        log_lpns = np.concatenate(self._log_lpns)
         # Only reads of lpns the window changed need the join.
-        changed = np.flatnonzero(np.isin(read_lpns, log_lpns))
+        touched = np.zeros(logical_pages, dtype=bool)
+        touched[log_lpns] = True
+        changed = np.flatnonzero(touched[read_lpns])
         if changed.size:
-            changed_lpns = read_lpns[changed]
-            key_span = write_positions.size + 2
-            log_keys = log_lpns * key_span + log_epochs
-            # Stable: equal (lpn, epoch) keys keep log order, so the
-            # rightmost is the last change of that lpn within that write.
-            order = np.argsort(log_keys, kind="stable")
-            idx = (
-                np.searchsorted(
-                    log_keys[order],
-                    changed_lpns * key_span + epochs[changed],
-                    side="right",
-                )
-                - 1
+            sizes, first_epochs, steps, first_ppns = (
+                np.array(self._log_chunks, dtype=np.int64).reshape(-1, 4).T
             )
-            # The rightmost entry at or before the read's epoch, if it is
-            # the read's own lpn; otherwise the read preceded the lpn's
-            # first change and keeps its window-start location.
-            hit = (idx >= 0) & (log_lpns[order[idx]] == changed_lpns)
-            ppns[changed[hit]] = log_ppns[order[idx[hit]]]
+            ends = np.cumsum(sizes)
+            # The length of the prefix each read sees: every chunk up to
+            # the last one starting at or before its epoch, less the tail
+            # of a host run (step 1) logged after that epoch.
+            changed_epochs = epochs[changed]
+            last = np.searchsorted(first_epochs, changed_epochs, side="right") - 1
+            visible = ends[last] - steps[last] * np.maximum(
+                first_epochs[last] + sizes[last] - 1 - changed_epochs, 0
+            )
+            visible[last < 0] = 0
+            key_type = np.min_scalar_type(logical_pages - 1)
+            narrow_lpns = log_lpns.astype(key_type)
+            order = np.argsort(narrow_lpns, kind="stable")
+            by_lpn = np.argsort(read_lpns[changed].astype(key_type), kind="stable")
+            queries = changed[by_lpn]
+            # Keys lpn * n + log position ascend in this order (the lpn is
+            # widened first: a narrow product would wrap).  The rightmost
+            # key below a read's lpn * n + visible is its lpn's last
+            # visible entry, if that key still has the read's lpn.
+            n = log_lpns.size
+            keys = narrow_lpns[order].astype(np.int64) * n + order
+            base = read_lpns[queries] * n
+            idx = np.searchsorted(keys, base + visible[by_lpn] - 1, side="right") - 1
+            hit = (idx >= 0) & (keys[idx] >= base)
+            position = order[idx[hit]]
+            ppns[queries[hit]] = (
+                np.repeat(first_ppns - (ends - sizes), sizes)[position] + position
+            )
         mapped_mask = ppns != ftl.INVALID
         n_mapped = int(mapped_mask.sum())
         ftl.unmapped_reads += int(ppns.size - n_mapped)

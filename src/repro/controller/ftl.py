@@ -103,7 +103,8 @@ class FtlObserver:
         now: float,
     ) -> None:
         """A contiguous run of logical pages was appended to *block*
-        (``pages`` ascending, one relocation chunk).
+        (one relocation chunk; ``pages`` are consecutive, from the
+        block's write pointer).
 
         The default unrolls into per-page :meth:`on_append` calls in page
         order, so observers that only implement the scalar hook see the
@@ -123,7 +124,8 @@ class FtlObserver:
     ) -> None:
         """A run of host writes landed on *block* (one run of
         :meth:`PageMappingFtl.write_many`): write *i* put ``lpns[i]`` on
-        ``pages[i]`` at ``times[i]``, invalidating ``old_ppns[i]``.  A
+        ``pages[i]`` at ``times[i]``, invalidating ``old_ppns[i]``.
+        ``pages`` are consecutive, from the block's write pointer.  A
         repeated lpn's old copy is its previous slot in the run.
 
         The default unrolls into per-write :meth:`on_append` calls with
@@ -231,11 +233,18 @@ class PageMappingFtl:
         update is one vectorized step.  The run's last write then closes
         a full block and runs GC at its own timestamp, exactly as
         :meth:`write` does.  Observers get one
-        :meth:`FtlObserver.on_write_run` per run.  Out-of-range lpns raise
-        :class:`IndexError` before any write.
+        :meth:`FtlObserver.on_write_run` per run.  Before any write,
+        inputs other than two 1-D arrays of equal length raise
+        :class:`ValueError`, and out-of-range lpns raise
+        :class:`IndexError`.
         """
         lpns = np.asarray(lpns, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
+        if lpns.ndim != 1 or times.shape != lpns.shape:
+            raise ValueError(
+                "write_many needs 1-D lpns and times of equal length, got "
+                f"shapes {lpns.shape} and {times.shape}"
+            )
         if lpns.size == 0:
             return
         if lpns.min() < 0 or lpns.max() >= self._logical_pages:

@@ -9,13 +9,16 @@ operations are table lookups vectorized over numpy arrays:
   ``EXP[LOG[a] + LOG[b]]`` multiplies without a ``% 255`` (log sums stay
   below 510), the classic trick for branch-free batched multiplies.
 - ``LOG`` holds the discrete log of every nonzero element
-  (``LOG[0]`` is a sentinel and must never be dereferenced; the public
-  helpers mask zero operands before the lookup).
+  (``LOG[0]`` is a sentinel: a lookup may read it, but every helper
+  masks the results of zero operands).
 
-Every helper accepts scalars or arbitrarily-shaped integer arrays and
+Every public helper validates its operands once (integers in
+``[0, 255]``), accepts scalars or arbitrarily-shaped integer arrays and
 broadcasts like the underlying numpy ops, returning ``uint8`` field
-elements.  ``repro.ecc.rs`` builds its batched syndrome/Berlekamp-Massey
-kernels directly on these tables.
+elements.  ``_mul`` and ``_div`` are the same table ops without the
+validation, for callers whose operands are already field elements:
+``repro.ecc.rs`` uses them on the ``uint8`` arrays it builds, and its
+syndrome and Chien kernels index the tables directly.
 """
 
 from __future__ import annotations
@@ -62,12 +65,14 @@ def _as_elements(a) -> np.ndarray:
 
 def mul(a, b) -> np.ndarray:
     """Elementwise field product, broadcasting like ``np.multiply``."""
-    a = _as_elements(a)
-    b = _as_elements(b)
-    nonzero = (a != 0) & (b != 0)
-    # Clip zeros to 1 so LOG is never dereferenced at its sentinel slot.
-    product = EXP[LOG[np.where(nonzero, a, 1)] + LOG[np.where(nonzero, b, 1)]]
-    return np.where(nonzero, product, 0).astype(np.uint8)
+    return _mul(_as_elements(a), _as_elements(b))
+
+
+def _mul(a, b) -> np.ndarray:
+    """:func:`mul` on operands already known to be field elements."""
+    # A zero operand reads the LOG sentinel; its product is masked to 0.
+    product = EXP[LOG[a] + LOG[b]]
+    return np.where((a != 0) & (b != 0), product, np.uint8(0))
 
 
 def inv(a) -> np.ndarray:
@@ -87,9 +92,14 @@ def div(a, b) -> np.ndarray:
     b = _as_elements(b)
     if np.any(b == 0):
         raise ZeroDivisionError("division by 0 in GF(256)")
-    nonzero = a != 0
-    quotient = EXP[LOG[np.where(nonzero, a, 1)] - LOG[b] + GROUP_ORDER]
-    return np.where(nonzero, quotient, 0).astype(np.uint8)
+    return _div(a, b)
+
+
+def _div(a, b) -> np.ndarray:
+    """:func:`div` on field elements; every divisor must be nonzero."""
+    # A zero dividend reads the LOG sentinel; its quotient is masked to 0.
+    quotient = EXP[LOG[a] - LOG[b] + GROUP_ORDER]
+    return np.where(a != 0, quotient, np.uint8(0))
 
 
 def power(a, n) -> np.ndarray:
@@ -118,7 +128,7 @@ def poly_eval(coeffs: np.ndarray, xs) -> np.ndarray:
     xs = _as_elements(xs)
     acc = np.zeros(np.shape(xs), dtype=np.uint8)
     for coeff in coeffs[::-1]:
-        acc = mul(acc, xs) ^ np.uint8(coeff)
+        acc = _mul(acc, xs) ^ np.uint8(coeff)
     return acc
 
 
@@ -129,5 +139,5 @@ def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros(len(a) + len(b) - 1, dtype=np.uint8)
     for i, coeff in enumerate(a):
         if coeff:
-            out[i : i + len(b)] ^= mul(coeff, b)
+            out[i : i + len(b)] ^= _mul(coeff, b)
     return out

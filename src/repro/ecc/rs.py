@@ -143,7 +143,7 @@ class RsCode:
             feedback = data[:, j] ^ parity[:, 0]
             parity[:, :-1] = parity[:, 1:]
             parity[:, -1] = 0
-            parity ^= gf256.mul(feedback[:, None], self._lfsr_taps[None, :])
+            parity ^= gf256._mul(feedback[:, None], self._lfsr_taps[None, :])
         return np.concatenate([data, parity], axis=1)
 
     # ------------------------------------------------------------------
@@ -186,9 +186,11 @@ class RsCode:
         for i in range(self.nparity):
             discrepancy = synd[:, i].copy()
             for j in range(1, min(i, self.nparity) + 1):
-                discrepancy ^= gf256.mul(locator[:, j], synd[:, i - j])
-            coef = gf256.div(discrepancy, scale)  # 0 where discrepancy == 0
-            updated = locator ^ gf256.mul(coef[:, None], shifted)
+                discrepancy ^= gf256._mul(locator[:, j], synd[:, i - j])
+            # scale starts at 1 and only ever takes a nonzero discrepancy
+            # (the swap below), so this divisor is never 0.
+            coef = gf256._div(discrepancy, scale)  # 0 where discrepancy == 0
+            updated = locator ^ gf256._mul(coef[:, None], shifted)
             swap = (discrepancy != 0) & (2 * length <= i)
             scale = np.where(swap, discrepancy, scale)
             base = np.where(swap[:, None], locator, shifted)
@@ -263,20 +265,22 @@ class RsCode:
         # Forney: Omega = S * Lambda mod x^2t, magnitude = Omega(Xi^-1)/Lambda'(Xi^-1).
         omega = np.zeros((rows.size, self.nparity), dtype=np.uint8)
         for i in range(self.t + 1):
-            omega[:, i:] ^= gf256.mul(loc[:, i][:, None], syn[:, : self.nparity - i])
+            omega[:, i:] ^= gf256._mul(loc[:, i][:, None], syn[:, : self.nparity - i])
         ridx, jdx = np.nonzero(root_mask)
         xinv = EXP[self._xinv_log[jdx]]
         numerator = np.zeros(ridx.size, dtype=np.uint8)
         xpow = np.ones(ridx.size, dtype=np.uint8)
         denominator = np.zeros(ridx.size, dtype=np.uint8)
         for i in range(self.nparity):
-            numerator ^= gf256.mul(omega[ridx, i], xpow)
+            numerator ^= gf256._mul(omega[ridx, i], xpow)
             if i + 1 <= self.t and (i + 1) % 2 == 1:
                 # Lambda'(x) = sum over odd i of C[i] x^(i-1); xpow is x^i here.
-                denominator ^= gf256.mul(loc[ridx, i + 1], xpow)
-            xpow = gf256.mul(xpow, xinv)
+                denominator ^= gf256._mul(loc[ridx, i + 1], xpow)
+            xpow = gf256._mul(xpow, xinv)
         bad_root = (denominator == 0) | (numerator == 0)
-        magnitude = gf256.div(numerator, np.where(denominator == 0, 1, denominator))
+        # A zero denominator is a bad root (failed above); dividing by 1
+        # there keeps every divisor nonzero.
+        magnitude = gf256._div(numerator, np.where(denominator == 0, 1, denominator))
         # A zero or undefined magnitude at a claimed location fails the row.
         row_ok = np.ones(rows.size, dtype=bool)
         np.logical_and.at(row_ok, ridx, ~bad_root)

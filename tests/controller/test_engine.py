@@ -6,6 +6,7 @@ import pytest
 from repro.controller import (
     CounterBackend,
     FlashChipBackend,
+    FtlObserver,
     PhysicsBackend,
     SimulationEngine,
     SsdConfig,
@@ -156,6 +157,77 @@ def test_engine_batched_matches_serial_on_preconditioned_read_heavy_trace():
         return engine.run_trace(trace)
 
     assert run(True) == run(False)
+
+
+FTL_STATE = (
+    "l2p", "p2l", "valid_count", "block_state", "write_pointer", "pe_cycles",
+    "reads_since_program", "program_time", "_free_blocks", "_active_block",
+    "host_writes", "flash_writes", "host_reads", "unmapped_reads", "gc_runs",
+)
+
+
+class _Relocations(FtlObserver):
+    """Relocated lpns with the host writes applied when they moved."""
+
+    def __init__(self, ftl):
+        self.ftl = ftl
+        self.moves = []
+        self.runs = 0
+
+    def on_append_many(self, block, pages, lpns, old_ppns, now):
+        self.moves.append((lpns.copy(), self.ftl.host_writes))
+
+    def on_write_run(self, block, pages, lpns, old_ppns, times):
+        self.runs += 1
+
+
+def test_batched_matches_serial_on_a_drive_past_16_bit_lpns():
+    """More than 65,536 logical pages, so the window join sorts 32-bit
+    keys: after a full fill, two windows of mixed traffic over hot and
+    random lpns hold host runs, GC relocations and reads of relocated
+    lpns, and batched windows leave the stats and the whole FTL state,
+    read counters included, exactly as the per-op loop does."""
+    cfg = SsdConfig(blocks=20, pages_per_block=4096, overprovision=0.18)
+    pages = cfg.logical_pages
+    assert np.min_scalar_type(pages - 1) == np.uint32
+    rng = np.random.default_rng(5)
+    n = 24_000
+    hot = rng.integers(0, pages, 2_000)
+    mixed_lpns = np.where(
+        rng.random(n) < 0.5,
+        hot[rng.integers(0, hot.size, n)],
+        rng.integers(0, pages, n),
+    )
+    trace = IoTrace(
+        np.concatenate([np.zeros(pages), np.sort(rng.uniform(0, days(1.8), n))]),
+        np.concatenate(
+            [np.full(pages, OP_WRITE), np.where(rng.random(n) < 0.5, OP_READ, OP_WRITE)]
+        ).astype(np.int64),
+        np.concatenate([rng.permutation(pages), mixed_lpns]).astype(np.int64),
+        "fill-then-mixed",
+    )
+    runs = []
+    for batch in (False, True):
+        engine = SimulationEngine(cfg, batch=batch)
+        relocations = _Relocations(engine.ftl)
+        engine.ftl.observer = relocations
+        runs.append((engine.run_trace(trace), engine.ftl, relocations))
+    (serial, ftl_s, _), (batched, ftl_b, relocations) = runs
+    assert batched == serial
+    for name in FTL_STATE:
+        assert np.array_equal(getattr(ftl_b, name), getattr(ftl_s, name)), name
+    assert serial.gc_runs > 0 and relocations.runs > 1
+    # Reads later in the same window than a relocation of their lpn.
+    write_positions = np.flatnonzero(trace.ops == OP_WRITE)
+    boundary = np.searchsorted(trace.timestamps, days(1.0))
+    later_reads = 0
+    for lpns, host_writes in relocations.moves:
+        moved_at = write_positions[host_writes - 1]
+        end = boundary if moved_at < boundary else len(trace)
+        window = slice(moved_at + 1, end)
+        reads = trace.lpns[window][trace.ops[window] == OP_READ]
+        later_reads += int(np.isin(reads, lpns).sum())
+    assert later_reads > 1_000
 
 
 def test_flash_chip_backend_binds_blocks_lazily():

@@ -385,3 +385,28 @@ def test_write_many_validates_lpns_before_writing():
     assert ftl.host_writes == 0
     ftl.write_many(np.empty(0, dtype=np.int64), np.empty(0))
     assert ftl.flash_writes == 0
+
+
+@pytest.mark.parametrize(
+    "lpns,times",
+    [
+        # One timestamp for three writes: a zip over the pair would apply
+        # all three writes but report one of them to an observer.
+        (np.array([1, 2, 3]), np.array([5.0])),
+        (np.array([1, 2]), np.array([5.0, 6.0, 7.0])),
+        # A 2-D batch would otherwise fail mid-run with a bare TypeError.
+        (np.array([[1, 2], [3, 4]]), np.zeros((2, 2))),
+        (np.array([1, 2, 3, 4]), np.zeros((2, 2))),
+    ],
+    ids=["short-times", "long-times", "2d", "2d-times"],
+)
+def test_write_many_rejects_mismatched_inputs_before_writing(lpns, times):
+    ftl = PageMappingFtl(SMALL)
+    recorder = _EventRecorder()
+    ftl.observer = recorder
+    state = PageMappingFtl(SMALL)
+    with pytest.raises(ValueError, match="1-D lpns and times of equal length"):
+        ftl.write_many(lpns, times)
+    assert ftl.host_writes == 0
+    assert recorder.events == [] and recorder.runs == []
+    _assert_same_state(ftl, state)

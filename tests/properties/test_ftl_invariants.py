@@ -119,14 +119,23 @@ FTL_STATE = (
     reclaim=st.one_of(st.none(), st.integers(2, 60)),
     period_days=st.sampled_from([0.25, 1.0]),
     observe=st.booleans(),
+    read_fraction=st.floats(0.0, 0.95),
 )
 def test_counter_run_replay_matches_per_op_loop(
-    seed, pages_per_block, gc_threshold, refresh_days, reclaim, period_days, observe
+    seed,
+    pages_per_block,
+    gc_threshold,
+    refresh_days,
+    reclaim,
+    period_days,
+    observe,
+    read_fraction,
 ):
-    """Write-heavy traces over a few hot lpns (so runs repeat lpns) on
-    tiny drives: batched counter windows replay host writes as runs, and
-    must leave the stats, the whole FTL state and the observer's event
-    stream (timestamps included) exactly as the per-op loop does."""
+    """Write-heavy to read-heavy traces over a few hot lpns (so runs
+    repeat lpns) on tiny drives: batched counter windows replay host
+    writes as runs and join reads to the change log, and must leave the
+    stats, the whole FTL state and the observer's event stream
+    (timestamps included) exactly as the per-op loop does."""
     config = SsdConfig(
         blocks=8,
         pages_per_block=pages_per_block,
@@ -141,7 +150,7 @@ def test_counter_run_replay_matches_per_op_loop(
         hot[rng.integers(0, hot.size, n_ops)],
         rng.integers(0, config.logical_pages, n_ops),
     ).astype(np.int64)
-    ops = np.where(rng.random(n_ops) < rng.uniform(0.0, 0.5), OP_READ, OP_WRITE)
+    ops = np.where(rng.random(n_ops) < read_fraction, OP_READ, OP_WRITE)
     timestamps = np.sort(rng.uniform(0, days(rng.uniform(0.2, 6.0)), n_ops))
     trace = IoTrace(timestamps, ops.astype(np.int64), lpns, "hot-writes")
     runs = []
