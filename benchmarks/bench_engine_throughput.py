@@ -130,7 +130,6 @@ def _suite_run(batch):
         SUITE_NAMES,
         duration_days=SUITE_DAYS,
         geometries=(SUITE_GEOMETRY,),
-        batch=batch,
     )
     best = None
     stats = None
@@ -139,6 +138,7 @@ def _suite_run(batch):
         for scenario in grid:
             trace = scenario_trace(scenario)
             engine = build_engine(scenario)
+            engine.batch = batch  # batched windows or the per-op loop
             start = time.perf_counter()
             run_stats.append(engine.run_trace(trace))
             elapsed += time.perf_counter() - start

@@ -149,7 +149,7 @@ class SimulationEngine(FtlObserver):
         self._epoch = -1
         self._log_lpns: list[np.ndarray] = []
         self._log_chunks: list[int] = []
-        self._resets: list[tuple[int, int]] = []  # (block, epoch)
+        self._resets: list[int] = []  # flat (block, epoch) pairs
         #: blocks relocated because the backend escalated a failure.
         self.recovery_relocations = 0
 
@@ -214,7 +214,7 @@ class SimulationEngine(FtlObserver):
         if self._recording:
             # Opening resets the block's read counter: charges from reads
             # that preceded this point in the op stream are wiped.
-            self._resets.append((block, self._epoch))
+            self._resets += (block, self._epoch)
         if not self._counter_only:
             self.backend.on_open(block, now)
         if self._chained_observer is not None:
@@ -450,7 +450,8 @@ class SimulationEngine(FtlObserver):
         blocks = ppns[mapped_mask] // ftl.config.pages_per_block
         if self._resets:
             last_reset = np.full(ftl.config.blocks, -1, dtype=np.int64)
-            resets = np.asarray(self._resets, dtype=np.int64)
+            resets = np.array(self._resets, dtype=np.int64).reshape(-1, 2)
+            # A block can reopen several times in one window: keep its last.
             np.maximum.at(last_reset, resets[:, 0], resets[:, 1])
             surviving = epochs[mapped_mask] > last_reset[blocks]
             blocks = blocks[surviving]

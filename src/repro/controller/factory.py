@@ -62,7 +62,6 @@ def build_engine(scenario: Scenario) -> SimulationEngine:
         read_reclaim_threshold=policy.read_reclaim_threshold,
         maintenance_period_days=policy.maintenance_period_days,
         backend=build_backend(scenario.backend, scenario.backend_seed),
-        batch=scenario.batch,
     )
 
 
@@ -111,8 +110,10 @@ def run_scenario(
     the scenario alone, so the result is bit-identical wherever it runs.
     The trace comes through the per-process cache
     (:mod:`repro.workloads.trace_cache`): repeated runs of one scenario
-    reuse a single frozen trace, and fork-start sweep workers inherit
-    pre-warmed traces copy-on-write instead of regenerating them.
+    in one process reuse a single frozen trace.  The engine runs
+    batched; the per-op reference loop (``batch=False``) is reached
+    through :class:`~repro.controller.engine.SimulationEngine`
+    directly.
 
     *span_parent* (telemetry only — never touches the result) links this
     run's ``scenario.run`` span under another process's span, e.g. the

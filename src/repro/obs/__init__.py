@@ -2,15 +2,15 @@
 
 Zero-dependency observability for the whole stack — the engine's
 windows, the flash backend's plan/execute/merge flushes, the block
-executor, the sweep runner, and the campaign layer's
-attempts/leases/store all report here.  Two pieces:
+executor, the sweep runner, and the campaign layer's attempts and
+store appends all report here.  Two pieces:
 
 - :mod:`repro.obs.tracing` — nested timed spans emitted as
   crash-tolerant, schema-versioned JSONL, one file per participating
   process, merged by deterministic span ids;
 - :mod:`repro.obs.export` — post-hoc machine-readable snapshots
   (``metrics.json`` + a Prometheus-style textfile) rendered from
-  store + lease + trace state alone.
+  store + trace state alone.
 
 **The out-of-band contract.**  Telemetry observes the run; it never
 participates.  Nothing in this package feeds an RNG stream, a scenario
@@ -91,9 +91,11 @@ def configure(
     ``trace-<label>.jsonl`` there at *detail*; with ``None`` it gets
     the shared :class:`NullTracer` back.  *label* defaults to
     ``p<pid>`` — deterministic callers (the campaign CLI) pass their
-    worker name instead.  *propagate* exports the configuration via
-    :data:`ENV_TRACE_DIR` / :data:`ENV_TRACE_DETAIL` so spawn-start
-    workers can pick it up with :func:`configure_from_env`.
+    writer name instead.  A label whose file an earlier run left in
+    *trace_dir* becomes ``<label>-r<k>`` (see :class:`Tracer`).
+    *propagate* exports the configuration via :data:`ENV_TRACE_DIR` /
+    :data:`ENV_TRACE_DETAIL` so spawn-start workers can pick it up with
+    :func:`configure_from_env`.
     """
     global _tracer
     _tracer.close()

@@ -2,10 +2,10 @@
 
 ``python -m repro.obs.export <campaign-dir>`` renders a
 machine-readable snapshot of a campaign directory from its durable
-artifacts alone — the result store (records, failure ledger), the
-lease ledger, and any trace files under ``<campaign>/trace`` — so it
-works identically on a running, crashed, or finished campaign, with no
-connection to any worker.
+artifacts alone — the result store (records, failure ledger) and any
+trace files under ``<campaign>/trace`` — so it works identically on a
+running, crashed, or finished campaign, with no connection to any
+worker.
 
 Two files land in ``<campaign>/obs/`` (or ``--out DIR``):
 
@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 EXPORT_FORMAT = "repro-obs-snapshot"
-EXPORT_VERSION = 2
+EXPORT_VERSION = 3
 
 
 def trace_summary(trace_dir: str | os.PathLike) -> dict:
@@ -66,12 +66,10 @@ def trace_summary(trace_dir: str | os.PathLike) -> dict:
 def _flat_metrics(status: dict, trace: dict) -> dict:
     """The snapshot's flat counter/gauge map (what the .prom renders)."""
     failures = status.get("failures", {})
-    leases = status.get("leases", [])
     counters = {
         "campaign.completed": status.get("completed", 0),
         "campaign.failures": failures.get("total", 0),
         "store.corrupt_records": status.get("corrupt_records", 0),
-        "store.zombie_writes": status.get("zombie_writes", 0),
         "trace.span_files": trace.get("files", 0),
         "trace.skipped_lines": trace.get("skipped_lines", 0),
     }
@@ -79,9 +77,6 @@ def _flat_metrics(status: dict, trace: dict) -> dict:
         counters[f"campaign.failures.{kind.replace('-', '_')}"] = count
     gauges = {
         "campaign.scenario_count": status.get("scenario_count") or 0,
-        "campaign.leases.total": len(leases),
-        "campaign.leases.done": sum(1 for l in leases if l["done"]),
-        "campaign.leases.stale": sum(1 for l in leases if l["stale"]),
     }
     histograms = {
         f"trace.{name}": {
@@ -157,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.export",
         description="Render a machine-readable telemetry snapshot of a "
-        "campaign directory (store + leases + traces; no live workers "
+        "campaign directory (store + traces; no live workers "
         "needed).",
     )
     parser.add_argument("root", type=Path, help="campaign store directory")

@@ -36,7 +36,11 @@ line that fails to parse — a dead worker's trace still loads.
 **Determinism of ids.**  Span ids are ``<label>:<seq>`` with a
 per-tracer monotonic sequence number — under deterministic control
 flow (everything in this repo) the ids are stable across runs, which
-is what lets two runs' merged traces be compared structurally.  Spans
+is what lets two runs' merged traces be compared structurally.  A
+writer whose ``trace-<label>.jsonl`` an earlier run left in the
+directory (a ``--resume``, a shard rerun, a second traced sweep) takes
+the first free ``<label>-r<k>``, k = 2, 3, … (see
+:meth:`Tracer._ensure_open`), so a rerun never reuses an id.  Spans
 recorded from *concurrently scheduled* work (per-block executor tasks)
 must not consume the shared sequence — thread interleaving would make
 it racy — so they use parent-derived ids instead
@@ -44,7 +48,7 @@ it racy — so they use parent-derived ids instead
 :meth:`Tracer.record`, which allocates nothing.
 
 **Detail levels** gate span volume: ``coarse`` (default — windows,
-scenarios, attempts, lease ops, store ops), ``flush`` (adds the
+scenarios, attempts, store appends), ``flush`` (adds the
 plan/execute/merge phases of every physics read flush), ``block``
 (adds one span per per-block sense+decode task).
 
@@ -134,7 +138,9 @@ class Tracer:
         This writer's logical name — it prefixes every span id, so it
         must be unique among the run's writers *and* stable across
         runs for ids to be comparable (campaign workers use
-        ``<worker>.<scenario>.a<attempt>``, not a pid).
+        ``<writer>.<scenario>.a<attempt>``, not a pid).  When the
+        directory already holds this label's file, the tracer writes
+        as ``<label>-r<k>`` instead (:attr:`label` tells which).
     detail:
         One of :data:`DETAIL_LEVELS`.
     """
@@ -187,6 +193,12 @@ class Tracer:
         resets its sequence, and opens a fresh file.  (Campaign
         scenario workers avoid the pid suffix entirely by re-binding a
         deterministic label first — see :func:`repro.obs.rebind`.)
+
+        The file is created exclusively.  If an earlier writer — a
+        previous run traced into the same directory — already holds
+        ``trace-<label>.jsonl``, the tracer takes the first free
+        ``<label>-r<k>`` (k = 2, 3, …), so its ids cannot collide with
+        the earlier run's and the loader never overwrites its spans.
         """
         pid = os.getpid()
         if self._handle is not None and pid == self._pid:
@@ -203,9 +215,15 @@ class Tracer:
             self._lock = threading.Lock()
         self._pid = pid
         self.directory.mkdir(parents=True, exist_ok=True)
-        # Line-buffered append: each span is one write() of one line,
-        # so a SIGKILL tears at most the trailing line.
-        self._handle = open(self.path, "a", buffering=1)
+        # Line-buffered: each span is one write() of one line, so a
+        # SIGKILL tears at most the trailing line.
+        base, rerun = self.label, 1
+        while self._handle is None:
+            try:
+                self._handle = open(self.path, "x", buffering=1)
+            except FileExistsError:
+                rerun += 1
+                self.label = f"{base}-r{rerun}"
         self._emit({
             "k": "header",
             "format": TRACE_FORMAT,

@@ -20,15 +20,13 @@ campaign layer adds durability on the same substrate:
 - :class:`Campaign` — checkpoint/resume over a store, per-scenario
   failure policy (``fail_fast`` | ``continue`` | ``retry:N`` with
   exponential backoff), wall-clock timeouts that kill hung workers,
-  hash-sharding (``shard="i/N"``), and streaming aggregation;
-- :class:`LeaseLedger` — elastic scheduling over one store
-  (``Campaign(..., elastic=True)``): workers claim/renew/reclaim
-  scenario batches with fencing tokens, no shard arithmetic; and
-  :func:`campaign_status` — live health of any campaign directory.
+  hash-sharding (``shard="i/N"``, the one way to split a grid across
+  hosts), and streaming aggregation;
+- :func:`campaign_status` — live health of any campaign directory.
 
 See ``docs/architecture.md`` ("The sweep subsystem", "Campaigns",
-"Elastic campaigns") for the determinism contract and
-``tests/parallel/`` for the equivalence suite.
+"Live health") for the determinism contract and ``tests/parallel/``
+for the equivalence suite.
 """
 
 from repro.parallel.campaign import (
@@ -40,7 +38,6 @@ from repro.parallel.campaign import (
     run_campaign,
     shard_of,
 )
-from repro.parallel.leases import Lease, LeaseLedger, LeaseState
 from repro.parallel.results import (
     ScenarioFailure,
     ScenarioResult,
@@ -53,9 +50,6 @@ from repro.parallel.store import ResultStore, grid_fingerprint
 __all__ = [
     "Campaign",
     "FailurePolicy",
-    "Lease",
-    "LeaseLedger",
-    "LeaseState",
     "ResultStore",
     "campaign_status",
     "ScenarioFailure",

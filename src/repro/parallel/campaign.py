@@ -26,17 +26,12 @@ characterization cross-products:
 - **Timeouts.**  A per-scenario wall-clock timeout kills hung workers
   (the only cure for a genuine hang) and feeds the failure policy.
 - **Sharding.**  ``shard="i/N"`` selects the scenarios whose id hashes
-  to shard *i* of *N*; independent hosts each run one shard into their
-  own store and the stores merge into one report by construction
-  (:meth:`~repro.parallel.store.ResultStore.ingest`).
-- **Elastic scheduling.**  ``elastic=True`` replaces the static shard
-  arithmetic with the lease ledger (:mod:`repro.parallel.leases`):
-  any number of workers point at the *same* store, claim scenario
-  batches, heartbeat while they work, and reclaim batches whose holder
-  died — no indices, no fixed pool size, no coordinator.  Fencing
-  tokens ride into the result records, so a zombie worker resuming
-  after its lease expired is detected (not corrupting — results are
-  deterministic) by the store's duplicate-id check.
+  to shard *i* of *N*: the one way to split a grid across hosts.
+  Shards write into one shared store directory (each under its own
+  writer file) or into one store per host, merged afterwards with
+  :meth:`~repro.parallel.store.ResultStore.ingest`.  Nothing reclaims a
+  dead host's shard automatically: rerun it with ``--shard i/N
+  --resume``, which is exact because results are deterministic.
 - **Streaming aggregation.**  Worst-block-RBER / wear / read-pressure
   percentiles update as results land (:class:`StreamingAggregate`), so
   a week-long campaign is observable while it runs.
@@ -56,20 +51,13 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import socket
 import time
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from pathlib import Path
 
 from repro import obs
-from repro.parallel.leases import (
-    DEFAULT_LEASE_TTL,
-    LeaseLedger,
-    sanitize_owner,
-)
 from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
 from repro.parallel.runner import _pool_context, _WorkerPool, default_workers
 from repro.parallel.store import ResultStore
@@ -78,6 +66,10 @@ from repro.workloads.grid import Scenario, ScenarioGrid
 # repro.controller.factory is imported lazily (see runner.py: the factory
 # imports repro.parallel.results, so importing it here would be circular
 # at package init).
+
+#: longest the scheduler blocks waiting for a result before it rechecks
+#: timeouts, backoff expiries and the progress interval (seconds).
+POLL_INTERVAL = 0.02
 
 
 def _trace_slug(scenario_id: str) -> str:
@@ -321,27 +313,9 @@ class Campaign:
         killed (``None`` = never).
     shard:
         ``"i/N"`` (or an ``(i, N)`` tuple) to run only the scenarios
-        hashing to shard *i* of *N* (:func:`shard_of`).
-    elastic:
-        Schedule through the lease ledger instead of a static shard:
-        this worker claims unowned scenario batches, heartbeats them,
-        and reclaims batches whose holder stopped heartbeating.  Start
-        as many elastic campaigns over one store as you like — they
-        partition the grid dynamically.  Mutually exclusive with
-        *shard*.
-    lease_ttl:
-        Elastic only: seconds without a heartbeat before any worker may
-        reclaim a lease.  Must be generous against the slowest single
-        scenario's *scheduling* gaps (renewals happen between poll
-        ticks, several per TTL) and cross-host clock skew.
-    lease_batch:
-        Elastic only: scenarios per claimed batch (default: the plan's
-        auto size).  The first worker's plan wins; later workers adopt
-        its batch size.
-    worker_name:
-        Elastic only: this worker's store-writer and lease-owner name
-        (default ``w-<hostname>-<pid>``).  Must be unique among
-        concurrently live workers of one store.
+        hashing to shard *i* of *N* (:func:`shard_of`).  The shard's
+        writer name, ``shard<i>of<N>``, keeps its records apart from
+        other shards sharing the store directory.
     progress_interval:
         Emit the *progress* callback at least every this-many seconds
         (instead of after every landed result).
@@ -360,12 +334,7 @@ class Campaign:
         on_failure: FailurePolicy | str = "fail_fast",
         timeout: float | None = None,
         shard: str | tuple[int, int] | None = None,
-        elastic: bool = False,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        lease_batch: int | None = None,
-        worker_name: str | None = None,
         progress_interval: float | None = None,
-        poll_interval: float = 0.02,
     ):
         self.scenarios = list(grid)
         ids = [s.scenario_id for s in self.scenarios]
@@ -392,49 +361,27 @@ class Campaign:
             index, total = self.shard
             if total < 1 or not 0 <= index < total:
                 raise ValueError(f"bad shard {self.shard!r}")
-        self.elastic = bool(elastic)
-        if self.elastic and self.shard is not None:
-            raise ValueError(
-                "elastic scheduling and --shard are mutually exclusive: "
-                "leases partition the grid dynamically"
-            )
-        if lease_ttl <= 0:
-            raise ValueError("lease ttl must be positive seconds")
-        self.lease_ttl = float(lease_ttl)
-        self.lease_batch = lease_batch
-        if self.elastic:
-            writer = sanitize_owner(
-                worker_name
-                if worker_name is not None
-                else f"w-{socket.gethostname()}-{os.getpid()}"
-            )
-        elif self.shard is not None:
-            writer = f"shard{self.shard[0]}of{self.shard[1]}"
-        else:
-            writer = "all"
-        self.worker_name = writer
+        #: this run's store-writer name and trace label.
+        self.writer = (
+            "all"
+            if self.shard is None
+            else f"shard{self.shard[0]}of{self.shard[1]}"
+        )
         self.store = (
             store
             if isinstance(store, ResultStore)
-            else ResultStore(store, writer=writer)
+            else ResultStore(store, writer=self.writer)
         )
         self.progress_interval = (
             None if progress_interval is None else float(progress_interval)
         )
-        self.poll_interval = float(poll_interval)
         #: scenarios this run skipped because the store already held them.
         self.resumed = 0
         #: permanent failures of this run (policy said stop retrying).
         self.failed: list[dict] = []
         #: every failed attempt of this run (mirror of the store ledger).
         self.ledger: list[dict] = []
-        #: elastic: batches this worker lost to a reclaim (zombie fence).
-        self.fenced_batches = 0
         self.aggregate = StreamingAggregate()
-        self._lease = None
-        self._fenced = False
-        self._ledger_handle: LeaseLedger | None = None
-        self._last_renew = 0.0
         self._last_progress = 0.0
         # Telemetry: the campaign.run root span's id (attempt spans and
         # worker scenario spans hang off it); None when not tracing.
@@ -468,8 +415,6 @@ class Campaign:
         run's scenarios finish — under a shard spec that includes any
         other shards' results already merged into the store.
         """
-        from repro.workloads.trace_cache import warm_trace_cache
-
         self.store.bind(self.scenarios)
         mine = self._mine()
         stored = self.store.load()
@@ -479,29 +424,19 @@ class Campaign:
                 self.aggregate.observe(result)
         to_run = [s for s in mine if s.scenario_id not in stored]
         self.resumed = len(mine) - len(to_run)
-        pool = _WorkerPool(_pool_context())
-        if to_run and pool.context.get_start_method() == "fork":
-            # Forked workers inherit every pre-generated trace
-            # copy-on-write (identical results either way — generation
-            # is deterministic in the scenario).
-            warm_trace_cache(to_run)
         tracer = obs.tracer()
         root_span = None
         if tracer.enabled:
             root_span = tracer.begin(
                 "campaign.run",
-                worker=self.worker_name,
+                worker=self.writer,
                 scenarios=len(self.scenarios),
                 resumed=self.resumed,
-                elastic=self.elastic,
             )
             self._root_span_id = root_span.id
         try:
-            with pool:
-                if self.elastic:
-                    self._run_elastic(pool, progress)
-                else:
-                    self._execute(to_run, pool, progress)
+            with _WorkerPool(_pool_context()) as pool:
+                self._execute(to_run, pool, progress)
         except BaseException as exc:
             if root_span is not None:
                 tracer.end(root_span, error=type(exc).__name__)
@@ -513,82 +448,6 @@ class Campaign:
                 tracer.end(root_span, completed=self.aggregate.completed)
             self._root_span_id = None
         return self.report()
-
-    def _run_elastic(self, pool, progress) -> None:
-        """Claim → execute → mark-done over the lease ledger, until the
-        whole plan is retired (by us or by any other worker)."""
-        ledger = LeaseLedger(
-            self.store.root, owner=self.worker_name, ttl=self.lease_ttl
-        )
-        self._ledger_handle = ledger
-        by_id = {s.scenario_id: s for s in self.scenarios}
-        batches = dict(ledger.plan(sorted(by_id), batch_size=self.lease_batch))
-        pending = set(batches)
-        while pending:
-            claimed = None
-            for state in ledger.states():
-                if state.batch_id not in pending:
-                    continue
-                if state.done:
-                    pending.discard(state.batch_id)
-                    continue
-                lease = ledger.claim(state.batch_id)
-                if lease is not None:
-                    claimed = lease
-                    break
-            if claimed is None:
-                if not pending:
-                    break
-                # Every remaining batch is held by a live peer: wait for
-                # it to finish (done) or for its heartbeat to go stale.
-                time.sleep(
-                    max(self.poll_interval, min(self.lease_ttl / 4, 1.0))
-                )
-                continue
-            # Re-read stored ids per batch: a previous holder may have
-            # completed part of it before dying (re-validates every
-            # stored record).
-            stored = self.store.scenario_ids()
-            to_run = [
-                by_id[i]
-                for i in batches[claimed.batch_id]
-                if i in by_id and i not in stored
-            ]
-            self._lease = claimed
-            self._fenced = False
-            self._last_renew = time.monotonic()
-            try:
-                self._execute(to_run, pool, progress)
-            finally:
-                self._lease = None
-            if self._fenced:
-                # Reclaimed from under us — the new holder (or whoever
-                # follows) finishes the batch and marks it done.
-                continue
-            stored = self.store.scenario_ids()
-            if all(i in stored for i in batches[claimed.batch_id]):
-                ledger.mark_done(claimed)
-            # else: some scenario permanently failed under a
-            # continue/retry policy.  Leave the batch un-done — its
-            # lease expires, and a later resume (with the fault fixed)
-            # reclaims and completes it, exactly like a non-elastic
-            # resume re-runs ledgered failures.  Either way this worker
-            # is finished with the batch.
-            pending.discard(claimed.batch_id)
-
-    def _renew_lease(self) -> None:
-        """Heartbeat the held lease about three times per TTL; a failed
-        renewal means we were fenced — drop the batch's queued work."""
-        if self._lease is None:
-            return
-        now = time.monotonic()
-        if now - self._last_renew < self.lease_ttl / 3:
-            return
-        if self._ledger_handle.renew(self._lease):
-            self._last_renew = now
-        else:
-            self._fenced = True
-            self.fenced_batches += 1
 
     def report(self) -> SweepReport:
         """Merged report of everything the store holds for this grid."""
@@ -636,7 +495,7 @@ class Campaign:
             # across this campaign's attempts (the attempt number
             # disambiguates retries of one scenario).
             trace_label = (
-                f"{self.worker_name}."
+                f"{self.writer}."
                 f"{_trace_slug(entry.scenario.scenario_id)}.a{entry.attempt}"
             )
             # Detached: concurrent attempts overlap arbitrarily, and the
@@ -670,15 +529,8 @@ class Campaign:
     def _poll(self, queue, inflight, pool, progress) -> None:
         """Wait for one scheduling event: a result, a death, a timeout,
         or a backoff expiry."""
-        self._renew_lease()
-        if self._lease is not None and self._fenced and queue:
-            # Fenced off: the batch belongs to another worker now.
-            # In-flight attempts drain (their results are stamped with
-            # our stale token — detectable, and harmless by
-            # determinism); queued ones are the new holder's job.
-            queue.clear()
         now = time.monotonic()
-        wait_until = now + self.poll_interval
+        wait_until = now + POLL_INTERVAL
         for running in inflight.values():
             if running.deadline is not None:
                 wait_until = min(wait_until, running.deadline)
@@ -712,7 +564,7 @@ class Campaign:
                 )
             elif kind == "ok":
                 self._end_attempt_span(running, "ok")
-                self.store.append(payload, lease=self._lease)
+                self.store.append(payload)
                 self.aggregate.observe(payload)
                 if progress is not None and self.progress_interval is None:
                     progress(self.aggregate.snapshot())
@@ -789,18 +641,14 @@ def run_campaign(
     return Campaign(grid, store, **kwargs).run()
 
 
-def campaign_status(
-    root: str | os.PathLike, ttl: float = DEFAULT_LEASE_TTL
-) -> dict:
+def campaign_status(root: str | os.PathLike) -> dict:
     """Live health of a campaign directory, from store state alone.
 
     Works on a running, crashed, or finished campaign — everything is
     derived from the durable artifacts (manifest, records, failure
-    ledger, lease claim files), so ``--status`` needs no connection to
-    any worker.  A directory without a store manifest raises
-    :class:`ValueError` and is left untouched.  *ttl* only affects which
-    leases are flagged stale (a reader cannot know the workers' actual
-    TTL).
+    ledger), so ``--status`` needs no connection to any worker.  A
+    directory without a store manifest raises :class:`ValueError` and
+    is left untouched.
     """
     if not ResultStore.is_initialized(root):
         raise ValueError(f"{root} is not an initialized campaign store")
@@ -812,36 +660,12 @@ def campaign_status(
         aggregate.observe(results[scenario_id])
     failures = store.failures()
     kinds = Counter(f.get("kind", "unknown") for f in failures)
-    leases = []
-    if (Path(root) / "leases").exists():
-        ledger = LeaseLedger(root, owner="status-reader", ttl=ttl)
-        now = time.time()
-        for state in ledger.states():
-            age = state.age(now)
-            leases.append(
-                {
-                    "batch": state.batch_id,
-                    "owner": state.owner,
-                    "token": state.token,
-                    "done": state.done,
-                    "heartbeat_age_seconds": (
-                        None if state.owner is None else age
-                    ),
-                    "stale": (
-                        state.owner is not None
-                        and not state.done
-                        and age >= ttl
-                    ),
-                }
-            )
     return {
         "root": str(root),
         "scenario_count": manifest.get("scenario_count"),
         "completed": len(results),
         "corrupt_records": store.corrupt_records,
-        "zombie_writes": store.zombie_writes,
         "store": {"live_files": len(list(store.records_dir.glob("*.jsonl")))},
         "failures": {"total": len(failures), "kinds": dict(kinds)},
-        "leases": leases,
         "aggregate": aggregate.snapshot(),
     }

@@ -287,18 +287,11 @@ class SweepRunner:
         *grid* may be a :class:`~repro.workloads.grid.ScenarioGrid` or
         any iterable of scenarios (ids must be unique).  The returned
         report is sorted by scenario id: the same grid yields the same
-        report for any worker count and any scenario order.
-
-        When the pool forks, the parent pre-warms the per-process trace
-        cache (:mod:`repro.workloads.trace_cache`) first, so workers
-        inherit every scenario's generated trace read-only via
-        copy-on-write instead of regenerating it.  Traces are
-        deterministic in the scenario, so warming cannot change a bit
-        of the report — it only moves generation out of the workers.
+        report for any worker count and any scenario order.  Each
+        worker generates the traces of the scenarios it runs.
         """
         from repro import obs
         from repro.controller.factory import run_scenario
-        from repro.workloads.trace_cache import warm_trace_cache
 
         scenarios = list(grid)
         ids = [s.scenario_id for s in scenarios]
@@ -309,12 +302,6 @@ class SweepRunner:
             raise ValueError(
                 f"scenario ids must be unique; duplicated: {duplicates}"
             )
-        if (
-            self.workers > 1
-            and len(scenarios) > 1
-            and _pool_context().get_start_method() == "fork"
-        ):
-            warm_trace_cache(scenarios)
         with obs.tracer().span(
             "sweep.run", scenarios=len(scenarios), workers=self.workers
         ):

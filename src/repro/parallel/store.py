@@ -20,13 +20,12 @@ parents, killed workers, torn writes, bit flips — and merges back into a
     mid-append leaves at most one torn final line, which fails to parse
     and is skipped on load (the scenario simply re-runs on resume).  A
     corrupted record (bit flip, truncation mid-file) fails its checksum
-    and is skipped the same way.  Each concurrent writer — an elastic
-    worker, a shard, a resumed run — appends to its *own* file, so two
-    hosts sharing a directory (or a later ``rsync`` of one store into
-    another) never interleave bytes.  Records written under a lease
-    (:mod:`repro.parallel.leases`) carry the lease's fencing token, so
-    a zombie writer's late duplicates are attributable (see
-    :attr:`zombie_writes`).
+    and is skipped the same way.  Each concurrent writer — a shard, a
+    resumed run — appends to its *own* file, so two hosts sharing a
+    directory (or a later ``rsync`` of one store into another) never
+    interleave bytes.  Keys outside ``sha256`` and ``result`` (such as
+    the ``lease`` envelope of records written by an older elastic
+    scheduler) are ignored on load.
 
 ``failures/<writer>.jsonl``
     The failure ledger: one record per failed *attempt* (scenario id,
@@ -40,18 +39,20 @@ id; :meth:`load` reads every record file in sorted-name order and
 keeps the first valid record per id.  Scenario results are
 deterministic in the scenario (the sweep substrate's contract), so
 duplicate ids across files — a retried scenario, two overlapping
-shards, a fenced-off zombie's late write — must agree, and
-:meth:`load` verifies they do.  Merging two hosts' stores is therefore
-just copying record files into one store (:meth:`ingest`); no ordering,
-locking, or coordination exists to get wrong.
+shards, an ingested copy, a shard rerun after its host died — must
+agree, and :meth:`load` verifies they do.  Merging two hosts' stores
+is therefore just copying record files into one store (:meth:`ingest`);
+no ordering, locking, or coordination exists to get wrong.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
+import tempfile
 import time
 from pathlib import Path
 
@@ -97,14 +98,24 @@ def write_atomic(path: Path, text: str) -> None:
 
     temp file in the same directory → flush → fsync → ``os.replace``
     → fsync the directory, so a crash leaves either the old file or the
-    new one, never a torn file.
+    new one, never a torn file.  Each call writes its own temp file, so
+    concurrent writers of one path (shards binding a fresh shared store)
+    never rename or truncate each other's; the temp file is removed if
+    the write fails.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     dir_fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
@@ -147,8 +158,7 @@ class ResultStore:
     writer:
         Name of this writer's append files.  Each concurrently-writing
         campaign run must use a distinct name; the campaign layer derives
-        it from the shard spec (``shard0of2``), the elastic worker name
-        (``w-host-1234``), or uses ``"all"``.
+        it from the shard spec (``shard0of2``) or uses ``"all"``.
     """
 
     def __init__(self, root: str | os.PathLike, writer: str = "all"):
@@ -172,12 +182,6 @@ class ResultStore:
         #: invalid records (torn/corrupt) seen by the last scan, either
         #: :meth:`load` or :meth:`scenario_ids`.
         self.corrupt_records = 0
-        #: scenario ids the last :meth:`load` saw recorded under more
-        #: than one lease fencing token — the signature of a zombie
-        #: writer that resumed after its lease expired.  The payloads
-        #: agreed (anything else raises), so the results are fine; the
-        #: count is surfaced so campaign health can report the event.
-        self.zombie_writes = 0
         self._records_file = None
         self._failures_file = None
 
@@ -243,7 +247,7 @@ class ResultStore:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(self, result: ScenarioResult, lease=None) -> None:
+    def append(self, result: ScenarioResult) -> None:
         """Durably append one scenario's result (crash-atomic).
 
         The record line carries a checksum of its canonical payload;
@@ -251,22 +255,10 @@ class ResultStore:
         :meth:`append` returns the record survives any later crash, and
         a crash *during* the append leaves a torn line that :meth:`load`
         skips — never a half-trusted result.
-
-        *lease* (a :class:`repro.parallel.leases.Lease`, when the
-        writer holds one) stamps the record with the lease's fencing
-        token — outside the checksum, because it describes *who wrote*
-        rather than *what was computed* — so a zombie writer's late
-        duplicate is attributable on load (:attr:`zombie_writes`).
         """
         with obs.tracer().span("store.append", scenario=result.scenario_id):
             payload = result.as_dict()
             record = {"sha256": _payload_sha(payload), "result": payload}
-            if lease is not None:
-                record["lease"] = {
-                    "batch": lease.batch_id,
-                    "token": lease.token,
-                    "owner": lease.owner,
-                }
             if self._records_file is None:
                 self._records_file = open_append(
                     self.records_dir / f"{self.writer}.jsonl"
@@ -331,8 +323,7 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def _iter_records(self):
-        """Yield ``(scenario_id, payload, lease_token)`` for every valid
-        record.
+        """Yield ``(scenario_id, payload)`` for every valid record.
 
         Files are visited in sorted-name order and lines in file order —
         a deterministic scan, though nothing downstream depends on it
@@ -357,40 +348,27 @@ class ResultStore:
                     if _payload_sha(payload) != expected:
                         self.corrupt_records += 1
                         continue
-                    lease = record.get("lease") or {}
-                    yield payload["scenario_id"], payload, lease.get("token")
+                    yield payload["scenario_id"], payload
 
     def load(self) -> dict[str, ScenarioResult]:
         """All valid stored results, keyed by scenario id.
 
-        Duplicate ids (a retried scenario, overlapping shards, a
-        zombie's late write) must carry identical payloads — results
-        are deterministic in the scenario — and a mismatch raises
-        rather than silently picking one; that is the store's
-        end-to-end corruption check.  Agreeing duplicates recorded
-        under *different* lease fencing tokens are counted in
-        :attr:`zombie_writes`.
+        Duplicate ids (a retried scenario, overlapping shards, an
+        ingested copy) must carry identical payloads — results are
+        deterministic in the scenario — and a mismatch raises rather
+        than silently picking one; that is the store's end-to-end
+        corruption check.
         """
         merged: dict[str, dict] = {}
-        tokens: dict[str, set] = {}
-        self.zombie_writes = 0
-        for scenario_id, payload, token in self._iter_records():
-            previous = merged.get(scenario_id)
-            if previous is None:
-                merged[scenario_id] = payload
-                tokens[scenario_id] = {token}
-            elif previous != payload:
+        for scenario_id, payload in self._iter_records():
+            previous = merged.setdefault(scenario_id, payload)
+            if previous != payload:
                 raise ValueError(
                     f"store at {self.root} holds two different results "
                     f"for scenario {scenario_id!r}; results are "
                     f"deterministic, so one record is corrupt or from a "
                     f"different grid"
                 )
-            else:
-                tokens[scenario_id].add(token)
-        self.zombie_writes = sum(
-            1 for seen in tokens.values() if len(seen) > 1
-        )
         return {
             scenario_id: ScenarioResult.from_dict(payload)
             for scenario_id, payload in merged.items()
@@ -401,7 +379,7 @@ class ResultStore:
 
         Re-validates every record's checksum, exactly like :meth:`load`.
         """
-        return {scenario_id for scenario_id, _, _ in self._iter_records()}
+        return {scenario_id for scenario_id, _ in self._iter_records()}
 
     def failures(self) -> list[dict]:
         """Every failure-ledger entry, across all writers."""
@@ -425,8 +403,8 @@ class ResultStore:
     def ingest(self, other: "ResultStore | str | os.PathLike") -> int:
         """Copy another store's record and ledger files into this one.
 
-        The cross-host merge: run shard or elastic campaigns on separate
-        machines, then ingest each remote store into one — duplicate
+        The cross-host merge: run shard campaigns on separate machines,
+        then ingest each remote store into one — duplicate
         scenario ids are harmless (deterministic results; :meth:`load`
         verifies agreement), and fingerprint-bound manifests guarantee
         both stores describe the same grid.  The source must be an

@@ -36,11 +36,11 @@ Examples::
     python -m repro.sweep --workloads web_0 prxy_0 --seeds 8 \\
         --campaign runs/host1 --shard 0/2
 
-    # An elastic pool: start the same command on any number of hosts
-    # or terminals — workers lease scenario batches dynamically, and a
-    # killed worker's lease is reclaimed by the survivors
+    # Two shards sharing one store directory (a shared mount, or two
+    # terminals); a shard whose host died is rerun the same way, and
+    # --resume skips what it already stored
     python -m repro.sweep --workloads web_0 prxy_0 --seeds 8 \\
-        --campaign runs/night1 --resume --elastic --progress 30
+        --campaign runs/night1 --resume --shard 1/2 --progress 30
 
     # Live health of any campaign directory (running or not)
     python -m repro.sweep --status runs/night1
@@ -200,29 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--shard", default=None, metavar="i/N", type=_shard_argument,
         help="run only the scenarios hashing to shard i of N (0-based); "
-        "shard stores merge with ResultStore.ingest",
-    )
-    campaign.add_argument(
-        "--elastic", action="store_true",
-        help="schedule through the lease ledger instead of a static "
-        "shard: start this command on any number of hosts/terminals "
-        "over one store; workers claim scenario batches, heartbeat "
-        "them, and reclaim batches whose holder died",
-    )
-    campaign.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="elastic: seconds without a heartbeat before a lease is "
-        "reclaimable (default 30)",
-    )
-    campaign.add_argument(
-        "--lease-batch", type=int, default=None, metavar="N",
-        help="elastic: scenarios per leased batch (default: auto; the "
-        "first worker's plan wins)",
-    )
-    campaign.add_argument(
-        "--worker-name", default=None, metavar="NAME",
-        help="elastic: this worker's store-writer/lease-owner name "
-        "(default: w-<hostname>-<pid>)",
+        "shards share one store directory (pass --resume) or merge "
+        "separate stores with ResultStore.ingest",
     )
     campaign.add_argument(
         "--progress", type=float, default=None, metavar="SECONDS",
@@ -232,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--status", type=Path, default=None, metavar="DIR",
         help="print live health of the campaign store at DIR (progress, "
-        "per-worker leases, failure summary, streaming aggregate) and "
-        "exit; derived from store state alone",
+        "failure summary, streaming aggregate) and exit; derived from "
+        "store state alone",
     )
     telemetry = parser.add_argument_group(
         "telemetry (repro.obs; strictly out-of-band — results are "
@@ -246,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry.add_argument(
         "--trace-detail", choices=DETAIL_LEVELS, default="coarse",
-        help="span volume: coarse (windows, attempts, lease/store ops), "
+        help="span volume: coarse (windows, attempts, store appends), "
         "flush (+ physics plan/execute/merge per read flush), block "
         "(+ one span per per-block task)",
     )
@@ -487,12 +466,6 @@ def render_status(status: dict) -> str:
             f"  corrupt records skipped: {status['corrupt_records']} "
             f"(affected scenarios re-run on resume)"
         )
-    if status["zombie_writes"]:
-        lines.append(
-            f"  zombie writes detected: {status['zombie_writes']} "
-            f"scenario(s) recorded under more than one lease token "
-            f"(payloads agree; harmless)"
-        )
     failures = status["failures"]
     if failures["total"]:
         kinds = ", ".join(
@@ -501,21 +474,6 @@ def render_status(status: dict) -> str:
         lines.append(f"  failed attempts: {failures['total']} ({kinds})")
     else:
         lines.append("  failed attempts: 0")
-    if status["leases"]:
-        lines.append("  leases:")
-        for lease in status["leases"]:
-            if lease["done"]:
-                detail = "done"
-            elif lease["owner"] is None:
-                detail = "unclaimed"
-            else:
-                age = lease["heartbeat_age_seconds"]
-                mark = " STALE" if lease["stale"] else ""
-                detail = (
-                    f"held by {lease['owner']} (token {lease['token']}, "
-                    f"heartbeat {age:.1f}s ago{mark})"
-                )
-            lines.append(f"    {lease['batch']}: {detail}")
     aggregate = status["aggregate"]
     rber = aggregate.get("worst_block_rber")
     if rber:
@@ -532,7 +490,7 @@ def render_status(status: dict) -> str:
 
 #: schema identity of the ``--status --json`` document.
 STATUS_FORMAT = "repro-campaign-status"
-STATUS_VERSION = 2
+STATUS_VERSION = 3
 
 
 def run_status_cli(args: argparse.Namespace) -> int:
@@ -545,7 +503,7 @@ def run_status_cli(args: argparse.Namespace) -> int:
     if args.json is not None:
         # One stable machine-readable document (the dashboard surface):
         # schema-versioned, sorted keys, everything campaign_status
-        # derives from the durable store/lease artifacts.
+        # derives from the durable store artifacts.
         doc = json.dumps(
             {"format": STATUS_FORMAT, "version": STATUS_VERSION, **status},
             indent=2,
@@ -565,7 +523,7 @@ def _resolve_trace_dir(args: argparse.Namespace) -> Path | None:
     """Where ``--trace`` writes, or ``None`` when tracing is off.
 
     A bare ``--trace`` means "into the campaign directory" — the one
-    place every elastic worker of a campaign can agree on.
+    place every shard sharing a store can agree on.
     """
     if args.trace is None:
         return None
@@ -580,15 +538,11 @@ def _resolve_trace_dir(args: argparse.Namespace) -> Path | None:
 
 
 def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
-    """The ``--campaign`` execution path: resumable, durable, elastic."""
+    """The ``--campaign`` execution path: resumable and durable."""
     from repro.parallel import Campaign, ScenarioFailure
     from repro.parallel.store import ResultStore
 
-    if ResultStore.is_initialized(args.campaign) and not (
-        args.resume or args.elastic
-    ):
-        # Elastic workers share one store by design: every worker after
-        # the first finds it initialized, so --elastic implies --resume.
+    if ResultStore.is_initialized(args.campaign) and not args.resume:
         raise SystemExit(
             f"campaign store {args.campaign} is already initialized; pass "
             f"--resume to continue it, or choose a fresh directory"
@@ -601,29 +555,18 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
             on_failure=args.on_failure,
             timeout=args.timeout,
             shard=args.shard,
-            elastic=args.elastic,
-            lease_ttl=(
-                args.lease_ttl if args.lease_ttl is not None else 30.0
-            ),
-            lease_batch=args.lease_batch,
-            worker_name=args.worker_name,
             progress_interval=args.progress,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     trace_dir = _resolve_trace_dir(args)
     if trace_dir is not None:
-        # The campaign's worker name is the deterministic trace label
-        # (elastic workers each get their own file in the shared dir).
+        # The campaign's writer name is the deterministic trace label
+        # (shards sharing a directory each get their own file).
         obs.configure(
-            trace_dir, label=campaign.worker_name, detail=args.trace_detail
+            trace_dir, label=campaign.writer, detail=args.trace_detail
         )
-    if args.elastic:
-        scope = f" (elastic worker {campaign.worker_name})"
-    elif args.shard:
-        scope = f" (shard {args.shard})"
-    else:
-        scope = ""
+    scope = f" (shard {args.shard})" if args.shard else ""
     print(
         f"campaign over {len(grid)} scenario(s){scope}, up to "
         f"{campaign.workers} in flight, store {args.campaign}...",
@@ -641,11 +584,6 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
         raise SystemExit(str(exc)) from None
     if campaign.resumed:
         print(f"resumed: {campaign.resumed} scenario(s) already stored")
-    if campaign.fenced_batches:
-        print(
-            f"fenced off {campaign.fenced_batches} batch(es) (lease "
-            f"reclaimed by another worker; no work lost)"
-        )
     if campaign.ledger:
         print(f"failed attempts this run: {len(campaign.ledger)}")
     for failure in campaign.failed:
@@ -668,13 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--resume needs --campaign DIR")
     if args.shard is not None and args.campaign is None:
         raise SystemExit("--shard needs --campaign DIR (shards merge stores)")
-    if args.elastic and args.campaign is None:
-        raise SystemExit("--elastic needs --campaign DIR (the shared store)")
-    if args.elastic and args.shard is not None:
-        raise SystemExit(
-            "--elastic and --shard are mutually exclusive: leases "
-            "partition the grid dynamically"
-        )
     grid = build_grid(args)
     if args.campaign is not None:
         report, campaign = run_campaign_cli(args, grid)

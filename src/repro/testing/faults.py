@@ -24,10 +24,8 @@ Fault spec syntax (``;``-separated in ``REPRO_FAULTS``)::
 
 where *mode* is ``crash`` (``os._exit`` — a hard death, no Python
 cleanup, indistinguishable from a SIGKILL to the parent), ``hang``
-(sleep far past any sane timeout), ``stall`` (sleep
-:data:`ENV_STALL_SECONDS` seconds — long enough for a lease TTL to
-lapse — then *continue normally*: the zombie-writer ingredient), or
-``raise`` (raise :class:`InjectedFault` inside the scenario); *count*
+(sleep far past any sane timeout), or ``raise`` (raise
+:class:`InjectedFault` inside the scenario); *count*
 is a positive integer or ``*`` for "every attempt".  Scenario ids
 contain ``/`` and ``.`` but never ``:`` or ``;``, so the two delimiters
 cannot collide.
@@ -36,10 +34,6 @@ The store-corruption injectors (:func:`corrupt_store_record`,
 :func:`truncate_store_tail`) operate on a
 :class:`~repro.parallel.store.ResultStore` directory from the outside —
 they simulate bit rot and torn appends without the store's cooperation.
-The lease injectors (:func:`expire_leases`, :func:`steal_lease`) do the
-same to the lease ledger: rewind heartbeats so a live holder looks
-dead, or forcibly re-claim a batch so the original holder becomes a
-fenced-off zombie.
 """
 
 from __future__ import annotations
@@ -61,16 +55,10 @@ ENV_STATE = "REPRO_FAULTS_STATE"
 #: timeout, so an un-detected hang fails the surrounding test loudly.
 HANG_SECONDS = 3600.0
 
-#: env var overriding how long a ``stall`` fault sleeps (seconds).
-#: Tests set it just past a short lease TTL: the stalled worker misses
-#: its renewals, gets reclaimed, then *finishes normally* — a zombie.
-ENV_STALL_SECONDS = "REPRO_FAULTS_STALL"
-DEFAULT_STALL_SECONDS = 2.0
-
 #: exit code of a ``crash`` fault (visible in the parent's ledger entry).
 CRASH_EXIT_CODE = 86
 
-_MODES = ("crash", "hang", "stall", "raise")
+_MODES = ("crash", "hang", "raise")
 
 #: programmatically installed faults (fork workers inherit these).
 _installed: tuple["FaultSpec", ...] = ()
@@ -225,14 +213,6 @@ def maybe_inject(scenario_id: str) -> None:
                 f"hang fault for {scenario_id!r} outlived "
                 f"{HANG_SECONDS:g}s without being killed"
             )
-        if spec.mode == "stall":
-            # Sleep long enough for a short lease TTL to lapse, then
-            # return — the scenario proceeds and its (deterministic)
-            # result lands under the now-stale lease token.
-            time.sleep(
-                float(os.environ.get(ENV_STALL_SECONDS, DEFAULT_STALL_SECONDS))
-            )
-            continue
         raise InjectedFault(f"injected fault for scenario {scenario_id!r}")
 
 
@@ -288,62 +268,3 @@ def truncate_store_tail(store_root: str | os.PathLike, nbytes: int = 20) -> Path
     with open(victim, "rb+") as handle:
         handle.truncate(max(0, size - nbytes))
     return victim
-
-
-# ----------------------------------------------------------------------
-# Lease injectors (operate on a store's lease ledger)
-# ----------------------------------------------------------------------
-
-
-def expire_leases(
-    store_root: str | os.PathLike,
-    rewind_seconds: float,
-    batch_id: str | None = None,
-) -> int:
-    """Rewind every heartbeat in the lease ledger by *rewind_seconds*.
-
-    Makes a live holder look *rewind_seconds* staler than it is —
-    rewind past the TTL and any worker may reclaim the batch, exactly
-    as if the holder had frozen for that long.  Limiting to *batch_id*
-    expires one batch.  Returns how many claim files were rewound;
-    raises if none matched.
-    """
-    leases_dir = Path(store_root) / "leases"
-    pattern = f"{batch_id}.jsonl" if batch_id is not None else "b*.jsonl"
-    rewound = 0
-    for path in sorted(leases_dir.glob(pattern)):
-        lines = []
-        for line in path.read_text().splitlines():
-            try:
-                entry = json.loads(line)
-                entry["at"] = float(entry["at"]) - rewind_seconds
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                lines.append(line)
-                continue
-            lines.append(
-                json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            )
-        path.write_text("".join(f"{line}\n" for line in lines))
-        rewound += 1
-    if not rewound:
-        raise ValueError(f"no lease claim files under {leases_dir}")
-    return rewound
-
-
-def steal_lease(store_root: str | os.PathLike, batch_id: str, owner: str):
-    """Forcibly re-claim *batch_id* as *owner*, fencing off the holder.
-
-    Appends a higher-token claim regardless of heartbeat freshness —
-    from the original holder's perspective this is indistinguishable
-    from being reclaimed after a real TTL lapse: its next renew fails
-    and any result it still lands carries the stale fencing token.
-    Returns the stolen :class:`~repro.parallel.leases.Lease`.
-    """
-    from repro.parallel.leases import LeaseLedger
-
-    lease = LeaseLedger(store_root, owner=owner).claim(batch_id, force=True)
-    if lease is None:
-        raise ValueError(
-            f"could not steal lease {batch_id!r} (batch already done?)"
-        )
-    return lease

@@ -23,7 +23,6 @@ from repro.workloads.trace_cache import (
     clear_trace_cache,
     generated_trace,
     scenario_trace,
-    warm_trace_cache,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "clear_trace_cache",
     "generated_trace",
     "scenario_trace",
-    "warm_trace_cache",
 ]

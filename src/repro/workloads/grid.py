@@ -149,11 +149,10 @@ class BackendSpec:
     *executor* selects how the flash-chip backend runs the per-block
     tasks of a read flush (``"serial"`` or ``"threaded[:N]"``, checked
     by :func:`parse_executor_spec`; see
-    :mod:`repro.controller.executor`).  Like
-    :attr:`Scenario.batch` it is an *execution* knob, not a physics
-    knob: executors are bit-identical by contract, so the executor never
-    enters :attr:`label` — and therefore never perturbs scenario ids or
-    derived seeds.  Consequently two specs differing only in executor
+    :mod:`repro.controller.executor`).  It is an *execution* knob, not
+    a physics knob: executors are bit-identical by contract, so the
+    executor never enters :attr:`label` — and therefore never perturbs
+    scenario ids or derived seeds.  Consequently two specs differing only in executor
     are the *same* scenario and cannot share a grid axis.
     *resident_blocks* (out-of-core block state: at most that many blocks
     resident in a file-backed arena; see :mod:`repro.flash.arena`) is a
@@ -262,8 +261,6 @@ class Scenario:
     seed_index: int = 0
     #: the grid's root seed; all RNG streams derive from it + scenario_id.
     root_seed: int = 0
-    #: windowed/vectorized execution (default) or the per-op reference loop.
-    batch: bool = True
     #: record a per-maintenance-window trajectory in the result.
     record_trajectory: bool = False
 
@@ -333,7 +330,6 @@ class ScenarioGrid:
     seeds: int = 1
     duration_days: float = 1.0
     root_seed: int = 0
-    batch: bool = True
     record_trajectory: bool = False
 
     def __post_init__(self) -> None:
@@ -384,7 +380,6 @@ class ScenarioGrid:
                                     backend=backend,
                                     seed_index=seed_index,
                                     root_seed=self.root_seed,
-                                    batch=self.batch,
                                     record_trajectory=self.record_trajectory,
                                 )
                             )

@@ -1,22 +1,19 @@
-"""Per-sweep trace cache: generate each scenario's trace once.
+"""Per-process trace cache: generate each scenario's trace once.
 
 Scenario traces are pure functions of ``(workload spec, duration,
 workload seed)``, yet they used to be regenerated for every run that
 needed them — once per ``--serial-check`` leg, once per worker level of
 a bench, once per repeat of a grid.  This module memoizes the generated
 :class:`~repro.workloads.trace.IoTrace` per process behind that exact
-key, so:
+key, so repeated executions of the same scenario in one process (serial
+checks, executor/worker-level comparisons, repeated benches) generate
+the trace once.
 
-- repeated executions of the same scenario in one process (serial
-  checks, executor/worker-level comparisons, repeated benches) generate
-  the trace once;
-- a sweep parent can *pre-warm* the cache before forking its worker
-  pool (:meth:`repro.parallel.SweepRunner.run` does this
-  automatically), so fork-start workers inherit every materialized
-  trace read-only via copy-on-write instead of regenerating it —
-  the shared-memory trace cache of the ROADMAP.  Spawn-start workers
-  simply miss and regenerate; results are identical either way, because
-  generation is deterministic in the key.
+Each process fills its own cache: a sweep or campaign worker generates
+the traces of the scenarios it runs, and the parent generates none.
+The scenario id enters the workload seed, so no two scenarios of one
+grid share a trace, and generating every trace in the parent before
+forking would only move that work into a serial prefix.
 
 Cached traces are shared across engine runs, so their arrays are frozen
 (``writeable=False``) — an accidental in-place mutation raises instead
@@ -72,19 +69,6 @@ def scenario_trace(scenario) -> IoTrace:
     return generated_trace(
         scenario.workload, scenario.duration_days, scenario.workload_seed
     )
-
-
-def warm_trace_cache(scenarios) -> int:
-    """Materialize every scenario's trace into this process's cache.
-
-    Called by the sweep runner in the parent before forking workers;
-    returns how many traces are now resident.  With more scenarios than
-    :data:`MAX_CACHED_TRACES` the earliest traces will already have been
-    evicted — still correct, workers regenerate on miss.
-    """
-    for scenario in scenarios:
-        scenario_trace(scenario)
-    return len(_cache)
 
 
 def clear_trace_cache() -> None:

@@ -20,7 +20,7 @@ def test_render_prometheus_series_shapes():
     text = render_prometheus({
         "counters": {"campaign.completed": 3,
                      "campaign.failures.worker_death": 1},
-        "gauges": {"campaign.leases.total": 4},
+        "gauges": {"campaign.scenario_count": 4},
         "histograms": {"trace.store.append": {
             "count": 1, "total": 0.25, "min": None, "max": None,
             "mean": None,
@@ -29,8 +29,8 @@ def test_render_prometheus_series_shapes():
     assert "# TYPE repro_campaign_completed_total counter" in text
     assert "repro_campaign_completed_total 3" in text
     assert "repro_campaign_failures_worker_death_total 1" in text
-    assert "# TYPE repro_campaign_leases_total gauge" in text
-    assert "repro_campaign_leases_total 4" in text
+    assert "# TYPE repro_campaign_scenario_count gauge" in text
+    assert "repro_campaign_scenario_count 4" in text
     # Histograms render as a summary pair.
     assert "# TYPE repro_trace_store_append summary" in text
     assert "repro_trace_store_append_count 1" in text

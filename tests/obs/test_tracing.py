@@ -258,8 +258,9 @@ def test_merge_rejects_colliding_labels(tmp_path):
         with tracer.span("x"):
             pass
         tracer.close()
-        # Two writers, one label: the second appends to the same file —
-        # simulate the collision by renaming the first out of the way.
+        # A second writer of a label present in the directory takes
+        # <label>-r2, so simulate a collision (e.g. a copied-in file)
+        # by renaming the first file out of the way.
         if not (tmp_path / "trace-other.jsonl").exists():
             tracer.path.rename(tmp_path / "trace-other.jsonl")
     with pytest.raises(ValueError, match="appears in both"):

@@ -13,6 +13,7 @@ arena files (``tests/controller/test_block_executor.py`` and
 ``tests/flash/test_arena.py`` own arena lifecycle).
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -31,6 +32,7 @@ from repro.parallel import (
     ScenarioFailure,
     StreamingAggregate,
     SweepRunner,
+    campaign_status,
     parse_shard,
     run_campaign,
     shard_of,
@@ -443,12 +445,86 @@ def test_sharded_stores_merge_to_the_serial_report(tmp_path):
     assert merged.results == serial.results
 
 
+def _run_shard(grid, store, shard):
+    Campaign(grid, store, workers=1, shard=shard).run()
+
+
+def test_two_shards_sharing_one_store_equal_serial(tmp_path):
+    """Two shard campaigns run at once into one fresh store directory:
+    both bind it, each appends under its own writer file, and the
+    store's report is bit-identical to the serial sweep."""
+    grid = counter_grid(seeds=5)  # shard 0 owns 2 scenarios, shard 1 owns 3
+    serial = SweepRunner(workers=1).run(grid)
+    store = tmp_path / "store"
+    context = multiprocessing.get_context("fork")
+    shards = [
+        context.Process(target=_run_shard, args=(grid, store, f"{i}/2"))
+        for i in range(2)
+    ]
+    for process in shards:
+        process.start()
+    for process in shards:
+        process.join(timeout=120)
+    assert [process.exitcode for process in shards] == [0, 0]
+    assert sorted(p.name for p in (store / "records").glob("*.jsonl")) == [
+        "shard0of2.jsonl", "shard1of2.jsonl",
+    ]
+    assert Campaign(grid, store, workers=1).report().results == serial.results
+
+
 def test_parse_shard_accepts_and_rejects():
     assert parse_shard("0/2") == (0, 2)
     assert parse_shard("3/4") == (3, 4)
     for bad in ("2/2", "-1/2", "0", "a/b", "1/0", ""):
         with pytest.raises(ValueError, match="shard"):
             parse_shard(bad)
+
+
+# ----------------------------------------------------------------------
+# Stores left by the deleted elastic scheduler
+# ----------------------------------------------------------------------
+
+
+def test_store_written_under_leases_loads_resumes_and_reports(
+    grid, serial_report, tmp_path
+):
+    """A store written by the deleted elastic scheduler: its records
+    carry a ``lease`` envelope beside the checksum and ``leases/`` holds
+    the batch plan and claim files.  Nothing reads either: the store
+    loads, resumes the missing scenario and reports like serial."""
+    store = tmp_path / "store"
+    ResultStore(store).bind(list(grid))
+    with ResultStore(store, writer="wA") as writer:
+        for result in serial_report.results[:-1]:
+            writer.append(result)
+    records = store / "records" / "wA.jsonl"
+    lines = []
+    for index, line in enumerate(records.read_text().splitlines()):
+        record = json.loads(line)
+        record["lease"] = {"batch": f"b{index:05d}", "owner": "wA", "token": 1}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    records.write_text("".join(f"{line}\n" for line in lines))
+    leases = store / "leases"
+    leases.mkdir()
+    (leases / "batches.json").write_text(json.dumps({
+        "format": "repro-campaign-leases", "version": 1, "batch_size": 1,
+        "scenario_count": len(grid), "ids_sha256": "0" * 64,
+    }))
+    (leases / "b00000.jsonl").write_text(
+        '{"at":1.0,"op":"claim","owner":"wA","token":1}\n'
+        '{"at":2.0,"op":"done","owner":"wA","token":1}\n'
+    )
+    loaded = ResultStore(store)
+    assert loaded.load() == {
+        r.scenario_id: r for r in serial_report.results[:-1]
+    }
+    assert loaded.corrupt_records == 0
+    assert campaign_status(store)["completed"] == len(grid) - 1
+    campaign = Campaign(grid, store, workers=1)
+    report = campaign.run()
+    assert campaign.resumed == len(grid) - 1
+    assert report.results == serial_report.results
+    assert campaign_status(store)["completed"] == len(grid)
 
 
 # ----------------------------------------------------------------------
@@ -549,206 +625,3 @@ def test_failure_ledger_schema_is_pinned(grid, tmp_path):
     assert isinstance(entry["wall_time"], float) and entry["wall_time"] > 0
     assert isinstance(entry["duration_seconds"], float)
     assert entry["duration_seconds"] >= 0
-
-
-# ----------------------------------------------------------------------
-# Elastic scheduling: leases instead of shard arithmetic
-# ----------------------------------------------------------------------
-
-
-def test_elastic_campaign_equals_serial(grid, serial_report, tmp_path):
-    campaign = Campaign(
-        grid, tmp_path / "store", workers=2,
-        elastic=True, lease_ttl=30.0, lease_batch=1, worker_name="wA",
-    )
-    report = campaign.run()
-    assert report.results == serial_report.results
-    assert campaign.fenced_batches == 0
-    # One claim file per single-scenario batch, every batch retired.
-    from repro.parallel import LeaseLedger
-
-    states = LeaseLedger(tmp_path / "store", owner="check").states()
-    assert len(states) == len(grid)
-    assert all(state.done for state in states)
-    # Results landed under this worker's own writer file, not "all".
-    assert (tmp_path / "store" / "records" / "wA.jsonl").exists()
-
-
-def test_second_elastic_worker_finds_nothing_left(grid, serial_report, tmp_path):
-    Campaign(
-        grid, tmp_path / "store", elastic=True, worker_name="wA",
-    ).run()
-    late = Campaign(
-        grid, tmp_path / "store", elastic=True, worker_name="wB",
-    )
-    report = late.run()
-    assert report.results == serial_report.results
-    assert late.resumed == len(grid)  # every scenario was already stored
-
-
-def test_elastic_rejects_shard(grid, tmp_path):
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        Campaign(grid, tmp_path / "store", elastic=True, shard="0/2")
-
-
-def test_dead_workers_lease_is_reclaimed(grid, serial_report, tmp_path):
-    """A worker that claimed a batch and died renews nothing; once the
-    TTL lapses a new elastic worker reclaims the batch with a higher
-    fencing token and completes the campaign."""
-    from repro.parallel import LeaseLedger
-    from repro.testing.faults import expire_leases
-
-    store = tmp_path / "store"
-    ResultStore(store).bind(list(grid))
-    dead = LeaseLedger(store, owner="dead-worker", ttl=1000.0)
-    dead.plan(sorted(ids_of(grid)), batch_size=1)
-    stranded = dead.claim("b00000")
-    assert stranded is not None
-    expire_leases(store, rewind_seconds=2000.0)  # the worker "died"
-    survivor = Campaign(
-        grid, store, elastic=True, lease_ttl=1000.0, worker_name="wB",
-    )
-    report = survivor.run()
-    assert report.results == serial_report.results
-    reclaimed = LeaseLedger(store, owner="check").state("b00000")
-    assert reclaimed.done
-    assert reclaimed.token > stranded.token  # fenced, not reused
-
-
-def test_fenced_worker_drops_the_batch_and_reports_it(
-    grid, serial_report, tmp_path, monkeypatch
-):
-    """Steal the worker's lease after its first result lands: the next
-    renewal fails, the worker abandons the batch, and (after the
-    thief's lease expires) finishes the campaign under a fresh claim —
-    report still bit-identical to serial.  The last scenario is stalled
-    so the batch outlives the renewal interval deterministically."""
-    from repro.testing.faults import steal_lease
-
-    store = tmp_path / "store"
-    stolen = []
-
-    def progress(snapshot):
-        if not stolen and snapshot["completed"] >= 1:
-            stolen.append(steal_lease(store, "b00000", owner="thief"))
-
-    monkeypatch.setenv("REPRO_FAULTS_STALL", "1.0")
-    campaign = Campaign(
-        grid, store, workers=1, elastic=True,
-        # One batch holding the whole grid, tiny TTL: the theft fences
-        # us off mid-batch (a renewal is due every ttl/3 seconds, and
-        # the stalled last scenario keeps the batch alive well past
-        # that), and the thief (who never renews) expires almost
-        # immediately so the re-claim path runs fast.
-        lease_ttl=0.4, lease_batch=len(grid), worker_name="wA",
-    )
-    with injected_faults(FaultSpec("stall", None, sorted(ids_of(grid))[-1])):
-        report = campaign.run(progress=progress)
-    assert stolen, "the test never stole the lease"
-    assert campaign.fenced_batches >= 1
-    assert report.results == serial_report.results
-
-
-def test_elastic_continue_policy_leaves_failed_batch_unretired(grid, tmp_path):
-    """Elastic ≡ plain resume semantics for permanent failures: the
-    batch holding a continue-policy casualty is NOT marked done, so a
-    later (fault-free) elastic resume re-runs exactly that scenario."""
-    from repro.parallel import LeaseLedger
-
-    target = ids_of(grid)[0]
-    store = tmp_path / "store"
-    with injected_faults(FaultSpec("raise", None, target)):
-        first = Campaign(
-            grid, store, workers=1, elastic=True, on_failure="continue",
-            lease_ttl=0.2, lease_batch=1, worker_name="wA",
-        )
-        first.run()
-    assert [f["scenario_id"] for f in first.failed] == [target]
-    states = {
-        state.batch_id: state
-        for state in LeaseLedger(store, owner="check").states()
-    }
-    batch_of_target = "b{:05d}".format(sorted(ids_of(grid)).index(target))
-    assert not states[batch_of_target].done
-    assert all(
-        state.done for bid, state in states.items() if bid != batch_of_target
-    )
-    # Faults cleared: a later elastic worker reclaims and completes it.
-    time.sleep(0.25)  # let the un-done batch's lease expire
-    second = Campaign(
-        grid, store, workers=1, elastic=True,
-        lease_ttl=0.2, worker_name="wB",
-    )
-    report = second.run()
-    assert report.results == SweepRunner(workers=1).run(grid).results
-
-
-def test_zombie_worker_resumes_after_lease_expiry(grid, serial_report, tmp_path):
-    """The acceptance zombie: elastic worker A claims the batch, then
-    freezes (SIGSTOP) mid-scenario past the TTL; worker B reclaims with
-    a higher fencing token and finishes the grid; A thaws, lands its
-    stale-token duplicate, fails its renewal, and exits cleanly.  The
-    report is bit-identical to serial and the store surfaces the
-    zombie write instead of silently folding it away."""
-    ids = sorted(ids_of(grid))
-    store = tmp_path / "store"
-    stall_seconds = 8.0
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(os.path.dirname(os.path.dirname(repro.__file__))),
-        **{
-            ENV_FAULTS: f"stall:*:{ids[0]}",
-            "REPRO_FAULTS_STALL": str(stall_seconds),
-        },
-    )
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.sweep",
-            "--workloads", "web_0", "--seeds", str(len(ids)),
-            "--days", "0.02", "--blocks", "64", "--pages-per-block", "64",
-            "--campaign", str(store), "--elastic", "--workers", "2",
-            "--lease-ttl", "1.0", "--lease-batch", str(len(ids)),
-            "--worker-name", "zombie",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    frozen = False
-    try:
-        # Wait until A holds the lease and its stalled child is in
-        # flight (the non-stalled scenarios land while ids[0] stalls).
-        deadline = time.monotonic() + 120
-        claims = store / "leases" / "b00000.jsonl"
-        while not claims.exists():
-            assert process.poll() is None, "worker A exited prematurely"
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
-        time.sleep(0.3)  # the stalled scenario is now inside its sleep
-        os.kill(process.pid, signal.SIGSTOP)  # parent only: child lives
-        frozen = True
-        time.sleep(1.5)  # > TTL: A's heartbeat is now stale
-        survivor = Campaign(
-            grid, store, workers=2, elastic=True,
-            lease_ttl=1.0, worker_name="wB",
-        )
-        report = survivor.run()
-        assert report.results == serial_report.results
-        # Thaw the zombie: its stalled scenario completes and lands
-        # under the stale token; its renewal fails; it exits cleanly.
-        os.kill(process.pid, signal.SIGCONT)
-        frozen = False
-        assert process.wait(timeout=120) == 0
-    finally:
-        if frozen:
-            os.kill(process.pid, signal.SIGCONT)
-        if process.poll() is None:
-            process.kill()
-            process.wait()
-    final = ResultStore(store)
-    assert {r.scenario_id for r in final.load().values()} == set(ids)
-    assert final.load() == {
-        r.scenario_id: r for r in serial_report.results
-    }
-    # The duplicate landed under two different fencing tokens.
-    assert final.zombie_writes >= 1

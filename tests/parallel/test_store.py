@@ -8,10 +8,10 @@ outside via :mod:`repro.testing.faults` — the store gets no say.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
-from repro.parallel.leases import Lease
 from repro.parallel.results import ScenarioResult
 from repro.parallel.store import ResultStore, grid_fingerprint
 from repro.testing.faults import corrupt_store_record, truncate_store_tail
@@ -88,29 +88,34 @@ def test_conflicting_duplicate_records_raise(tmp_path):
         ResultStore(tmp_path).load()
 
 
-def test_agreeing_duplicates_under_two_tokens_count_as_zombie_writes(tmp_path):
+def stamp_lease(path, token):
+    """Add the ``lease`` envelope the deleted elastic scheduler wrote
+    beside each record's checksum (outside the checksummed payload)."""
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        record["lease"] = {"batch": "b00000", "owner": path.stem, "token": token}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    path.write_text("".join(f"{line}\n" for line in lines))
+
+
+def test_agreeing_duplicates_under_two_lease_tokens_merge(tmp_path):
     result = fake_result("s/00")
-    with ResultStore(tmp_path, writer="w1") as a:
-        a.append(result, lease=Lease("b00000", 1, "w1"))
-    with ResultStore(tmp_path, writer="w2") as b:
-        b.append(result, lease=Lease("b00000", 2, "w2"))
+    for token, writer in enumerate(("w1", "w2"), start=1):
+        with ResultStore(tmp_path, writer=writer) as store:
+            store.append(result)
+        stamp_lease(tmp_path / "records" / f"{writer}.jsonl", token)
     store = ResultStore(tmp_path)
-    assert store.load() == {"s/00": result}  # payloads agree -> merged
-    assert store.zombie_writes == 1
-    # A third token on the same id is still one zombie-written scenario:
-    # the count is of scenario ids, not of extra tokens.
-    with ResultStore(tmp_path, writer="w3") as c:
-        c.append(result, lease=Lease("b00000", 3, "w3"))
-    reread = ResultStore(tmp_path)
-    assert reread.load() == {"s/00": result}
-    assert reread.zombie_writes == 1
+    assert store.load() == {"s/00": result}
+    assert store.corrupt_records == 0
 
 
 def test_disagreeing_duplicates_still_raise_regardless_of_tokens(tmp_path):
-    with ResultStore(tmp_path, writer="w1") as a:
-        a.append(fake_result("s/00", value=0.5), lease=Lease("b0", 1, "w1"))
-    with ResultStore(tmp_path, writer="w2") as b:
-        b.append(fake_result("s/00", value=0.9), lease=Lease("b0", 2, "w2"))
+    for token, value in enumerate((0.5, 0.9), start=1):
+        writer = f"w{token}"
+        with ResultStore(tmp_path, writer=writer) as store:
+            store.append(fake_result("s/00", value=value))
+        stamp_lease(tmp_path / "records" / f"{writer}.jsonl", token)
     with pytest.raises(ValueError, match="two different results"):
         ResultStore(tmp_path).load()
 
@@ -193,6 +198,48 @@ def test_fingerprint_is_order_free_and_shard_free():
     scenarios = small_grid(seeds=3).scenarios()
     assert grid_fingerprint(scenarios) == grid_fingerprint(scenarios[::-1])
     assert grid_fingerprint(scenarios) != grid_fingerprint(scenarios[:-1])
+
+
+def _bind_behind_barrier(barrier, roots, scenarios, errors):
+    for root in roots:
+        barrier.wait()
+        try:
+            ResultStore(root).bind(scenarios)
+            ResultStore(root).read_manifest()
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            errors.put(f"{root.name}: {exc!r}")
+
+
+def test_concurrent_binds_of_a_fresh_store_all_succeed(tmp_path):
+    """Shards started together over one fresh directory all bind it at
+    once.  Each manifest write uses its own temp file, so no bind loses
+    its temp file to another's rename and no reader sees a torn
+    manifest."""
+    scenarios = list(small_grid())
+    roots = [tmp_path / f"trial{i}" for i in range(40)]
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(4)
+    errors = context.Queue()
+    binders = [
+        context.Process(
+            target=_bind_behind_barrier,
+            args=(barrier, roots, scenarios, errors),
+        )
+        for _ in range(4)
+    ]
+    for process in binders:
+        process.start()
+    for process in binders:
+        process.join(timeout=60)
+    assert [process.exitcode for process in binders] == [0] * 4
+    failures = []
+    while not errors.empty():
+        failures.append(errors.get())
+    assert failures == []
+    fingerprint = grid_fingerprint(scenarios)
+    for root in roots:
+        assert ResultStore(root).read_manifest()["grid_fingerprint"] == fingerprint
+        assert [p.name for p in root.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_unrecognized_manifest_is_rejected(tmp_path):

@@ -184,11 +184,6 @@ def test_cli_campaign_flag_dependencies(tmp_path):
         main(["--resume"])
     with pytest.raises(SystemExit, match="--campaign"):
         main(["--shard", "0/2"])
-    with pytest.raises(SystemExit, match="--campaign"):
-        main(["--elastic"])
-    with pytest.raises(SystemExit, match="mutually exclusive"):
-        main(["--campaign", str(tmp_path / "s"), "--elastic",
-              "--shard", "0/2"])
     with pytest.raises(SystemExit, match="failure policy"):
         main(["--campaign", str(tmp_path / "s"), "--on-failure", "panic"])
 
@@ -207,38 +202,49 @@ def test_cli_shard_is_validated_at_parse_time(capsys, spec):
     assert "bad shard spec" in err
 
 
-def test_cli_elastic_campaign_status_and_serial_check(capsys, tmp_path):
-    """End-to-end elastic flow: no --shard arithmetic, two workers over
-    one store (the second finds everything leased and done), then
-    --status renders the health surface, and a third worker's
-    --serial-check passes over the finished store."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--elastic"],
+        ["--lease-ttl", "30"],
+        ["--lease-batch", "1"],
+        ["--worker-name", "wA"],
+    ],
+)
+def test_cli_rejects_the_deleted_elastic_flags(capsys, tmp_path, argv):
+    """The lease scheduler's flags are gone: argparse rejects them with
+    a usage error before any store is touched."""
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--campaign", str(store), *argv])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_cli_shards_share_one_store_and_status_counts_both(capsys, tmp_path):
+    """Two shards over one directory (each with --resume, since either
+    may find the store initialized), then --status, then a serial check
+    over everything both shards stored."""
     store = tmp_path / "store"
     argv = [
         "--workloads", "web_0",
         "--days", "0.01",
         "--blocks", "64", "--pages-per-block", "64",
-        "--seeds", "2",
+        "--seeds", "4",
         "--campaign", str(store),
-        "--elastic", "--lease-batch", "1",
+        "--resume",
     ]
-    assert main(argv + ["--worker-name", "wA", "--serial-check"]) == 0
+    assert main(argv + ["--shard", "0/2"]) == 0
+    assert "(shard 0/2)" in capsys.readouterr().out
+    assert main(argv + ["--shard", "1/2", "--serial-check"]) == 0
     out = capsys.readouterr().out
-    assert "elastic worker wA" in out
-    assert "serial check" in out
-    # A second elastic worker needs no --resume: sharing is the design.
-    assert main(argv + ["--worker-name", "wB"]) == 0
-    out = capsys.readouterr().out
-    assert "resumed: 2 scenario(s)" in out
-    # --status from store state alone: progress, leases, failures.
+    assert "serial check: 4 scenario(s) identical" in out
     assert main(["--status", str(store)]) == 0
     out = capsys.readouterr().out
-    assert "progress: 2/2 scenario(s)" in out
-    assert "b00000: done" in out and "b00001: done" in out
+    assert "progress: 4/4 scenario(s)" in out
+    assert "store: 2 live file(s)" in out
     assert "failed attempts: 0" in out
-    assert "store: 1 live file(s)" in out  # only wA appended
-    assert main(argv + ["--worker-name", "wC", "--serial-check"]) == 0
-    out = capsys.readouterr().out
-    assert "serial check" in out
 
 
 def test_cli_status_json_document(capsys, tmp_path):
@@ -256,7 +262,8 @@ def test_cli_status_json_document(capsys, tmp_path):
     assert main(["--status", str(store), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["format"] == "repro-campaign-status"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
+    assert "leases" not in doc and "zombie_writes" not in doc
     assert doc["store"] == {"live_files": 1}
     assert doc["completed"] == 2
     assert doc["scenario_count"] == 2

@@ -1,7 +1,7 @@
 """The fault-injection harness itself: parsing, arming, counted firing.
 
 The crash/hang modes are exercised end-to-end by the campaign suite
-(they kill or stall real worker processes); here we pin the harness
+(they kill or hang real worker processes); here we pin the harness
 mechanics that everything else leans on — spec syntax, env gating, and
 the crash-surviving firing tally.
 """
@@ -34,7 +34,7 @@ def test_parse_faults_round_trip():
 
 def test_parse_faults_rejects_malformed():
     for bad in ("crash", "crash:1", "crash:x:id", "explode:1:id", "crash:0:id",
-                "crash:1:"):
+                "crash:1:", "stall:1:x"):
         with pytest.raises(ValueError):
             parse_faults(bad)
 

@@ -13,7 +13,6 @@ from repro.workloads.trace_cache import (
     clear_trace_cache,
     generated_trace,
     scenario_trace,
-    warm_trace_cache,
 )
 
 
@@ -74,12 +73,18 @@ def test_scenario_trace_keys_on_scenario_seed_derivation():
     assert not np.array_equal(traces[0].lpns, traces[1].lpns)
 
 
-def test_warm_trace_cache_prefills_for_workers():
+def test_parallel_runs_leave_the_parent_cache_empty(tmp_path):
+    """Workers generate the traces of the scenarios they run; neither a
+    workers=2 sweep nor a workers=2 campaign generates any in the
+    parent (no two scenarios of a grid share a trace)."""
+    from repro.parallel import Campaign, SweepRunner
+
     scenarios = _scenarios()
-    assert warm_trace_cache(scenarios) == len(scenarios)
-    warmed = [scenario_trace(s) for s in scenarios]
-    assert warm_trace_cache(scenarios) == len(scenarios)
-    assert [scenario_trace(s) for s in scenarios] == warmed
+    sweep = SweepRunner(workers=2).run(scenarios)
+    assert cached_trace_count() == 0
+    campaign = Campaign(scenarios, tmp_path / "store", workers=2).run()
+    assert cached_trace_count() == 0
+    assert campaign.results == sweep.results
 
 
 def test_cache_is_bounded_lru(monkeypatch):

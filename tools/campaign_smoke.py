@@ -1,5 +1,5 @@
-"""CI smoke: campaigns survive worker crashes, parent SIGKILLs, and
-elastic-worker deaths.
+"""CI smoke: campaigns survive worker crashes, parent SIGKILLs, and a
+dead shard.
 
 Drives the real ``python -m repro.sweep`` CLI end to end through two
 recovery stories, deterministically:
@@ -18,30 +18,30 @@ recovery stories, deterministically:
    missing scenario and the merged report must be bit-identical to the
    uninterrupted in-process serial reference.
 
-**Elastic reclaim** (``--elastic``, no shard arithmetic):
+**Two shards, one store** (``--shard i/N`` over a shared directory):
 
-1. Start elastic worker A with a hang fault on the first scenario and a
-   short lease TTL: A claims batch ``b00000`` and is pinned mid-lease,
-   heartbeating but never finishing.
-2. Start elastic worker B (no faults) over the *same* store with
-   ``--serial-check``: B completes every other batch, then spins on
-   ``b00000`` — held live by A's heartbeats.
-3. SIGKILL A's process group mid-lease.  B reclaims the batch once the
-   heartbeat lapses (with a higher fencing token), finishes the grid,
-   and its serial check must pass bit-for-bit.
+1. Start ``--shard 0/2`` and ``--shard 1/2`` at the same time over one
+   fresh store directory, both traced.  Shard 1 has a hang fault armed
+   on one of its own scenarios (chosen with ``shard_of``), so its host
+   is provably mid-shard; each shard owns at least two scenarios.
+2. Once every other scenario has landed and shard 0 has exited
+   cleanly, SIGKILL shard 1's whole process group — a dead host.
+3. Rerun the dead shard with ``--shard 1/2 --resume --serial-check
+   --trace`` and no faults: it runs only the hung scenario, and its
+   serial check covers everything the store holds, shard 0's results
+   included.
 
-The elastic story runs with ``--trace`` armed, so it doubles as the
-telemetry acceptance check: the merged trace (including A's torn,
-SIGKILL'd files) must pass ``tools/trace_validate.py`` with spans for
-every scenario attempt, lease claim/renew, and store append; the
-reclaim must be visible as a ``lease.claim`` span with ``takeover`` and
-a fencing token >= 2; ``--status --json`` must agree with the store's
-own counts exactly; and ``python -m repro.obs.export`` over the same
-store must agree with that status document, the store, and the trace
-directory.
+The shard story doubles as the telemetry acceptance check: the merged
+trace (the SIGKILL'd files included) must pass
+``tools/trace_validate.py`` with three ``campaign.run`` spans (shard 0,
+the killed shard 1, its rerun), exactly one ``campaign.attempt`` span
+per attempt, and ``scenario.run`` and ``store.append`` spans;
+``--status --json`` must agree with the store's own counts exactly; and
+``python -m repro.obs.export`` over the same store must agree with that
+status document, the store, and the trace directory.
 
 Exit code 0 means both stories held, including the crash attempt in
-the failure ledger and the fenced re-claim in the lease file.
+the failure ledger and one record file per shard in the shared store.
 
 Run from the repo root: ``PYTHONPATH=src python tools/campaign_smoke.py``.
 """
@@ -56,29 +56,38 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.parallel import shard_of  # noqa: E402
 from repro.parallel.store import ResultStore  # noqa: E402
 from repro.testing.faults import ENV_FAULTS, ENV_STATE  # noqa: E402
 from repro.workloads.grid import GeometrySpec, ScenarioGrid  # noqa: E402
 from repro.workloads.suites import WORKLOAD_SUITE  # noqa: E402
 
 SEEDS = 3
-ARGV = [
-    sys.executable, "-m", "repro.sweep",
-    "--workloads", "web_0",
-    "--seeds", str(SEEDS),
-    "--days", "0.02",
-    "--blocks", "64", "--pages-per-block", "64",
-    "--on-failure", "retry:2",
-    "--workers", "2",
-    "--resume",
-]
+#: seeds of the shard story: 5 gives each of the two shards >= 2 scenarios.
+SHARD_SEEDS = 5
 
 
-def scenario_ids() -> list[str]:
+def argv(seeds: int) -> list[str]:
+    return [
+        sys.executable, "-m", "repro.sweep",
+        "--workloads", "web_0",
+        "--seeds", str(seeds),
+        "--days", "0.02",
+        "--blocks", "64", "--pages-per-block", "64",
+        "--on-failure", "retry:2",
+        "--workers", "2",
+        "--resume",
+    ]
+
+
+ARGV = argv(SEEDS)
+
+
+def scenario_ids(seeds: int = SEEDS) -> list[str]:
     grid = ScenarioGrid(
         workloads=(WORKLOAD_SUITE["web_0"],),
         geometries=(GeometrySpec(blocks=64, pages_per_block=64),),
-        seeds=SEEDS,
+        seeds=seeds,
         duration_days=0.02,
     )
     return [s.scenario_id for s in grid]
@@ -137,125 +146,109 @@ def kill_resume_smoke() -> int:
     return 0
 
 
-def elastic_smoke() -> int:
-    from repro.parallel.leases import LeaseLedger
-
-    ids = sorted(scenario_ids())
-    hang_target = ids[0]  # sorted ids, batch size 1 -> batch b00000
-    lease_ttl = "2.0"
+def shard_smoke() -> int:
+    ids = scenario_ids(SHARD_SEEDS)
+    owned = [[i for i in ids if shard_of(i, 2) == k] for k in (0, 1)]
+    if min(len(mine) for mine in owned) < 2:
+        print(f"FAIL: a shard owns fewer than 2 scenarios: {owned}")
+        return 1
+    hang_target = owned[1][0]
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "store"
-        elastic_argv = [
-            sys.executable, "-m", "repro.sweep",
-            "--workloads", "web_0",
-            "--seeds", str(SEEDS),
-            "--days", "0.02",
-            "--blocks", "64", "--pages-per-block", "64",
-            "--campaign", str(store),
-            "--elastic", "--lease-batch", "1", "--lease-ttl", lease_ttl,
-            "--trace",
-        ]
-        env_a = dict(os.environ, **{ENV_FAULTS: f"hang:*:{hang_target}"})
-        print(f"[1/4] elastic worker A pinned mid-lease (hang@{hang_target})")
-        worker_a = subprocess.Popen(
-            elastic_argv + ["--worker-name", "wA", "--workers", "1"],
-            env=env_a,
+        shard_argv = argv(SHARD_SEEDS) + ["--campaign", str(store), "--trace"]
+        print(f"[1/4] shards 0/2 and 1/2 over one store (hang@{hang_target})")
+        shard0 = subprocess.Popen(
+            shard_argv + ["--shard", "0/2"], start_new_session=True
+        )
+        shard1 = subprocess.Popen(
+            shard_argv + ["--shard", "1/2"],
+            env=dict(os.environ, **{ENV_FAULTS: f"hang:*:{hang_target}"}),
             start_new_session=True,
         )
-        worker_b = None
         try:
             deadline = time.monotonic() + 300
-            claims = store / "leases" / "b00000.jsonl"
-            while not claims.exists():
-                if worker_a.poll() is not None:
-                    print("FAIL: worker A exited before claiming its lease")
+            expected = set(ids) - {hang_target}
+            while (
+                ResultStore(store).scenario_ids() != expected
+                or shard0.poll() is None
+            ):
+                if shard1.poll() is not None:
+                    print("FAIL: shard 1 exited before the kill")
+                    return 1
+                if shard0.poll() not in (None, 0):
+                    print(f"FAIL: shard 0 exited {shard0.returncode}")
                     return 1
                 if time.monotonic() > deadline:
-                    print("FAIL: worker A never claimed a lease")
-                    return 1
-                time.sleep(0.1)
-            print("[2/4] elastic worker B joins the same store")
-            worker_b = subprocess.Popen(
-                elastic_argv + ["--worker-name", "wB", "--workers", "2",
-                                "--serial-check"],
-                start_new_session=True,
-            )
-            # B drains every batch except A's; A heartbeats but never
-            # finishes (its only scenario hangs).
-            others = set(ids) - {hang_target}
-            while ResultStore(store).scenario_ids() != others:
-                for name, worker in (("A", worker_a), ("B", worker_b)):
-                    if worker.poll() is not None:
-                        print(f"FAIL: worker {name} exited prematurely")
-                        return 1
-                if time.monotonic() > deadline:
-                    print("FAIL: worker B made no progress")
+                    print("FAIL: the shards made no progress before the kill")
                     return 1
                 time.sleep(0.2)
         finally:
-            try:
-                os.killpg(worker_a.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            worker_a.wait()
-        print("[3/4] SIGKILL'd worker A mid-lease; B must reclaim and finish")
-        if worker_b.wait(timeout=300) != 0:
-            print("FAIL: survivor worker B (or its serial check) failed")
+            for process in (shard0, shard1):
+                try:
+                    os.killpg(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                process.wait()
+        if shard0.returncode != 0:
+            print(f"FAIL: shard 0 exited {shard0.returncode}")
+            return 1
+        print(f"[2/4] SIGKILL'd shard 1 with {len(expected)}/{len(ids)} stored")
+        print("[3/4] rerun shard 1/2 without faults, with --serial-check")
+        rerun = subprocess.run(
+            shard_argv + ["--shard", "1/2", "--serial-check"]
+        )
+        if rerun.returncode != 0:
+            print("FAIL: rerun shard (or its serial check) failed")
             return 1
         stored = ResultStore(store).scenario_ids()
         if stored != set(ids):
-            print(f"FAIL: elastic store incomplete: {sorted(stored)}")
+            print(f"FAIL: shared store incomplete: {sorted(stored)}")
             return 1
-        state = LeaseLedger(store, owner="smoke-check").state("b00000")
-        if not state.done or state.token < 2 or state.owner != "wB":
-            print(f"FAIL: b00000 was not fenced and reclaimed by B: {state}")
+        files = sorted(p.name for p in (store / "records").glob("*.jsonl"))
+        if files != ["shard0of2.jsonl", "shard1of2.jsonl"]:
+            print(f"FAIL: expected one record file per shard, got {files}")
             return 1
-        print(
-            f"[4/4] B reclaimed b00000 with fencing token {state.token} "
-            f"and --serial-check passed"
-        )
+        print("[4/4] the rerun shard completed the grid and --serial-check passed")
         if trace_checks(store, ids) != 0:
             return 1
-    print("elastic reclaim smoke: OK")
+    print("two-shard smoke: OK")
     return 0
 
 
 def trace_checks(store: Path, ids: list[str]) -> int:
-    """Telemetry acceptance over the finished elastic store.
+    """Telemetry acceptance over the finished two-shard store.
 
-    Validates the elastic run's merged trace structurally, asserts the
-    fenced reclaim is visible as a span, cross-checks
+    Validates the merged trace of both shards and the rerun
+    structurally, counts one attempt span per attempt, cross-checks
     ``--status --json`` against the store, and checks the exported
     ``metrics.json`` / ``metrics.prom`` against both.
     """
     import json
+    from collections import Counter
 
     from repro.obs.tracing import merge_spans, trace_file_paths
 
-    print("[5/7] validate the elastic run's merged trace")
+    # Every scenario ran once, and the hung one once more in the rerun.
+    attempts = len(ids) + 1
+    print("[5/7] validate the shards' merged trace")
     validator = subprocess.run(
         [sys.executable, str(Path(__file__).resolve().parent / "trace_validate.py"),
          str(store / "trace"),
-         "--expect", "campaign.run:2",
-         "--expect", f"campaign.attempt:{len(ids)}",
+         "--expect", "campaign.run:3",
+         "--expect", f"campaign.attempt:{attempts}",
          "--expect", "scenario.run",
-         "--expect", "lease.claim",
-         "--expect", "lease.renew",
          "--expect", "store.append"],
     )
     if validator.returncode != 0:
         print("FAIL: trace validation failed")
         return 1
-    spans = merge_spans(store / "trace")
-    reclaims = [
-        span for span in spans
-        if span["name"] == "lease.claim"
-        and span["attrs"].get("batch") == "b00000"
-        and span["attrs"].get("takeover")
-        and span["attrs"].get("token", 0) >= 2
-    ]
-    if not reclaims:
-        print("FAIL: no takeover lease.claim span for b00000 in the trace")
+    names = Counter(span["name"] for span in merge_spans(store / "trace"))
+    if (names["campaign.run"], names["campaign.attempt"]) != (3, attempts):
+        print(
+            f"FAIL: {names['campaign.run']} campaign.run and "
+            f"{names['campaign.attempt']} campaign.attempt spans, expected "
+            f"3 and {attempts}"
+        )
         return 1
     print("[6/7] --status --json agrees with the store")
     status = subprocess.run(
@@ -282,7 +275,7 @@ def trace_checks(store: Path, ids: list[str]) -> int:
         print(f"FAIL: repro.obs.export exited {export.returncode}")
         return 1
     snapshot = json.loads((out / "metrics.json").read_text())
-    for key in ("completed", "scenario_count", "zombie_writes", "corrupt_records"):
+    for key in ("completed", "scenario_count", "corrupt_records"):
         if snapshot["status"][key] != doc[key]:
             print(
                 f"FAIL: export status {key}={snapshot['status'][key]} "
@@ -314,7 +307,7 @@ def main() -> int:
     code = kill_resume_smoke()
     if code != 0:
         return code
-    return elastic_smoke()
+    return shard_smoke()
 
 
 if __name__ == "__main__":

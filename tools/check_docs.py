@@ -39,7 +39,6 @@ DOCUMENTED_NAMES = [
     "flash.arena.SlabLayout",
     "rng.block_spawn_key",
     "workloads.trace_cache.generated_trace",
-    "workloads.trace_cache.warm_trace_cache",
     "ecc.decoder.EccDecoder.decode_pages",
     "ecc.decoder.EccDecoder.check_pages",
     "controller.backends.FlashChipBackend.on_reads",
