@@ -45,7 +45,6 @@ from repro.ecc.fault_model import (
     inject_faults,
     parse_fault_spec,
 )
-from repro.flash.arena import BlockStore
 from repro.flash.block import FlashBlock
 from repro.flash.geometry import FlashGeometry
 from repro.controller.executor import BlockExecutor
@@ -184,7 +183,10 @@ class FlashChipBackend:
     """Bind every FTL block to a Monte-Carlo flash block.
 
     Blocks are materialized lazily (first append), so memory scales with
-    the blocks a workload actually touches.  Host data is synthetic:
+    the blocks a workload actually touches.  A bound block keeps its
+    cell state on the heap (13 bytes per cell, plus 8 per cell for its
+    voltage cache while warm), so the touched blocks must fit in RAM.
+    Host data is synthetic:
     programming a wordline writes pseudo-random bits, which is exactly the
     paper's characterization workload and all ECC needs — the decoder
     compares the sensed page against what was programmed.
@@ -217,14 +219,6 @@ class FlashChipBackend:
     step 2 runs.  Everything else — wordline programs at append time,
     erases, RBER probes — runs in this class's one serial code path
     under every executor.
-
-    With ``resident_blocks=N`` every block's mutable state lives in its
-    slab of one file-backed :class:`~repro.flash.arena.BlockStore`
-    instead of per-block heap arrays, and at most *N* blocks stay
-    resident: cold blocks' pages spill back to the backing file, so a
-    ``blocks=4096`` geometry runs under a bounded resident set
-    (out-of-core drives).  Steps 2 and 3 then run in chunks of *N*
-    blocks.
     """
 
     name = "flash_chip"
@@ -239,7 +233,6 @@ class FlashChipBackend:
         enable_rdr: bool = True,
         seed: int = 0,
         executor: str = "serial",
-        resident_blocks: int | None = None,
         fault_pattern: str | FaultSpec | None = None,
     ):
         if bitlines_per_block < 1:
@@ -267,11 +260,6 @@ class FlashChipBackend:
         #: runs each read flush's per-block tasks; "serial" and
         #: "threaded[:N]" are bit-identical by construction.
         self.executor = BlockExecutor.from_spec(executor)
-        if resident_blocks is not None and resident_blocks < 1:
-            raise ValueError("resident_blocks must be at least 1")
-        #: out-of-core residency budget (None = per-block heap arrays).
-        self._resident_blocks = resident_blocks
-        self._store: BlockStore | None = None
         # Filled in bind().
         self.ftl: PageMappingFtl | None = None
         self.geometry: FlashGeometry | None = None
@@ -315,15 +303,6 @@ class FlashChipBackend:
             wordlines_per_block=cfg.pages_per_block // 2,
             bitlines_per_block=self.bitlines_per_block,
         )
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-        if self._resident_blocks is not None:
-            self._store = BlockStore(
-                self.geometry,
-                resident_limit=self._resident_blocks,
-                on_evict=self._on_arena_evict,
-            )
 
     def on_append(self, block: int, page: int, lpn: int, now: float) -> None:
         fb = self.block(block)
@@ -346,7 +325,6 @@ class FlashChipBackend:
         fb = self._blocks.get(block)
         if fb is not None:
             fb.erase(now)
-            self._settle_arena((block,))
 
     def on_open(self, block: int, now: float) -> None:
         # Physical erase (the disturb/history reset) happened at on_erase.
@@ -377,8 +355,7 @@ class FlashChipBackend:
         all of it).  Tasks touch only their own block and the merge
         order is fixed, so ``executor="threaded"`` produces the same
         bits as ``executor="serial"``
-        (``tests/controller/test_block_executor.py``).  Out-of-core,
-        execute and merge run in chunks of ``resident_blocks`` blocks.
+        (``tests/controller/test_block_executor.py``).
 
         **Cache precondition.**  Assumes *ppns* were resolved against
         the mapping current at flush time (the engine flushes before any
@@ -403,26 +380,15 @@ class FlashChipBackend:
         with span("physics.plan"):
             tasks = self._plan_reads(ppns)
         execute = partial(self._sense_and_decode, now=now)
-        # One execute/merge pass per chunk: the whole flush on the heap,
-        # ``resident_blocks`` blocks out-of-core, so peak residency stays
-        # near the budget however many blocks the flush touches.  The
-        # merge is a sequential fold in ascending block order and each
-        # block is one task, so with the flush-wide RDR dedup set carried
-        # through, chunking at any boundary is bit-identical.
-        size = self._resident_blocks or len(tasks)
-        rescued: set[tuple[int, int]] = set()
-        for start in range(0, len(tasks), size):
-            chunk = tasks[start : start + size]
-            with span("physics.execute", blocks=len(chunk)) as execute_span:
-                if execute_span is not None and tracer.detail_block:
-                    self._trace_block_parent = execute_span.id
-                try:
-                    outcomes = self.executor.map(execute, chunk)
-                finally:
-                    self._trace_block_parent = None
-            with span("physics.merge", blocks=len(chunk)):
-                self._merge_outcomes(outcomes, now, rescued)
-            self._settle_arena(task.block_id for task in chunk)
+        with span("physics.execute", blocks=len(tasks)) as execute_span:
+            if execute_span is not None and tracer.detail_block:
+                self._trace_block_parent = execute_span.id
+            try:
+                outcomes = self.executor.map(execute, tasks)
+            finally:
+                self._trace_block_parent = None
+        with span("physics.merge", blocks=len(tasks)):
+            self._merge_outcomes(outcomes, now)
 
     def _plan_reads(self, ppns: np.ndarray) -> list[BlockReadTask]:
         """Grouping/planning pass: one :class:`BlockReadTask` per block.
@@ -534,10 +500,7 @@ class FlashChipBackend:
         return BlockReadOutcome(task.block_id, in_block, decode, injected, patterns)
 
     def _merge_outcomes(
-        self,
-        outcomes: list[BlockReadOutcome],
-        now: float,
-        rescued_wordlines: set[tuple[int, int]],
+        self, outcomes: list[BlockReadOutcome], now: float
     ) -> None:
         """Ordered merge: fold outcomes into shared state, escalate RDR.
 
@@ -545,10 +508,9 @@ class FlashChipBackend:
         every executor preserves), so counter updates, RDR escalations,
         and relocation queuing happen in exactly the sequence the serial
         loop produced.  RDR mutates only the failing block — blocks the
-        executor already decoded are unaffected.  *rescued_wordlines*
-        is the flush-wide RDR dedup set, shared by every chunk of one
-        flush.
+        executor already decoded are unaffected.
         """
+        rescued_wordlines: set[tuple[int, int]] = set()
         for outcome in outcomes:
             if outcome.decode is None:
                 continue
@@ -607,11 +569,10 @@ class FlashChipBackend:
         per-window trajectory) cannot perturb it.
         """
         worst = None
-        for block_id, fb in self._blocks.items():
+        for fb in self._blocks.values():
             if not fb.programmed.any():
                 continue
             rber = fb.measure_block_rber(now=now, vpass=self.vpass)
-            self._settle_arena((block_id,))
             if worst is None or rber > worst:
                 worst = rber
         return worst
@@ -641,59 +602,16 @@ class FlashChipBackend:
         if fb is None:
             if self.geometry is None:
                 raise RuntimeError("backend not bound to an FTL yet")
-            fb = FlashBlock(
-                self.geometry,
-                self._rng_factory,
-                block_id=block_id,
-                store=self._store,
-            )
+            fb = FlashBlock(self.geometry, self._rng_factory, block_id=block_id)
             if self.initial_pe_cycles > 0:
                 fb.cycle_wear_to(self.initial_pe_cycles)
             self._blocks[block_id] = fb
-        elif self._store is not None:
-            # Keep the arena's LRU warm for out-of-core spilling.
-            self._store.touch(block_id)
         return fb
 
-    def _settle_arena(self, block_ids) -> None:
-        """Re-enter *block_ids* into the arena's LRU after their slabs
-        were touched through live views.
-
-        Read tasks and RBER probes fault slab pages back in *without*
-        going through :meth:`BlockStore.slab` (they hold the numpy views
-        directly), so the LRU would never see those refaults — a block
-        evicted mid-batch and then executed would stay resident forever.
-        Touching after the fact keeps the spill accounting honest:
-        anything faulted in re-queues for eviction, so the resident set
-        stays bounded by the limit plus one batch.  No-op without an
-        out-of-core arena.
-        """
-        if self._store is not None:
-            for block_id in block_ids:
-                self._store.touch(block_id)
-
-    def _on_arena_evict(self, block_id: int) -> None:
-        """Arena spilled a block: drop its heap-resident voltage cache
-        (the materialized voltages are the real RSS cost; they recompute
-        from the slab on the next sense)."""
-        fb = self._blocks.get(block_id)
-        if fb is not None:
-            fb._voltage_cache = None
-            fb._voltage_cache_key = None
-
     def close(self) -> None:
-        """Release the executor's thread pool and the block arena
-        (idempotent).
-
-        Closing deletes the arena file, so callers read final state —
-        :meth:`summary`, RBER probes — before closing;
-        :func:`repro.controller.factory.run_scenario` does this inside
-        its ``try``/``finally``.
-        """
+        """Release the executor's thread pool (idempotent; the backend
+        stays usable, and its next threaded flush starts a new pool)."""
         self.executor.close()
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
     def _escalate(
         self,

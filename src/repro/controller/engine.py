@@ -525,12 +525,13 @@ class SimulationEngine(FtlObserver):
         self.backend.on_reads(mapped, self.now)
 
     def close(self) -> None:
-        """Release backend resources (thread pools, block arenas).
+        """Release backend resources (the flash-chip executor's thread
+        pool).
 
         Delegates to the backend's ``close`` when it has one; safe to
-        call on any backend and idempotent.  Extract results (which
-        flush pending work) *before* closing —
-        :func:`repro.controller.factory.run_scenario` shows the shape.
+        call on any backend and idempotent.
+        :func:`repro.controller.factory.run_scenario` closes in a
+        ``finally``, so a failing scenario leaves no thread behind.
         """
         close = getattr(self.backend, "close", None)
         if close is not None:

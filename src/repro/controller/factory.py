@@ -22,7 +22,7 @@ from repro.controller.engine import SimulationEngine
 from repro.controller.ftl import SsdConfig
 from repro.parallel.results import ScenarioResult
 from repro.testing.faults import maybe_inject
-from repro.workloads.grid import BackendSpec, Scenario
+from repro.workloads.grid import BackendSpec, GeometrySpec, Scenario
 from repro.workloads.trace_cache import scenario_trace
 
 
@@ -41,23 +41,30 @@ def build_backend(spec: BackendSpec, seed: int) -> PhysicsBackend:
         enable_rdr=spec.enable_rdr,
         seed=seed,
         executor=spec.executor,
-        resident_blocks=spec.resident_blocks,
         fault_pattern=spec.fault_pattern,
     )
 
 
-def build_engine(scenario: Scenario) -> SimulationEngine:
-    """Fresh engine for *scenario* (geometry, policy, backend, seeds)."""
-    geometry = scenario.geometry
-    config = SsdConfig(
+def ssd_config(geometry: GeometrySpec) -> SsdConfig:
+    """The :class:`SsdConfig` a grid geometry describes.
+
+    Raises ``ValueError`` for a geometry the FTL cannot run (too few
+    blocks, overprovisioning outside ``(0, 0.5)`` or too small for the
+    GC threshold), so a grid can be checked before any scenario runs.
+    """
+    return SsdConfig(
         blocks=geometry.blocks,
         pages_per_block=geometry.pages_per_block,
         overprovision=geometry.overprovision,
         gc_threshold_blocks=geometry.gc_threshold_blocks,
     )
+
+
+def build_engine(scenario: Scenario) -> SimulationEngine:
+    """Fresh engine for *scenario* (geometry, policy, backend, seeds)."""
     policy = scenario.policy
     return SimulationEngine(
-        config,
+        ssd_config(scenario.geometry),
         refresh_interval_days=policy.refresh_interval_days,
         read_reclaim_threshold=policy.read_reclaim_threshold,
         maintenance_period_days=policy.maintenance_period_days,
@@ -166,6 +173,6 @@ def _run_scenario_inner(scenario: Scenario) -> ScenarioResult:
         stats = engine.run_trace(trace, on_window=on_window)
         return extract_result(scenario, engine, stats, trajectory)
     finally:
-        # Block arenas and thread pools must not outlive the scenario,
-        # success or failure (no arena file left in the temp dir).
+        # The executor's thread pool must not outlive the scenario,
+        # success or failure.
         engine.close()

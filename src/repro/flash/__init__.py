@@ -19,7 +19,6 @@ from repro.flash.state import (
     states_from_bits,
 )
 from repro.flash.geometry import FlashGeometry
-from repro.flash.arena import BlockStore, SlabLayout
 from repro.flash.cell_array import CellArray
 from repro.flash.block import FlashBlock
 from repro.flash.chip import FlashChip
@@ -40,8 +39,6 @@ __all__ = [
     "msb_of_state",
     "states_from_bits",
     "FlashGeometry",
-    "BlockStore",
-    "SlabLayout",
     "CellArray",
     "FlashBlock",
     "FlashChip",

@@ -14,15 +14,6 @@ import numpy as np
 
 from repro.rng import RngFactory
 from repro.units import VPASS_NOMINAL
-from repro.flash.arena import (
-    BlockStore,
-    META_F_SLOTS,
-    META_I_SLOTS,
-    META_PE_CYCLES,
-    META_TOTAL_READS,
-    META_VOLTAGE_EPOCH,
-    METAF_TOTAL_EXPOSURE,
-)
 from repro.flash.cell_array import CellArray
 from repro.flash.errors import page_bits_from_states
 from repro.flash.geometry import FlashGeometry
@@ -73,104 +64,42 @@ class FlashBlock:
         geometry: FlashGeometry,
         rng_factory: RngFactory,
         block_id: int = 0,
-        store: BlockStore | None = None,
     ):
         self.geometry = geometry
         self.block_id = block_id
         self._rng = rng_factory.for_block(block_id).stream("cells")
         self.disturb_model = DEFAULT_READ_DISTURB
-
-        if store is None:
-            # Heap-backed: the two scalar meta arrays mirror the slab
-            # layout so every counter below has one code path.
-            self._meta_i = np.zeros(META_I_SLOTS, dtype=np.int64)
-            self._meta_f = np.zeros(META_F_SLOTS, dtype=np.float64)
-            #: simulation time at which each wordline was last programmed.
-            self.program_time = np.zeros(
-                geometry.wordlines_per_block, dtype=np.float64
-            )
-            #: whether each wordline holds programmed data (vs. erased).
-            self.programmed = np.zeros(geometry.wordlines_per_block, dtype=bool)
-            # Read-disturb accounting: a read targeting wordline w disturbs
-            # all other wordlines, so exposure(w) = total - targeted(w).
-            self._exposure_targeted = np.zeros(
-                geometry.wordlines_per_block, dtype=np.float64
-            )
-            self.reads_targeted = np.zeros(
-                geometry.wordlines_per_block, dtype=np.int64
-            )
-            self.cells = CellArray(geometry, self._rng)
-        else:
-            # Arena-backed: every mutable array is a view into the
-            # block's slab of the file-backed arena.
-            slab = store.slab(block_id)
-            self._meta_i = slab.meta_i
-            self._meta_i[:] = 0
-            self._meta_f = slab.meta_f
-            self._meta_f[:] = 0.0
-            self.program_time = slab.program_time
-            self.program_time[:] = 0.0
-            self.programmed = slab.programmed
-            self.programmed[:] = False
-            self._exposure_targeted = slab.exposure_targeted
-            self._exposure_targeted[:] = 0.0
-            self.reads_targeted = slab.reads_targeted
-            self.reads_targeted[:] = 0
-            self.cells = CellArray(geometry, self._rng, storage=slab)
+        #: Program/erase cycles endured so far.
+        self.pe_cycles = 0
+        #: Total reads absorbed since the last erase.
+        self.total_reads = 0
+        #: simulation time at which each wordline was last programmed.
+        self.program_time = np.zeros(geometry.wordlines_per_block, dtype=np.float64)
+        #: whether each wordline holds programmed data (vs. erased).
+        self.programmed = np.zeros(geometry.wordlines_per_block, dtype=bool)
+        # Read-disturb accounting: a read targeting wordline w disturbs
+        # all other wordlines, so exposure(w) = total - targeted(w).  The
+        # total is a Python float (never np.float64): under NumPy 2 the
+        # two promote differently against float32 arrays.
+        self._total_exposure = 0.0
+        self._exposure_targeted = np.zeros(
+            geometry.wordlines_per_block, dtype=np.float64
+        )
+        self.reads_targeted = np.zeros(geometry.wordlines_per_block, dtype=np.int64)
+        self.cells = CellArray(geometry, self._rng)
 
         # Dirty-epoch voltage cache: `voltage_epoch` counts every mutation
         # that can change a materialized threshold voltage (program, erase,
         # disturb recording).  `block_voltages` caches one full-block
         # materialization per (now, epoch) key, so any number of sensing
-        # operations between mutations shares a single physics pass.  The
-        # cache itself stays on the heap (an out-of-core spill drops it);
-        # the epoch lives in the meta slot with the rest of the state.
+        # operations between mutations shares a single physics pass.
+        self.voltage_epoch = 0
         self._voltage_cache_key: tuple[float, int] | None = None
         self._voltage_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # Scalar meta state (slab slots when arena-backed)
-    # ------------------------------------------------------------------
-
-    @property
-    def pe_cycles(self) -> int:
-        """Program/erase cycles endured so far."""
-        return int(self._meta_i[META_PE_CYCLES])
-
-    @pe_cycles.setter
-    def pe_cycles(self, value: int) -> None:
-        self._meta_i[META_PE_CYCLES] = value
-
-    @property
-    def total_reads(self) -> int:
-        """Total reads absorbed since the last erase."""
-        return int(self._meta_i[META_TOTAL_READS])
-
-    @total_reads.setter
-    def total_reads(self, value: int) -> None:
-        self._meta_i[META_TOTAL_READS] = value
-
-    @property
-    def _total_exposure(self) -> float:
-        return float(self._meta_f[METAF_TOTAL_EXPOSURE])
-
-    @_total_exposure.setter
-    def _total_exposure(self, value: float) -> None:
-        self._meta_f[METAF_TOTAL_EXPOSURE] = value
-
-    # ------------------------------------------------------------------
     # Voltage-cache epoch
     # ------------------------------------------------------------------
-
-    @property
-    def voltage_epoch(self) -> int:
-        """Monotone counter of voltage-affecting mutations.
-
-        Bumped by every program, erase, and disturb-recording operation;
-        :meth:`block_voltages` reuses a materialization only while the
-        epoch (and requested time) are unchanged.
-        """
-        return int(self._meta_i[META_VOLTAGE_EPOCH])
 
     def invalidate_voltage_cache(self) -> None:
         """Bump the epoch after an out-of-band mutation.
@@ -179,7 +108,7 @@ class FlashBlock:
         this only after mutating cell state directly (e.g. swapping
         :attr:`disturb_model` or editing :attr:`cells` arrays in a test).
         """
-        self._meta_i[META_VOLTAGE_EPOCH] += 1
+        self.voltage_epoch += 1
         self._voltage_cache_key = None
         self._voltage_cache = None
 
@@ -279,11 +208,11 @@ class FlashBlock:
         if count < 0:
             raise ValueError("read count cannot be negative")
         weight = float(vpass_exposure_weight(vpass)) * count
-        self._total_exposure += weight
+        self._total_exposure += float(weight)
         self._exposure_targeted[wordline] += weight
-        self.total_reads += count
+        self.total_reads += int(count)
         self.reads_targeted[wordline] += count
-        self._meta_i[META_VOLTAGE_EPOCH] += 1
+        self.voltage_epoch += 1
 
     def record_reads(
         self,
@@ -307,7 +236,7 @@ class FlashBlock:
         np.add.at(self._exposure_targeted, wordlines, weights)
         self.total_reads += int(counts.sum())
         np.add.at(self.reads_targeted, wordlines, counts)
-        self._meta_i[META_VOLTAGE_EPOCH] += 1
+        self.voltage_epoch += 1
 
     def record_retry_sweep(
         self,
@@ -350,9 +279,9 @@ class FlashBlock:
             targeted += weight
         self._total_exposure = total
         self._exposure_targeted[wordline] = targeted
-        self.total_reads += count
+        self.total_reads += int(count)
         self.reads_targeted[wordline] += count
-        self._meta_i[META_VOLTAGE_EPOCH] += 1
+        self.voltage_epoch += 1
 
     def apply_read_disturb(
         self,
@@ -374,10 +303,10 @@ class FlashBlock:
             self.record_read(target_wordline, vpass, reads)
             return
         weight = float(vpass_exposure_weight(vpass)) * reads
-        self._total_exposure += weight
+        self._total_exposure += float(weight)
         self._exposure_targeted += weight / self.geometry.wordlines_per_block
-        self.total_reads += reads
-        self._meta_i[META_VOLTAGE_EPOCH] += 1
+        self.total_reads += int(reads)
+        self.voltage_epoch += 1
         # Integer bookkeeping: spread as evenly as possible, handing the
         # remainder to the lowest wordlines so reads_targeted.sum() always
         # equals total_reads.
@@ -465,7 +394,7 @@ class FlashBlock:
         are published, cache array first, so a mid-publication observer
         can only ever recompute, never sense a half-written buffer.
         """
-        key = (float(now), int(self._meta_i[META_VOLTAGE_EPOCH]))
+        key = (float(now), self.voltage_epoch)
         if self._voltage_cache is None or self._voltage_cache_key != key:
             cache = self._materialize_rows(slice(None), now)
             cache.flags.writeable = False
@@ -475,7 +404,7 @@ class FlashBlock:
 
     def _cached_voltages(self, now: float) -> np.ndarray | None:
         """The cached full-block materialization if warm for *now*."""
-        key = (float(now), int(self._meta_i[META_VOLTAGE_EPOCH]))
+        key = (float(now), self.voltage_epoch)
         if self._voltage_cache is not None and self._voltage_cache_key == key:
             return self._voltage_cache
         return None

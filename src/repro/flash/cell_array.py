@@ -20,52 +20,29 @@ from repro.physics.susceptibility import SusceptibilityModel, DEFAULT_SUSCEPTIBI
 
 
 class CellArray:
-    """Dense per-cell arrays for a block of ``wordlines x bitlines`` cells.
-
-    By default the four arrays live on the heap.  With *storage* — a
-    :class:`~repro.flash.arena.BlockSlab` (or anything exposing
-    ``true_states`` / ``v0`` / ``susceptibility`` / ``leak`` views of
-    the right shape) — they are *views into a block arena* instead:
-    same dtypes, same values, same RNG draw order (susceptibility before
-    leak), so an arena-backed array is bit-identical to a heap one.
-    """
+    """Dense per-cell arrays for a block of ``wordlines x bitlines`` cells."""
 
     def __init__(
         self,
         geometry: FlashGeometry,
         rng: np.random.Generator,
         susceptibility_model: SusceptibilityModel = DEFAULT_SUSCEPTIBILITY,
-        storage=None,
     ):
         self.geometry = geometry
         shape = (geometry.wordlines_per_block, geometry.bitlines_per_block)
-        if storage is None:
-            #: true programmed MLC state of each cell.
-            self.true_states = np.full(shape, int(MlcState.ER), dtype=np.int8)
-            #: programmed threshold voltage of each cell (before retention and
-            #: disturb, which are applied lazily by the block).
-            self.v0 = np.zeros(shape, dtype=np.float32)
-            #: per-cell disturb susceptibility; persists across erases.
-            self.susceptibility = susceptibility_model.sample(
-                rng, geometry.cells_per_block
-            ).reshape(shape).astype(np.float32)
-            #: per-cell retention leak factor (fast/slow leakers); persists too.
-            self.leak = sample_leak_factors(rng, geometry.cells_per_block).reshape(
-                shape
-            ).astype(np.float32)
-        else:
-            self.true_states = storage.true_states
-            self.true_states.fill(int(MlcState.ER))
-            self.v0 = storage.v0
-            self.v0.fill(0.0)
-            self.susceptibility = storage.susceptibility
-            self.susceptibility[...] = susceptibility_model.sample(
-                rng, geometry.cells_per_block
-            ).reshape(shape).astype(np.float32)
-            self.leak = storage.leak
-            self.leak[...] = sample_leak_factors(
-                rng, geometry.cells_per_block
-            ).reshape(shape).astype(np.float32)
+        #: true programmed MLC state of each cell.
+        self.true_states = np.full(shape, int(MlcState.ER), dtype=np.int8)
+        #: programmed threshold voltage of each cell (before retention and
+        #: disturb, which are applied lazily by the block).
+        self.v0 = np.zeros(shape, dtype=np.float32)
+        #: per-cell disturb susceptibility; persists across erases.
+        self.susceptibility = susceptibility_model.sample(
+            rng, geometry.cells_per_block
+        ).reshape(shape).astype(np.float32)
+        #: per-cell retention leak factor (fast/slow leakers); persists too.
+        self.leak = sample_leak_factors(rng, geometry.cells_per_block).reshape(
+            shape
+        ).astype(np.float32)
 
     def sample_voltages(
         self,

@@ -60,6 +60,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.analysis.reporting import format_table
+from repro.controller.factory import ssd_config
 from repro.obs.tracing import DETAIL_LEVELS
 from repro.parallel import SweepRunner
 from repro.units import VPASS_NOMINAL
@@ -146,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     physics.add_argument(
         "--executor-workers", type=int, default=None, metavar="N",
         help="thread count for --executor threaded (default: one per CPU)",
-    )
-    physics.add_argument(
-        "--resident-blocks", type=int, default=None, metavar="N",
-        help="out-of-core: keep block state in a file-backed arena with at "
-        "most N blocks resident (unset: every block on the heap)",
     )
     physics.add_argument(
         "--decoder", choices=("threshold", "rs"), nargs="+",
@@ -324,7 +320,6 @@ def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
                                     initial_pe_cycles=pe_cycles,
                                     vpass=vpass,
                                     executor=executor,
-                                    resident_blocks=args.resident_blocks,
                                     decoder=decoder,
                                     rs_n=rs_n,
                                     rs_k=rs_k,
@@ -341,18 +336,20 @@ def build_grid(args: argparse.Namespace) -> ScenarioGrid:
 
     Multi-valued policy/backend flags expand into full grid axes, so
     ablation grids (reclaim on/off x thresholds, wear levels, Vpass
-    relaxation) run from the shell like they do from Python.
+    relaxation) run from the shell like they do from Python.  The
+    geometry is checked here, so a drive the FTL cannot run fails
+    before any scenario starts.
     """
+    geometry = GeometrySpec(
+        blocks=args.blocks,
+        pages_per_block=args.pages_per_block,
+        overprovision=args.overprovision,
+    )
     try:
+        ssd_config(geometry)
         return suite_grid(
             args.workloads,
-            geometries=(
-                GeometrySpec(
-                    blocks=args.blocks,
-                    pages_per_block=args.pages_per_block,
-                    overprovision=args.overprovision,
-                ),
-            ),
+            geometries=(geometry,),
             policies=build_policies(args),
             backends=build_backends(args),
             seeds=args.seeds,
@@ -364,7 +361,8 @@ def build_grid(args: argparse.Namespace) -> ScenarioGrid:
         # suite_grid already names exactly the unknown workloads.
         raise SystemExit(exc.args[0]) from None
     except ValueError as exc:
-        # e.g. duplicate axis labels from repeated flag values.
+        # e.g. an unrunnable geometry, or duplicate axis labels from
+        # repeated flag values.
         raise SystemExit(str(exc)) from None
 
 
@@ -606,16 +604,21 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--resume needs --campaign DIR")
     if args.shard is not None and args.campaign is None:
         raise SystemExit("--shard needs --campaign DIR (shards merge stores)")
+    if args.progress is not None and args.progress <= 0:
+        raise SystemExit("--progress must be positive seconds")
     grid = build_grid(args)
     if args.campaign is not None:
         report, campaign = run_campaign_cli(args, grid)
         if args.serial_check:
             serial_check(grid, report)
     else:
+        try:
+            runner = SweepRunner(workers=args.workers)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         trace_dir = _resolve_trace_dir(args)
         if trace_dir is not None:
             obs.configure(trace_dir, label="sweep", detail=args.trace_detail)
-        runner = SweepRunner(workers=args.workers)
         print(
             f"sweeping {len(grid)} scenarios across {runner.workers} "
             f"worker{'s' if runner.workers != 1 else ''}...",

@@ -154,10 +154,6 @@ class BackendSpec:
     executor never enters :attr:`label` — and therefore never perturbs
     scenario ids or derived seeds.  Consequently two specs differing only in executor
     are the *same* scenario and cannot share a grid axis.
-    *resident_blocks* (out-of-core block state: at most that many blocks
-    resident in a file-backed arena; see :mod:`repro.flash.arena`) is a
-    storage knob under the same bit-identity contract and stays out of
-    the label too.
     """
 
     kind: str = "counter"
@@ -166,7 +162,6 @@ class BackendSpec:
     vpass: float = VPASS_NOMINAL
     enable_rdr: bool = True
     executor: str = "serial"
-    resident_blocks: int | None = None
     #: ECC engine: "threshold" (capability count) or "rs" (the GF(256)
     #: Reed-Solomon codec; see :mod:`repro.ecc`).  A *physics* knob —
     #: unlike the executor it changes results, so it enters the label.
@@ -214,8 +209,6 @@ class BackendSpec:
 
             parse_fault_spec(self.fault_pattern)
         parse_executor_spec(self.executor)
-        if self.resident_blocks is not None and self.resident_blocks < 1:
-            raise ValueError("resident_blocks must be at least 1")
 
     @property
     def label(self) -> str:

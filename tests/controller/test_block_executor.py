@@ -10,14 +10,11 @@ worn/relaxed-Vpass configuration drives the uncorrectable-page path
 (including the skip of later pages of a failing block's flush), so the
 equivalence covers escalation, not just the happy path.  Writes run the
 one serial path under every executor, so a wordline is programmed when
-its first page is appended.  The same holds for out-of-core runs ("The
-block arena (out-of-core block state)"): spilling blocks to the arena
-file under any executor changes no bit, and the arena file never
-outlives the engine.
+its first page is appended.  A threaded executor's thread pool never
+outlives the engine, even when the run fails.
 """
 
-import os
-import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -276,28 +273,12 @@ def test_executor_is_excluded_from_labels_and_ids():
 
 
 # ----------------------------------------------------------------------
-# Writes and out-of-core runs
+# Writes and executor lifetime
 # ----------------------------------------------------------------------
 
 SMALL = dict(bitlines_per_block=128, seed=7)
 #: a mixed 90%-read day over 200 lpns.
 MIXED = dict(footprint=200, n_ops=3_000, seed=13, read_fraction=0.9, span_days=1.0)
-
-
-def _run_small(executor="serial", resident_blocks=None):
-    """A mixed 90%-read run on 128-bitline blocks; returns the stats,
-    the backend summary and the arena's eviction count (0 on the heap)."""
-    backend = FlashChipBackend(
-        **SMALL, executor=executor, resident_blocks=resident_blocks
-    )
-    engine = SimulationEngine(CONFIG, backend=backend)
-    precondition, trace = _traces(**MIXED)
-    engine.run_trace(precondition)
-    stats = engine.run_trace(trace)
-    summary = backend.summary()
-    evictions = backend._store.evictions if backend._store is not None else 0
-    engine.close()
-    return stats, summary, evictions
 
 
 def test_programs_land_at_append_time():
@@ -344,88 +325,66 @@ def test_scenario_equivalence_with_write_heavy_workload():
     assert run_scenario(scenario("serial")) == run_scenario(scenario("threaded:2"))
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded:2"])
-@pytest.mark.parametrize("resident_blocks", [1, 2])
-def test_out_of_core_run_is_bit_identical_to_heap(resident_blocks, executor):
-    """A tiny residency budget forces chunked execute/merge and constant
-    spilling; neither the spill schedule nor the executor may change a
-    bit."""
-    heap_stats, heap_summary, _ = _run_small("serial")
-    ooc_stats, ooc_summary, evictions = _run_small(executor, resident_blocks)
-    assert evictions > 0, "the budget must actually force spills"
-    assert (ooc_stats, ooc_summary) == (heap_stats, heap_summary)
+def _pool_threads() -> set[threading.Thread]:
+    """The live threads of every block executor's pool."""
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-block-group")
+    }
 
 
-def test_resident_blocks_must_be_positive():
-    with pytest.raises(ValueError, match="at least 1"):
-        FlashChipBackend(resident_blocks=0)
-    with pytest.raises(ValueError, match="at least 1"):
-        BackendSpec(kind="flash_chip", resident_blocks=0)
-
-
-@pytest.fixture
-def arena_dir(tmp_path, monkeypatch):
-    """Route arena files into a private directory and return a lister
-    of the ``repro-arena-*`` files left in it."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    return lambda: sorted(
-        name for name in os.listdir(tmp_path) if name.startswith("repro-arena-")
-    )
-
-
-@pytest.mark.parametrize("executor", ["serial", "threaded:2"])
-def test_no_arena_file_leak_on_normal_engine_run(arena_dir, executor):
-    backend = FlashChipBackend(**SMALL, executor=executor, resident_blocks=2)
+def test_no_pool_thread_leak_on_exception_mid_run():
+    before = _pool_threads()
+    backend = FlashChipBackend(**SMALL, executor="threaded:2")
     engine = SimulationEngine(CONFIG, backend=backend)
     precondition, trace = _traces(**MIXED)
     engine.run_trace(precondition)
-    assert arena_dir(), "the out-of-core engine must back blocks by a file"
-    engine.run_trace(trace)
-    assert backend.summary()["pages_checked"] > 0
-    engine.close()
-    assert arena_dir() == []
-
-
-def test_no_arena_file_leak_on_exception_mid_run(arena_dir):
-    backend = FlashChipBackend(**SMALL, resident_blocks=2)
-    engine = SimulationEngine(CONFIG, backend=backend)
-    precondition, trace = _traces(**MIXED)
-    engine.run_trace(precondition)
-    assert arena_dir(), "the out-of-core engine must back blocks by a file"
+    inner_drain = backend.drain_relocations
+    threads_at_failure = []
 
     def exploding_drain():
+        # Fail only once a multi-block flush has started the pool.
+        if backend.executor._pool is None:
+            return inner_drain()
+        threads_at_failure.append(_pool_threads() - before)
         raise RuntimeError("mid-run failure")
 
     backend.drain_relocations = exploding_drain
     with pytest.raises(RuntimeError, match="mid-run failure"):
         engine.run_trace(trace)
+    assert threads_at_failure[0], "the failing run must have started its pool"
     # The engine surface contract: whoever drives the engine closes it
     # on the way out (run_scenario does this in a finally).
     engine.close()
-    assert arena_dir() == []
+    assert _pool_threads() - before == set()
 
 
-def test_no_arena_file_leak_on_scenario_failure_in_sweep(arena_dir, monkeypatch):
+def test_no_pool_thread_leak_on_scenario_failure_in_sweep(monkeypatch):
+    before = _pool_threads()
     scenarios = ScenarioGrid(
         workloads=(WORKLOAD_SUITE["webmail"],),
         geometries=(GeometrySpec(blocks=12, pages_per_block=16, overprovision=0.25),),
         backends=(
-            BackendSpec(kind="flash_chip", bitlines_per_block=128, resident_blocks=2),
+            BackendSpec(kind="flash_chip", bitlines_per_block=128, executor="threaded:2"),
         ),
         duration_days=0.01,
     ).scenarios()
     runner = SweepRunner(workers=1)
     assert len(runner.run(scenarios).results) == 1
-    assert arena_dir() == []
-    # Fail the same scenario mid-run, while its arena file exists.
-    files_at_failure = []
+    assert _pool_threads() - before == set()
+    # Fail the same scenario mid-run, while its pool is running.
+    inner_drain = FlashChipBackend.drain_relocations
+    threads_at_failure = []
 
     def exploding_drain(self):
-        files_at_failure.append(arena_dir())
+        if self.executor._pool is None:
+            return inner_drain(self)
+        threads_at_failure.append(_pool_threads() - before)
         raise RuntimeError("mid-scenario failure")
 
     monkeypatch.setattr(FlashChipBackend, "drain_relocations", exploding_drain)
     with pytest.raises(ScenarioFailure, match="mid-scenario failure"):
         runner.run(scenarios)
-    assert files_at_failure[0], "the failing scenario must own an arena file"
-    assert arena_dir() == []
+    assert threads_at_failure[0], "the failing scenario must have started its pool"
+    assert _pool_threads() - before == set()

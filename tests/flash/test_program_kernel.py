@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.flash import FlashBlock, FlashGeometry, states_from_bits
-from repro.flash.arena import BlockStore
 from repro.flash.state import STATE_ORDER, MlcState, _STATE_TO_BITS
 from repro.physics.distributions import NormalLaplaceMixture, state_distribution
 from repro.physics.program import program_error_rate
@@ -137,19 +136,10 @@ def _bits(data, shape):
     )
 
 
-@pytest.fixture(params=("heap", "mmap"))
+@pytest.fixture(params=("heap",))
 def block_pair(request):
-    """Two blocks with the same seed and block id, on the heap or in a
-    file-backed arena."""
-    if request.param == "heap":
-        yield FlashBlock(GEOMETRY, RngFactory(5)), FlashBlock(GEOMETRY, RngFactory(5))
-        return
-    stores = [BlockStore(GEOMETRY) for _ in range(2)]
-    try:
-        yield tuple(FlashBlock(GEOMETRY, RngFactory(5), store=store) for store in stores)
-    finally:
-        for store in stores:
-            store.close()
+    """Two blocks with the same seed and block id."""
+    return FlashBlock(GEOMETRY, RngFactory(5)), FlashBlock(GEOMETRY, RngFactory(5))
 
 
 @pytest.mark.parametrize("pe", [0, 1, 8000, 15000])

@@ -7,10 +7,9 @@ run.  Every failure mode here is injected deterministically via
 :mod:`repro.testing.faults` — crash/hang/raise on named scenario ids,
 torn and bit-rotted store records — never by timing luck.
 
-Scenarios use the counter backend throughout: a SIGKILL'd campaign
-parent cannot run finalizers, so kill tests must not involve block
-arena files (``tests/controller/test_block_executor.py`` and
-``tests/flash/test_arena.py`` own arena lifecycle).
+Scenarios use the counter backend throughout: these tests pin the
+store and the scheduler, which see a flash-chip scenario exactly as
+they see a counter one, and a counter scenario runs in milliseconds.
 """
 
 import json

@@ -209,17 +209,44 @@ def test_cli_shard_is_validated_at_parse_time(capsys, spec):
         ["--lease-ttl", "30"],
         ["--lease-batch", "1"],
         ["--worker-name", "wA"],
+        ["--resident-blocks", "4"],
     ],
 )
 def test_cli_rejects_the_deleted_elastic_flags(capsys, tmp_path, argv):
-    """The lease scheduler's flags are gone: argparse rejects them with
-    a usage error before any store is touched."""
+    """The lease scheduler's flags and the out-of-core block budget are
+    gone: argparse rejects them with a usage error before any store is
+    touched."""
     store = tmp_path / "store"
     with pytest.raises(SystemExit) as excinfo:
         main(["--campaign", str(store), *argv])
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--workers", "0"], "at least one worker"),
+        (["--blocks", "2"], "at least 4 blocks"),
+        (["--overprovision", "0.6"], "overprovision must be in"),
+        (["--progress", "0"], "--progress must be positive"),
+        (["--progress", "-1"], "--progress must be positive"),
+    ],
+)
+@pytest.mark.parametrize("campaign", [False, True], ids=["sweep", "campaign"])
+def test_cli_rejects_bad_inputs_before_any_work(tmp_path, argv, message, campaign):
+    """Inputs no scenario could run with exit with a one-line message
+    (no traceback) before any worker starts or a campaign store is
+    bound."""
+    store = tmp_path / "store"
+    extra = ["--campaign", str(store)] if campaign else []
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--days", "0.01", *argv, *extra])
+    assert isinstance(excinfo.value.code, str)
+    assert message in excinfo.value.code
+    assert "\n" not in excinfo.value.code
+    assert not (store / "manifest.json").exists()
 
 
 def test_cli_shards_share_one_store_and_status_counts_both(capsys, tmp_path):

@@ -35,8 +35,6 @@ DOCUMENTED_NAMES = [
     "controller.executor.BlockExecutor.from_spec",
     "controller.executor.BlockExecutor.map",
     "workloads.grid.parse_executor_spec",
-    "flash.arena.BlockStore",
-    "flash.arena.SlabLayout",
     "rng.block_spawn_key",
     "workloads.trace_cache.generated_trace",
     "ecc.decoder.EccDecoder.decode_pages",
