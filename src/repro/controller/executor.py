@@ -38,20 +38,9 @@ from repro.workloads.grid import parse_executor_spec
 
 
 def default_executor_workers() -> int:
-    """Thread count when the caller does not choose: one per usable CPU.
-
-    Honors ``REPRO_EXECUTOR_WORKERS`` (useful to pin CI smokes) and
-    falls back to :func:`os.sched_getaffinity`, else :func:`os.cpu_count`.
-    """
-    env = os.environ.get("REPRO_EXECUTOR_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_EXECUTOR_WORKERS must be an integer worker count, "
-                f"got {env!r}"
-            ) from None
+    """Thread count when the caller does not choose: one per CPU in this
+    process's affinity mask (:func:`os.sched_getaffinity`), else
+    :func:`os.cpu_count`."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)

@@ -142,8 +142,8 @@ def run_scenario(
 def _run_scenario_inner(scenario: Scenario) -> ScenarioResult:
     # The one fault-injection hook of the execution path: a no-op unless
     # a test armed a fault for exactly this scenario id (see
-    # repro.testing.faults) — it is how the campaign layer's crash/hang/
-    # retry recovery is exercised deterministically.
+    # repro.testing.faults) — it is how the campaign layer's crash, hang
+    # and resume recovery is exercised deterministically.
     maybe_inject(scenario.scenario_id)
     trace = scenario_trace(scenario)
     engine = build_engine(scenario)

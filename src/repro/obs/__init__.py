@@ -143,14 +143,16 @@ def rebind(label: str) -> None:
     found one in the env (spawn) and know their logical name — e.g. a
     campaign scenario worker's ``<worker>.<scenario>.a<attempt>``.
     The new tracer starts a fresh file and id sequence, so span ids
-    are stable across runs regardless of pids or scheduling."""
+    are stable across runs regardless of pids or scheduling.  The old
+    tracer's file is closed if this process opened it (the previous
+    scenario of a reused worker), never if it was inherited across
+    fork (:meth:`Tracer.close`)."""
     global _tracer
     if not _tracer.enabled:
         return
     old = _tracer
+    old.close()
     _tracer = Tracer(old.directory, label, detail=old.detail)
-    # Never close the inherited handle: after a fork it is the
-    # parent's fd.  The old tracer object is simply dropped.
 
 
 def reset() -> None:

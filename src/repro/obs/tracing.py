@@ -241,7 +241,9 @@ class Tracer:
         handle.write(line + "\n")
 
     def close(self) -> None:
-        if self._handle is not None:
+        """Close this writer's file if this process opened it.  A handle
+        inherited across fork is left alone: it is the parent's."""
+        if self._handle is not None and self._pid == os.getpid():
             try:
                 self._handle.close()
             except OSError:

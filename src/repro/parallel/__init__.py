@@ -17,11 +17,11 @@ campaign layer adds durability on the same substrate:
 - :class:`ResultStore` — an append-only, crash-safe on-disk store of
   per-scenario results (checksummed records, fsync'd appends, atomic
   manifest) that merges across shards and hosts by construction;
-- :class:`Campaign` — checkpoint/resume over a store, per-scenario
-  failure policy (``fail_fast`` | ``continue`` | ``retry:N`` with
-  exponential backoff), wall-clock timeouts that kill hung workers,
-  hash-sharding (``shard="i/N"``, the one way to split a grid across
-  hosts), and streaming aggregation;
+- :class:`Campaign` — checkpoint/resume over a store, a failure
+  policy (``fail_fast`` | ``continue``; a failed scenario is rerun by
+  resuming, exact by determinism), wall-clock timeouts that kill hung
+  workers, hash-sharding (``shard="i/N"``, the one way to split a grid
+  across hosts), and streaming aggregation;
 - :func:`campaign_status` — live health of any campaign directory.
 
 See ``docs/architecture.md`` ("The sweep subsystem", "Campaigns",
@@ -31,25 +31,18 @@ for the equivalence suite.
 
 from repro.parallel.campaign import (
     Campaign,
-    FailurePolicy,
     StreamingAggregate,
     campaign_status,
     parse_shard,
     run_campaign,
     shard_of,
 )
-from repro.parallel.results import (
-    ScenarioFailure,
-    ScenarioResult,
-    SweepReport,
-    SweepWorkerLost,
-)
+from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
 from repro.parallel.runner import SweepRunner, default_workers, run_sweep
 from repro.parallel.store import ResultStore, grid_fingerprint
 
 __all__ = [
     "Campaign",
-    "FailurePolicy",
     "ResultStore",
     "campaign_status",
     "ScenarioFailure",
@@ -57,7 +50,6 @@ __all__ = [
     "StreamingAggregate",
     "SweepReport",
     "SweepRunner",
-    "SweepWorkerLost",
     "default_workers",
     "grid_fingerprint",
     "parse_shard",

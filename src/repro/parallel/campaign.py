@@ -15,16 +15,17 @@ characterization cross-products:
   at any point (power loss included — appends are fsync'd) and
   rerunning it continues instead of restarting.
 - **Failure isolation.**  Scenarios run in long-lived worker processes
-  (:mod:`repro.parallel.runner`'s pool), one attempt in flight per
-  worker, so a crash (segfault, OOM kill, ``os._exit``) takes down one
-  attempt, not the campaign; a worker that raised, timed out or died is
-  replaced, never reused.  The per-scenario failure policy is
-  ``fail_fast`` (first failure aborts, completed results stay stored),
-  ``continue`` (record and move on), or ``retry:N`` (N retries with
-  exponential backoff, then continue); every failed attempt lands in
-  the store's failure ledger.
+  (:mod:`repro.parallel.runner`'s pool and its one scheduling loop),
+  one scenario in flight per worker, so a crash (segfault, OOM kill,
+  ``os._exit``) takes down one scenario, not the campaign; a worker
+  that raised, timed out or died is replaced, never reused.  The
+  failure policy is ``fail_fast`` (first failure aborts, completed
+  results stay stored) or ``continue`` (record and move on); every
+  failure lands in the store's failure ledger.  Nothing is retried
+  within a run: a scenario is bit-determined by its description, so a
+  failed scenario is rerun with ``--resume``.
 - **Timeouts.**  A per-scenario wall-clock timeout kills hung workers
-  (the only cure for a genuine hang) and feeds the failure policy.
+  (the only cure for a genuine hang) and counts as a failure.
 - **Sharding.**  ``shard="i/N"`` selects the scenarios whose id hashes
   to shard *i* of *N*: the one way to split a grid across hosts.
   Shards write into one shared store directory (each under its own
@@ -39,8 +40,8 @@ characterization cross-products:
 **The determinism contract does the hard part.**  Scenario results are
 bit-determined by the scenario alone (spawn-keyed seeding) and reports
 merge order-free by scenario id — so a campaign that crashed, resumed,
-retried, timed out, and ran as two shards on two hosts *must* produce a
-report bit-identical to one uninterrupted serial
+timed out, and ran as two shards on two hosts *must* produce a report
+bit-identical to one uninterrupted serial
 ``SweepRunner(workers=1).run(grid)``.  The equivalence suite
 (``tests/parallel/test_campaign.py``) pins exactly that, with every
 failure mode injected deterministically via :mod:`repro.testing.faults`.
@@ -51,15 +52,12 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import time
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 
 from repro import obs
 from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
-from repro.parallel.runner import _pool_context, _WorkerPool, default_workers
+from repro.parallel.runner import check_grid, default_workers, run_tasks
 from repro.parallel.store import ResultStore
 from repro.workloads.grid import Scenario, ScenarioGrid
 
@@ -67,9 +65,17 @@ from repro.workloads.grid import Scenario, ScenarioGrid
 # imports repro.parallel.results, so importing it here would be circular
 # at package init).
 
-#: longest the scheduler blocks waiting for a result before it rechecks
-#: timeouts, backoff expiries and the progress interval (seconds).
-POLL_INTERVAL = 0.02
+#: the failure policies: abort at the first failure, or ledger it and
+#: run the rest.
+FAILURE_POLICIES = ("fail_fast", "continue")
+
+#: ledger kind (and attempt-span outcome) of each scheduling-loop outcome.
+_OUTCOMES = {
+    "ok": "ok",
+    "err": "exception",
+    "died": "worker-death",
+    "timeout": "timeout",
+}
 
 
 def _trace_slug(scenario_id: str) -> str:
@@ -104,69 +110,6 @@ def parse_shard(spec: str) -> tuple[int, int]:
             f"bad shard spec {spec!r}; expected 'i/N' with 0 <= i < N"
         )
     return index, total
-
-
-@dataclass(frozen=True)
-class FailurePolicy:
-    """What a campaign does when a scenario attempt fails.
-
-    *kind* is ``"fail_fast"`` (abort the campaign; stored results
-    survive), ``"continue"`` (ledger the failure, move on), or
-    ``"retry"`` (up to *retries* retries with exponential backoff —
-    ``backoff * backoff_factor**(attempt-1)`` seconds after the
-    *attempt*-th failure — then continue).  Every failed attempt is
-    ledgered regardless of kind.
-    """
-
-    kind: str = "fail_fast"
-    retries: int = 0
-    backoff: float = 0.5
-    backoff_factor: float = 2.0
-
-    _KINDS = ("fail_fast", "continue", "retry")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(
-                f"unknown failure policy {self.kind!r}; expected one of "
-                f"{self._KINDS}"
-            )
-        if self.kind == "retry" and self.retries < 1:
-            raise ValueError("retry policy needs at least one retry")
-        if self.backoff < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be >= 0 with factor >= 1")
-
-    @classmethod
-    def parse(
-        cls, text: str, backoff: float = 0.5, backoff_factor: float = 2.0
-    ) -> "FailurePolicy":
-        """Parse the CLI form: ``fail_fast`` | ``continue`` | ``retry:N``."""
-        kind, sep, count = text.partition(":")
-        if kind in ("fail_fast", "continue") and not sep:
-            return cls(kind=kind, backoff=backoff, backoff_factor=backoff_factor)
-        if kind == "retry" and sep:
-            try:
-                retries = int(count)
-            except ValueError:
-                retries = 0
-            return cls(
-                kind="retry",
-                retries=retries,
-                backoff=backoff,
-                backoff_factor=backoff_factor,
-            )
-        raise ValueError(
-            f"bad failure policy {text!r}; expected 'fail_fast', "
-            f"'continue', or 'retry:N'"
-        )
-
-    def retry_allowed(self, attempt: int) -> bool:
-        """May a scenario whose *attempt*-th try just failed run again?"""
-        return self.kind == "retry" and attempt <= self.retries
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before the retry that follows failed attempt *attempt*."""
-        return self.backoff * self.backoff_factor ** (attempt - 1)
 
 
 class StreamingAggregate:
@@ -261,31 +204,6 @@ def _campaign_worker(
     return run_scenario(scenario, span_parent=span_parent)
 
 
-@dataclass
-class _Attempt:
-    """One queued execution attempt of one scenario."""
-
-    scenario: Scenario
-    attempt: int = 1
-    #: monotonic time before which this attempt must not launch (backoff).
-    not_before: float = 0.0
-
-
-@dataclass
-class _Running:
-    """One in-flight attempt: its worker's pipe end and kill deadline."""
-
-    entry: _Attempt
-    conn: object
-    deadline: float | None
-    #: monotonic launch time — failure-ledger durations derive from it.
-    started: float = 0.0
-    #: the scheduler's detached per-attempt span (None when not tracing);
-    #: begun at launch so a SIGKILL'd worker still has an attempt span,
-    #: ended at reap with the outcome attribute.
-    span: object = None
-
-
 class Campaign:
     """A resumable, fault-tolerant run of one scenario grid over a store.
 
@@ -293,23 +211,27 @@ class Campaign:
     ----------
     grid:
         A :class:`~repro.workloads.grid.ScenarioGrid` or iterable of
-        scenarios (unique ids).  The *full* grid, even when sharding —
-        the shard filter is applied internally so every shard binds the
-        store to the same grid fingerprint.
+        scenarios, checked by :func:`~repro.parallel.runner.check_grid`
+        (unique ids, runnable geometries) before any store is touched.
+        The *full* grid, even when sharding — the shard filter is
+        applied internally so every shard binds the store to the same
+        grid fingerprint.
     store:
         A :class:`~repro.parallel.store.ResultStore` or a directory
         path.  Scenarios already in the store are skipped (resume).
     workers:
         Maximum in-flight scenarios, one per long-lived worker process
         (default :func:`~repro.parallel.runner.default_workers`).
-        Every attempt runs in a worker regardless — ``workers`` bounds
+        Every scenario runs in a worker regardless — ``workers`` bounds
         concurrency, it does not choose an execution mode — so
         crash/timeout isolation is uniform from 1 worker up.
     on_failure:
-        A :class:`FailurePolicy` or its CLI string form
-        (``fail_fast`` | ``continue`` | ``retry:N``).
+        ``"fail_fast"`` (abort at the first failure; stored results
+        survive) or ``"continue"`` (ledger it and run the rest).  A
+        failed scenario is not retried within the run; a later run over
+        the same store (``--resume``) runs it again.
     timeout:
-        Per-scenario wall-clock seconds before the attempt's worker is
+        Per-scenario wall-clock seconds before the scenario's worker is
         killed (``None`` = never).
     shard:
         ``"i/N"`` (or an ``(i, N)`` tuple) to run only the scenarios
@@ -317,8 +239,8 @@ class Campaign:
         writer name, ``shard<i>of<N>``, keeps its records apart from
         other shards sharing the store directory.
     progress_interval:
-        Emit the *progress* callback at least every this-many seconds
-        (instead of after every landed result).
+        Emit the *progress* callback every this-many seconds, whether
+        or not a result landed (instead of after every landed result).
 
     :meth:`run` returns the merged :class:`SweepReport` of everything
     the store now holds for this grid — bit-identical to one serial
@@ -331,26 +253,21 @@ class Campaign:
         store: ResultStore | str,
         *,
         workers: int | None = None,
-        on_failure: FailurePolicy | str = "fail_fast",
+        on_failure: str = "fail_fast",
         timeout: float | None = None,
         shard: str | tuple[int, int] | None = None,
         progress_interval: float | None = None,
     ):
-        self.scenarios = list(grid)
-        ids = [s.scenario_id for s in self.scenarios]
-        duplicates = sorted(i for i, n in Counter(ids).items() if n > 1)
-        if duplicates:
-            raise ValueError(
-                f"scenario ids must be unique; duplicated: {duplicates}"
-            )
+        self.scenarios = check_grid(grid)
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        self.policy = (
-            FailurePolicy.parse(on_failure)
-            if isinstance(on_failure, str)
-            else on_failure
-        )
+        if on_failure not in FAILURE_POLICIES:
+            raise ValueError(
+                f"unknown failure policy {on_failure!r}; expected one of "
+                f"{FAILURE_POLICIES}"
+            )
+        self.on_failure = on_failure
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive seconds (or None)")
         self.timeout = timeout
@@ -377,15 +294,9 @@ class Campaign:
         )
         #: scenarios this run skipped because the store already held them.
         self.resumed = 0
-        #: permanent failures of this run (policy said stop retrying).
-        self.failed: list[dict] = []
-        #: every failed attempt of this run (mirror of the store ledger).
+        #: every failure of this run (mirror of the store ledger).
         self.ledger: list[dict] = []
         self.aggregate = StreamingAggregate()
-        self._last_progress = 0.0
-        # Telemetry: the campaign.run root span's id (attempt spans and
-        # worker scenario spans hang off it); None when not tracing.
-        self._root_span_id: str | None = None
 
     # ------------------------------------------------------------------
     # Shard / scope helpers
@@ -410,10 +321,12 @@ class Campaign:
         """Run (or resume) the campaign and return the merged report.
 
         *progress*, when given, is called with
-        ``self.aggregate.snapshot()`` after every landed result.  The
-        report covers every grid scenario the store holds once this
-        run's scenarios finish — under a shard spec that includes any
-        other shards' results already merged into the store.
+        ``self.aggregate.snapshot()`` after every landed result (every
+        *progress_interval* seconds, if set), before the next scenario
+        launches.  The report covers every grid scenario the store holds
+        once this run's scenarios finish — under a shard spec that
+        includes any other shards' results already merged into the
+        store.
         """
         self.store.bind(self.scenarios)
         mine = self._mine()
@@ -433,11 +346,75 @@ class Campaign:
                 scenarios=len(self.scenarios),
                 resumed=self.resumed,
             )
-            self._root_span_id = root_span.id
+        # Open attempt spans by scenario id: begun when the loop pulls the
+        # scenario to launch it (so a SIGKILL'd worker still has one) and
+        # ended with its outcome.
+        spans = {}
+
+        def tasks():
+            for scenario in to_run:
+                trace_label = span_id = None
+                if root_span is not None:
+                    # Deterministic worker identity, stable across runs; a
+                    # rerun's writer takes <label>-r<k> (see obs.Tracer).
+                    trace_label = (
+                        f"{self.writer}.{_trace_slug(scenario.scenario_id)}.a1"
+                    )
+                    # Detached: concurrent attempts overlap arbitrarily,
+                    # so none sits on the scheduler thread's span stack.
+                    span = spans[scenario.scenario_id] = tracer.begin(
+                        "campaign.attempt",
+                        parent=root_span.id,
+                        detached=True,
+                        scenario=scenario.scenario_id,
+                        attempt=1,
+                    )
+                    span_id = span.id
+                yield (
+                    scenario.scenario_id,
+                    _campaign_worker,
+                    (scenario, trace_label, span_id),
+                )
+
+        def land(scenario_id: str, kind: str, payload, seconds: float) -> None:
+            outcome = _OUTCOMES[kind]
+            if scenario_id in spans:
+                tracer.end(spans.pop(scenario_id), outcome=outcome)
+            if kind == "ok":
+                self.store.append(payload)
+                self.aggregate.observe(payload)
+                if progress is not None and self.progress_interval is None:
+                    progress(self.aggregate.snapshot())
+                return
+            # A run makes one attempt per scenario: a rerun is a new run.
+            self.ledger.append(
+                self.store.record_failure(
+                    scenario_id, 1, outcome, payload, duration=seconds
+                )
+            )
+            self.aggregate.observe_failure()
+            if self.on_failure == "fail_fast":
+                raise ScenarioFailure(scenario_id, f"[{outcome}] {payload}")
+
+        tick = None
+        if progress is not None and self.progress_interval is not None:
+            def tick():
+                progress(self.aggregate.snapshot())
+
         try:
-            with _WorkerPool(_pool_context()) as pool:
-                self._execute(to_run, pool, progress)
+            run_tasks(
+                tasks(),
+                self.workers,
+                land,
+                timeout=self.timeout,
+                on_tick=tick,
+                tick_seconds=self.progress_interval,
+            )
         except BaseException as exc:
+            # fail_fast, a store error, or KeyboardInterrupt: the pool
+            # has killed every worker on the way out.
+            for span in spans.values():
+                tracer.end(span, outcome="aborted")
             if root_span is not None:
                 tracer.end(root_span, error=type(exc).__name__)
                 root_span = None
@@ -446,7 +423,6 @@ class Campaign:
             self.store.close()
             if root_span is not None:
                 tracer.end(root_span, completed=self.aggregate.completed)
-            self._root_span_id = None
         return self.report()
 
     def report(self) -> SweepReport:
@@ -460,176 +436,6 @@ class Campaign:
             )
         )
         return SweepReport(results=ordered, workers=self.workers)
-
-    def _execute(self, scenarios, pool, progress) -> None:
-        """The scheduling loop: launch, multiplex, time out, retry."""
-        queue = [_Attempt(scenario) for scenario in scenarios]
-        inflight: dict[str, _Running] = {}
-        try:
-            while queue or inflight:
-                now = time.monotonic()
-                # Launch every ready attempt the worker budget allows.
-                for entry in list(queue):
-                    if len(inflight) >= self.workers:
-                        break
-                    if entry.not_before > now:
-                        continue
-                    queue.remove(entry)
-                    inflight[entry.scenario.scenario_id] = self._launch(
-                        entry, pool
-                    )
-                self._poll(queue, inflight, pool, progress)
-        except BaseException:
-            # fail_fast, a store error, or KeyboardInterrupt: the pool
-            # kills every worker on the way out.
-            for running in inflight.values():
-                self._end_attempt_span(running, "aborted")
-            raise
-
-    def _launch(self, entry: _Attempt, pool) -> _Running:
-        tracer = obs.tracer()
-        trace_label = None
-        span = None
-        if tracer.enabled:
-            # Deterministic worker identity: stable across runs, unique
-            # across this campaign's attempts (the attempt number
-            # disambiguates retries of one scenario).
-            trace_label = (
-                f"{self.writer}."
-                f"{_trace_slug(entry.scenario.scenario_id)}.a{entry.attempt}"
-            )
-            # Detached: concurrent attempts overlap arbitrarily, and the
-            # span must outlive this call (ended at reap in _poll) — so
-            # it never sits on the scheduler thread's span stack.
-            span = tracer.begin(
-                "campaign.attempt",
-                parent=self._root_span_id,
-                detached=True,
-                scenario=entry.scenario.scenario_id,
-                attempt=entry.attempt,
-            )
-        conn = pool.submit(
-            _campaign_worker,
-            entry.scenario,
-            trace_label,
-            span.id if span is not None else None,
-        )
-        started = time.monotonic()
-        deadline = (
-            started + self.timeout if self.timeout is not None else None
-        )
-        return _Running(entry, conn, deadline, started, span)
-
-    def _end_attempt_span(self, running: _Running, outcome: str) -> None:
-        """Close one attempt's detached span with its outcome."""
-        if running.span is not None:
-            obs.tracer().end(running.span, outcome=outcome)
-            running.span = None
-
-    def _poll(self, queue, inflight, pool, progress) -> None:
-        """Wait for one scheduling event: a result, a death, a timeout,
-        or a backoff expiry."""
-        now = time.monotonic()
-        wait_until = now + POLL_INTERVAL
-        for running in inflight.values():
-            if running.deadline is not None:
-                wait_until = min(wait_until, running.deadline)
-        for entry in queue:
-            if entry.not_before > now:
-                wait_until = min(wait_until, entry.not_before)
-        timeout = max(0.0, wait_until - now)
-        conns = [running.conn for running in inflight.values()]
-        if conns:
-            ready = _connection_wait(conns, timeout)
-        else:
-            time.sleep(timeout)
-            ready = []
-        by_conn = {running.conn: running for running in inflight.values()}
-        for conn in ready:
-            running = by_conn[conn]
-            del inflight[running.entry.scenario.scenario_id]
-            kind, payload = pool.recv(conn)
-            if kind == "died":
-                self._end_attempt_span(running, "worker-death")
-                self._attempt_failed(
-                    queue,
-                    running.entry,
-                    kind="worker-death",
-                    detail=(
-                        f"worker process died with exit code {payload} "
-                        f"before reporting a result (crash, os._exit, or "
-                        f"kill)"
-                    ),
-                    duration=time.monotonic() - running.started,
-                )
-            elif kind == "ok":
-                self._end_attempt_span(running, "ok")
-                self.store.append(payload)
-                self.aggregate.observe(payload)
-                if progress is not None and self.progress_interval is None:
-                    progress(self.aggregate.snapshot())
-            else:
-                self._end_attempt_span(running, "exception")
-                self._attempt_failed(
-                    queue,
-                    running.entry,
-                    kind="exception",
-                    detail=payload,
-                    duration=time.monotonic() - running.started,
-                )
-        # Hung workers: past-deadline attempts are killed and fed to the
-        # failure policy exactly like a crash.
-        now = time.monotonic()
-        for scenario_id, running in list(inflight.items()):
-            if running.deadline is None or now < running.deadline:
-                continue
-            pool.kill(running.conn)
-            del inflight[scenario_id]
-            self._end_attempt_span(running, "timeout")
-            self._attempt_failed(
-                queue,
-                running.entry,
-                kind="timeout",
-                detail=(
-                    f"scenario exceeded the {self.timeout:g}s wall-clock "
-                    f"timeout; worker killed"
-                ),
-                duration=now - running.started,
-            )
-        if progress is not None and self.progress_interval is not None:
-            now = time.monotonic()
-            if now - self._last_progress >= self.progress_interval:
-                self._last_progress = now
-                progress(self.aggregate.snapshot())
-
-    def _attempt_failed(
-        self,
-        queue,
-        entry: _Attempt,
-        kind: str,
-        detail: str,
-        duration: float | None = None,
-    ):
-        """Ledger one failed attempt and apply the failure policy."""
-        scenario_id = entry.scenario.scenario_id
-        record = self.store.record_failure(
-            scenario_id, entry.attempt, kind, detail, duration=duration
-        )
-        self.ledger.append(record)
-        self.aggregate.observe_failure()
-        if self.policy.kind == "fail_fast":
-            raise ScenarioFailure(scenario_id, f"[{kind}] {detail}")
-        if self.policy.retry_allowed(entry.attempt):
-            queue.append(
-                _Attempt(
-                    scenario=entry.scenario,
-                    attempt=entry.attempt + 1,
-                    not_before=time.monotonic()
-                    + self.policy.delay(entry.attempt),
-                )
-            )
-            return
-        self.failed.append(record)
 
 
 def run_campaign(

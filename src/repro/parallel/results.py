@@ -62,12 +62,15 @@ class ScenarioResult:
 
 
 class ScenarioFailure(RuntimeError):
-    """A scenario raised in its worker; carries the scenario id.
+    """A scenario raised, or its worker died; carries the scenario id.
 
-    The runner re-raises this in the parent process, so a failing sweep
+    The runner raises this in the parent process, so a failing sweep
     always names the scenario that broke (not just a worker traceback).
-    The explicit :meth:`__reduce__` keeps the exception picklable — it
-    crosses the worker/parent process boundary as a value.
+    A worker that died without reporting (SIGKILL, OOM kill,
+    ``os._exit``) ran one scenario at a time, so the failure names
+    exactly the scenario in flight on it.  The explicit
+    :meth:`__reduce__` keeps the exception picklable — it crosses the
+    worker/parent process boundary as a value.
     """
 
     def __init__(self, scenario_id: str, detail: str):
@@ -77,32 +80,6 @@ class ScenarioFailure(RuntimeError):
 
     def __reduce__(self):
         return (type(self), (self.scenario_id, self.detail))
-
-
-class SweepWorkerLost(ScenarioFailure):
-    """A sweep worker process died without reporting (SIGKILL, OOM, …).
-
-    Unlike an exception *inside* a scenario — which the worker catches
-    and ships back as a :class:`ScenarioFailure` — a killed worker can
-    report nothing.  Each worker runs one scenario at a time, so the
-    runner knows which one was in flight on the dead process, and
-    ``scenario_ids`` names exactly that one; ``scenario_id`` is the
-    first, for code that only knows the base class.
-    """
-
-    def __init__(self, scenario_ids, detail: str):
-        ids = tuple(scenario_ids)
-        RuntimeError.__init__(
-            self,
-            f"a sweep worker process died without reporting ({detail}); "
-            f"in flight: {', '.join(ids)}",
-        )
-        self.scenario_id = ids[0] if ids else "<unknown>"
-        self.scenario_ids = ids
-        self.detail = detail
-
-    def __reduce__(self):
-        return (type(self), (self.scenario_ids, self.detail))
 
 
 @dataclass(frozen=True)

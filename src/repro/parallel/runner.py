@@ -24,9 +24,10 @@ Design rules that make ``workers=N`` bit-identical to serial execution:
 ``workers=1`` runs in-process with no pool and no pickling — the serial
 reference the equivalence suite compares against.
 
-**One worker pool.**  Every parallel scenario run, :meth:`SweepRunner.map`
-here and :class:`~repro.parallel.campaign.Campaign` alike, goes through
-one private pool of long-lived workers (:class:`_WorkerPool`) that lives
+**One worker pool, one loop.**  Every parallel scenario run,
+:meth:`SweepRunner.map` here and :class:`~repro.parallel.campaign.Campaign`
+alike, goes through :func:`run_tasks`: one scheduling loop over one
+private pool of long-lived workers (:class:`_WorkerPool`) that lives
 for one call.  Each worker runs tasks one at a time until one raises,
 times out or dies; it is then reaped and replaced, never reused.  A
 forked worker first closes every parent-side pipe end it inherited, so
@@ -36,8 +37,10 @@ lifecycle") states the whole contract.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
+import time
 import traceback
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
@@ -46,37 +49,46 @@ from itertools import islice
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any
 
-from repro.parallel.results import (
-    ScenarioFailure,
-    ScenarioResult,
-    SweepReport,
-    SweepWorkerLost,
-)
+from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
 from repro.workloads.grid import Scenario, ScenarioGrid
 
-# repro.controller.factory is imported lazily inside SweepRunner.run: the
-# factory itself imports repro.parallel.results (the records it returns),
-# so a module-level import here would be circular at package init.
+# repro.controller.factory is imported lazily inside check_grid and
+# SweepRunner.run: the factory itself imports repro.parallel.results (the
+# records it returns), so a module-level import here would be circular
+# at package init.
 
 
 def default_workers() -> int:
-    """Worker count when the caller does not choose: one per usable CPU.
-
-    Honors ``REPRO_SWEEP_WORKERS`` (useful to pin CI smokes) and falls
-    back to :func:`os.sched_getaffinity`, else :func:`os.cpu_count`.
-    """
-    env = os.environ.get("REPRO_SWEEP_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SWEEP_WORKERS must be an integer worker count, "
-                f"got {env!r}"
-            ) from None
+    """Worker count when the caller does not choose: one per CPU in this
+    process's affinity mask (:func:`os.sched_getaffinity`), else
+    :func:`os.cpu_count`."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
+
+
+def check_grid(grid: ScenarioGrid | Iterable[Scenario]) -> list[Scenario]:
+    """The scenarios of *grid*, checked before any of them runs.
+
+    The front door of :meth:`SweepRunner.run` and
+    :class:`~repro.parallel.campaign.Campaign`: raises ``ValueError``
+    for duplicate scenario ids, or for a geometry the FTL cannot run
+    (one :func:`repro.controller.factory.ssd_config` rejects), before
+    any worker starts or any store is bound.
+    """
+    from repro.controller.factory import ssd_config
+
+    scenarios = list(grid)
+    ids = Counter(s.scenario_id for s in scenarios)
+    duplicates = sorted(scenario_id for scenario_id, n in ids.items() if n > 1)
+    if duplicates:
+        raise ValueError(f"scenario ids must be unique; duplicated: {duplicates}")
+    for geometry in dict.fromkeys(s.geometry for s in scenarios):
+        try:
+            ssd_config(geometry)
+        except ValueError as exc:
+            raise ValueError(f"geometry {geometry.label}: {exc}") from None
+    return scenarios
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -116,7 +128,7 @@ class _WorkerPool:
     """Long-lived workers for one call, each known by the parent's end
     of its duplex pipe.  :meth:`submit` returns that end; once it is
     ready, :meth:`recv` gives ``("ok", result)`` (the worker idles
-    again), ``("err", traceback)`` or ``("died", exitcode)`` (it is
+    again), ``("err", traceback)`` or ``("died", detail)`` (it is
     reaped).  Leaving the ``with`` block normally stops idle workers;
     an exception kills every worker.
     """
@@ -156,7 +168,12 @@ class _WorkerPool:
             self._idle.append(conn)
             return kind, payload
         exitcode = self._reap(conn)  # an "err" worker exits by itself
-        return kind, exitcode if kind == "died" else payload
+        if kind == "died":
+            payload = (
+                f"worker process died with exit code {exitcode} before "
+                f"reporting a result (crash, os._exit, or kill)"
+            )
+        return kind, payload
 
     def kill(self, conn) -> None:
         """Kill a busy worker (its task timed out) and reap it."""
@@ -182,6 +199,70 @@ class _WorkerPool:
         for conn in list(self._processes):
             self._reap(conn)
         self._idle.clear()
+
+
+def run_tasks(
+    tasks: Iterable[tuple[Any, Callable, tuple]],
+    workers: int,
+    on_outcome: Callable[[Any, str, Any, float], None],
+    *,
+    timeout: float | None = None,
+    on_tick: Callable[[], None] | None = None,
+    tick_seconds: float | None = None,
+) -> None:
+    """The worker pool's one scheduling loop.
+
+    Keeps up to *workers* ``(key, fn, args)`` tasks in flight, one per
+    worker of a private :class:`_WorkerPool` that lives for this call,
+    pulling each task from *tasks* only when a worker is free for it.
+    Every finished task is handed to
+    ``on_outcome(key, kind, payload, seconds)`` before the next task
+    launches, *seconds* being its monotonic run time:
+
+    - ``"ok"``: *payload* is ``fn(*args)``;
+    - ``"err"``: *payload* is the traceback text of what ``fn`` raised;
+    - ``"died"``: the worker exited without reporting (SIGKILL, OOM
+      kill, ``os._exit``); *payload* names its exit code;
+    - ``"timeout"``: the task ran *timeout* seconds and its worker was
+      killed.
+
+    ``on_tick()`` fires at the start and then every *tick_seconds*,
+    whether or not anything lands.  An exception from a callback ends
+    the loop and kills every worker.
+    """
+    tasks = iter(tasks)
+    inflight: dict[Any, tuple[Any, float]] = {}  # conn -> (key, started)
+    next_tick = time.monotonic() if on_tick is not None else math.inf
+    with _WorkerPool(_pool_context()) as pool:
+        while True:
+            for key, fn, args in islice(tasks, workers - len(inflight)):
+                inflight[pool.submit(fn, *args)] = (key, time.monotonic())
+            if not inflight:
+                return
+            wake = next_tick
+            if timeout is not None:
+                oldest = min(started for _, started in inflight.values())
+                wake = min(wake, oldest + timeout)
+            wait = None if wake == math.inf else max(0.0, wake - time.monotonic())
+            for conn in _connection_wait(list(inflight), wait):
+                key, started = inflight.pop(conn)
+                kind, payload = pool.recv(conn)
+                on_outcome(key, kind, payload, time.monotonic() - started)
+            now = time.monotonic()
+            if timeout is not None:
+                for conn, (key, started) in list(inflight.items()):
+                    if now - started < timeout:
+                        continue
+                    del inflight[conn]
+                    pool.kill(conn)
+                    detail = (
+                        f"exceeded the {timeout:g}s wall-clock timeout; "
+                        f"worker killed"
+                    )
+                    on_outcome(key, "timeout", detail, now - started)
+            if now >= next_tick:
+                on_tick()
+                next_tick = now + tick_seconds
 
 
 class SweepRunner:
@@ -228,11 +309,12 @@ class SweepRunner:
         with several failing items, *which* one is reported may vary
         with scheduling).
 
-        In parallel the items run on the module's worker pool, one item
+        In parallel the items run through :func:`run_tasks`, one item
         in flight per worker, so a worker that *dies* without reporting
         — SIGKILL, OOM kill, ``os._exit`` — raises
-        :class:`SweepWorkerLost` naming exactly the label that was in
-        flight on it.
+        :class:`ScenarioFailure` naming exactly the label that was in
+        flight on it, with the detail a campaign ledgers for a
+        ``worker-death``.
         """
         items = list(items)
         if labels is None:
@@ -254,25 +336,14 @@ class SweepRunner:
                     ).strip()
                     raise ScenarioFailure(labels[index], detail) from exc
             return outputs
-        todo = iter(range(len(items)))
-        with _WorkerPool(_pool_context()) as pool:
-            inflight = {
-                pool.submit(fn, items[index]): index
-                for index in islice(todo, self.workers)
-            }
-            while inflight:
-                for conn in _connection_wait(list(inflight)):
-                    index = inflight.pop(conn)
-                    kind, payload = pool.recv(conn)
-                    if kind == "err":
-                        raise ScenarioFailure(labels[index], payload)
-                    if kind == "died":
-                        raise SweepWorkerLost(
-                            (labels[index],), f"exit code {payload}"
-                        )
-                    outputs[index] = payload
-                    for index in islice(todo, 1):  # the next, if any
-                        inflight[pool.submit(fn, items[index])] = index
+
+        def land(index: int, kind: str, payload: Any, seconds: float) -> None:
+            if kind != "ok":
+                raise ScenarioFailure(labels[index], payload)
+            outputs[index] = payload
+
+        tasks = ((index, fn, (item,)) for index, item in enumerate(items))
+        run_tasks(tasks, self.workers, land)
         return outputs
 
     # ------------------------------------------------------------------
@@ -285,23 +356,17 @@ class SweepRunner:
         """Execute every scenario of *grid* and merge the results.
 
         *grid* may be a :class:`~repro.workloads.grid.ScenarioGrid` or
-        any iterable of scenarios (ids must be unique).  The returned
-        report is sorted by scenario id: the same grid yields the same
-        report for any worker count and any scenario order.  Each
-        worker generates the traces of the scenarios it runs.
+        any iterable of scenarios; :func:`check_grid` rejects duplicate
+        ids and unrunnable geometries before anything runs.  The
+        returned report is sorted by scenario id: the same grid yields
+        the same report for any worker count and any scenario order.
+        Each worker generates the traces of the scenarios it runs.
         """
         from repro import obs
         from repro.controller.factory import run_scenario
 
-        scenarios = list(grid)
+        scenarios = check_grid(grid)
         ids = [s.scenario_id for s in scenarios]
-        duplicates = sorted(
-            scenario_id for scenario_id, n in Counter(ids).items() if n > 1
-        )
-        if duplicates:
-            raise ValueError(
-                f"scenario ids must be unique; duplicated: {duplicates}"
-            )
         with obs.tracer().span(
             "sweep.run", scenarios=len(scenarios), workers=self.workers
         ):

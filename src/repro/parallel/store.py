@@ -30,17 +30,17 @@ parents, killed workers, torn writes, bit flips — and merges back into a
 ``failures/<writer>.jsonl``
     The failure ledger: one record per failed *attempt* (scenario id,
     attempt number, failure kind, detail, wall-clock timestamp, and the
-    attempt's monotonic-clock duration — so retry/backoff analysis
-    survives a stepped wall clock), appended by the campaign's failure
-    policy.  Purely diagnostic — never merged into reports.
+    attempt's monotonic-clock duration, which a stepped wall clock
+    cannot distort), appended by the campaign as failures happen.
+    Purely diagnostic — never merged into reports.
 
 **Order-free merge by construction.**  Results are keyed by scenario
 id; :meth:`load` reads every record file in sorted-name order and
 keeps the first valid record per id.  Scenario results are
 deterministic in the scenario (the sweep substrate's contract), so
-duplicate ids across files — a retried scenario, two overlapping
-shards, an ingested copy, a shard rerun after its host died — must
-agree, and :meth:`load` verifies they do.  Merging two hosts' stores
+duplicate ids across files — two overlapping shards, an ingested copy,
+a shard rerun after its host died — must agree, and :meth:`load`
+verifies they do.  Merging two hosts' stores
 is therefore just copying record files into one store (:meth:`ingest`);
 no ordering, locking, or coordination exists to get wrong.
 """
@@ -279,9 +279,9 @@ class ResultStore:
 
         The entry carries both a wall-clock timestamp (``wall_time``,
         for humans and cross-host ordering) and the attempt's elapsed
-        **monotonic**-clock seconds (``duration_seconds``), so
-        retry/backoff analysis stays truthful across NTP steps and
-        clock skew — the wall clock may jump, a monotonic duration
+        **monotonic**-clock seconds (``duration_seconds``), so how long
+        a scenario ran before it failed stays truthful across NTP steps
+        and clock skew — the wall clock may jump, a monotonic duration
         cannot.  Returns the entry as written (the campaign mirrors it
         into its in-memory ledger).
         """

@@ -27,9 +27,10 @@ Examples::
         --executor threaded --trajectory --json sweep.json
 
     # A resumable campaign: results persist as they land, a rerun of
-    # the same command continues where the previous run stopped
+    # the same command continues where the previous run stopped (and
+    # runs again any scenario that failed)
     python -m repro.sweep --workloads web_0 prxy_0 --seeds 8 \\
-        --campaign runs/night1 --resume --on-failure retry:2 --timeout 600
+        --campaign runs/night1 --resume --on-failure continue --timeout 600
 
     # One shard of a two-host campaign (host 2 runs --shard 1/2);
     # merge the stores afterwards with ResultStore.ingest
@@ -60,9 +61,9 @@ from pathlib import Path
 
 from repro import obs
 from repro.analysis.reporting import format_table
-from repro.controller.factory import ssd_config
 from repro.obs.tracing import DETAIL_LEVELS
 from repro.parallel import SweepRunner
+from repro.parallel.campaign import FAILURE_POLICIES
 from repro.units import VPASS_NOMINAL
 from repro.workloads.grid import BackendSpec, GeometrySpec, PolicySpec, ScenarioGrid
 from repro.workloads.suites import WORKLOAD_SUITE, suite_grid, workload_names
@@ -184,14 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
         "without this flag an already-initialized store is an error",
     )
     campaign.add_argument(
-        "--on-failure", default="fail_fast", metavar="POLICY",
-        help="per-scenario failure policy: fail_fast, continue, or retry:N "
-        "(N retries with exponential backoff, then continue)",
+        "--on-failure", choices=FAILURE_POLICIES, default="fail_fast",
+        help="fail_fast aborts at the first failed scenario; continue "
+        "ledgers it and runs the rest.  Nothing is retried within a run: "
+        "--resume runs a failed scenario again",
     )
     campaign.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-scenario wall-clock timeout; a hung worker is killed and "
-        "fed to the failure policy",
+        "the scenario counts as failed",
     )
     campaign.add_argument(
         "--shard", default=None, metavar="i/N", type=_shard_argument,
@@ -336,9 +338,10 @@ def build_grid(args: argparse.Namespace) -> ScenarioGrid:
 
     Multi-valued policy/backend flags expand into full grid axes, so
     ablation grids (reclaim on/off x thresholds, wear levels, Vpass
-    relaxation) run from the shell like they do from Python.  The
-    geometry is checked here, so a drive the FTL cannot run fails
-    before any scenario starts.
+    relaxation) run from the shell like they do from Python.  A
+    geometry the FTL cannot run is rejected by the runner's and the
+    campaign's front door (:func:`repro.parallel.runner.check_grid`),
+    before any worker starts or any store is bound.
     """
     geometry = GeometrySpec(
         blocks=args.blocks,
@@ -346,7 +349,6 @@ def build_grid(args: argparse.Namespace) -> ScenarioGrid:
         overprovision=args.overprovision,
     )
     try:
-        ssd_config(geometry)
         return suite_grid(
             args.workloads,
             geometries=(geometry,),
@@ -361,8 +363,7 @@ def build_grid(args: argparse.Namespace) -> ScenarioGrid:
         # suite_grid already names exactly the unknown workloads.
         raise SystemExit(exc.args[0]) from None
     except ValueError as exc:
-        # e.g. an unrunnable geometry, or duplicate axis labels from
-        # repeated flag values.
+        # e.g. duplicate axis labels from repeated flag values.
         raise SystemExit(str(exc)) from None
 
 
@@ -394,8 +395,8 @@ def summary_table(report) -> str:
 def serial_check(grid, report) -> None:
     """Recompute the report's scenarios serially and demand bit-identity.
 
-    For a partial report (a shard, or permanent failures under
-    ``continue``) the comparison covers the scenarios the report holds;
+    For a partial report (a shard, or failures under ``continue``) the
+    comparison covers the scenarios the report holds;
     for a complete campaign or sweep that is the whole grid.
     """
     covered = set(report.scenario_ids)
@@ -583,12 +584,12 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
     if campaign.resumed:
         print(f"resumed: {campaign.resumed} scenario(s) already stored")
     if campaign.ledger:
-        print(f"failed attempts this run: {len(campaign.ledger)}")
-    for failure in campaign.failed:
         print(
-            f"  FAILED {failure['scenario_id']} "
-            f"(attempt {failure['attempt']}, {failure['kind']})"
+            f"failed this run: {len(campaign.ledger)} scenario(s); "
+            f"--resume runs them again"
         )
+    for failure in campaign.ledger:
+        print(f"  FAILED {failure['scenario_id']} ({failure['kind']})")
     return report, campaign
 
 
@@ -624,7 +625,11 @@ def main(argv: list[str] | None = None) -> int:
             f"worker{'s' if runner.workers != 1 else ''}...",
             flush=True,
         )
-        report = runner.run(grid)
+        try:
+            report = runner.run(grid)
+        except ValueError as exc:
+            # The front door: a geometry the FTL cannot run.
+            raise SystemExit(str(exc)) from None
         if args.serial_check:
             serial_check(grid, report)
     print(summary_table(report))

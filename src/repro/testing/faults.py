@@ -12,11 +12,12 @@ design constraints:
   :func:`injected_faults` (inherited by fork workers); with neither set
   the hook in :func:`repro.controller.factory.run_scenario` is a
   constant-time no-op.
-- **Cross-process counting.**  "Crash the first 2 attempts, then
-  succeed" needs a firing count that survives the crashing process.
-  Counted faults keep their tally in small files under the
-  ``REPRO_FAULTS_STATE`` directory — attempts of one scenario are
-  sequential, so a plain read-increment-write is race-free.
+- **Cross-process counting.**  "Fail in one run, succeed on resume"
+  needs a firing count that survives the crashing process and the
+  run.  Counted faults keep their tally in small files under the
+  ``REPRO_FAULTS_STATE`` directory — a run attempts a scenario once,
+  and runs over one store attempt it one after another, so a plain
+  read-increment-write is race-free.
 
 Fault spec syntax (``;``-separated in ``REPRO_FAULTS``)::
 
@@ -73,8 +74,10 @@ class FaultSpec:
     """One armed fault: fire *mode* on *scenario_id*, *count* times.
 
     ``count=None`` fires on every attempt; a positive count fires on
-    the first *count* attempts and then stands down (the state that
-    survives a crashing process lives under :data:`ENV_STATE`).
+    the first *count* attempts and then stands down, so with the same
+    faults armed a scenario fails in one run and succeeds when a later
+    run resumes it (the state that survives a crashing process lives
+    under :data:`ENV_STATE`).
     """
 
     mode: str
@@ -172,9 +175,9 @@ def _should_fire(spec: FaultSpec) -> bool:
 
     The tally is written *before* the fault fires — a ``crash`` fault
     never returns to do bookkeeping afterwards.  Attempts of one
-    scenario are strictly sequential (the campaign retries only after
-    observing the previous attempt's death), so read-increment-write
-    needs no locking.
+    scenario are strictly sequential (one per run, and a resume starts
+    after the run before it ended), so read-increment-write needs no
+    locking.
     """
     if spec.count is None:
         return True

@@ -7,10 +7,15 @@ implicit parenting, torn-tail and SIGKILL tolerance, and the
 cross-file merge that stitches worker traces to the coordinator's.
 """
 
+import gc
 import json
+import multiprocessing
+import sys
+import warnings
 
 import pytest
 
+from repro import obs
 from repro.obs.tracing import (
     DETAIL_LEVELS,
     TRACE_FORMAT,
@@ -265,3 +270,53 @@ def test_merge_rejects_colliding_labels(tmp_path):
             tracer.path.rename(tmp_path / "trace-other.jsonl")
     with pytest.raises(ValueError, match="appears in both"):
         merge_spans(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Rebinding: one file per campaign scenario, in long-lived workers
+# ----------------------------------------------------------------------
+
+
+def test_rebind_closes_the_file_the_previous_scenario_opened(tmp_path):
+    """A reused campaign worker rebinds once per scenario.  Each rebind
+    closes the file the previous scenario's tracer opened in this
+    process, so no handle is left for the garbage collector."""
+    obs.configure(tmp_path, label="all")
+    labels = [f"all.web_0-s{i}.a1" for i in range(3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for label in labels:
+            obs.rebind(label)
+            with obs.tracer().span("scenario.run"):
+                pass
+        obs.reset()
+        gc.collect()
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
+    for label in labels:
+        loaded = load_trace_file(tmp_path / f"trace-{label}.jsonl")
+        assert [span["name"] for span in loaded["spans"]] == ["scenario.run"]
+
+
+def _rebind_in_forked_child(inherited):
+    obs.rebind("all.child.a1")
+    with obs.tracer().span("scenario.run"):
+        pass
+    handle = inherited._handle
+    sys.exit(0 if handle is not None and not handle.closed else 3)
+
+
+def test_rebind_never_closes_a_handle_inherited_across_fork(tmp_path):
+    obs.configure(tmp_path, label="all")
+    parent = obs.tracer()
+    with parent.span("campaign.run"):  # opens the parent's file
+        child = multiprocessing.get_context("fork").Process(
+            target=_rebind_in_forked_child, args=(parent,)
+        )
+        child.start()
+        child.join(timeout=60)
+    assert child.exitcode == 0, "the child closed the parent's handle"
+    obs.reset()
+    assert [s["name"] for s in load_trace_file(parent.path)["spans"]] == [
+        "campaign.run"
+    ]
+    assert load_trace_file(tmp_path / "trace-all.child.a1.jsonl")["spans"]

@@ -1,9 +1,10 @@
 """Equivalence suite for fault-tolerant campaigns.
 
-The acceptance bar: a campaign that crashed, was killed, resumed,
-retried, timed out, and ran as shards must produce a report
-bit-identical to one uninterrupted serial ``SweepRunner(workers=1)``
-run.  Every failure mode here is injected deterministically via
+The acceptance bar: a campaign that crashed, was killed, timed out,
+was resumed, and ran as shards must produce a report bit-identical to
+one uninterrupted serial ``SweepRunner(workers=1)`` run.  Nothing is
+retried within a run: a failed scenario is completed by a resume.
+Every failure mode here is injected deterministically via
 :mod:`repro.testing.faults` — crash/hang/raise on named scenario ids,
 torn and bit-rotted store records — never by timing luck.
 
@@ -27,7 +28,6 @@ from repro import obs
 from repro.obs import load_trace_dir
 from repro.parallel import (
     Campaign,
-    FailurePolicy,
     ScenarioFailure,
     StreamingAggregate,
     SweepRunner,
@@ -40,7 +40,6 @@ from repro.parallel.store import ResultStore
 from repro.testing.faults import (
     CRASH_EXIT_CODE,
     ENV_FAULTS,
-    ENV_STATE,
     FaultSpec,
     injected_faults,
     truncate_store_tail,
@@ -72,9 +71,10 @@ def ids_of(grid):
     return [s.scenario_id for s in grid]
 
 
-def attempt_label(scenario_id, attempt=1):
-    """Trace label of one attempt of the non-sharded campaign ("all")."""
-    return f"all.{scenario_id.replace('/', '-')}.a{attempt}"
+def attempt_label(scenario_id):
+    """Trace label of a scenario's attempt in the non-sharded campaign
+    ("all"); a run makes one attempt per scenario."""
+    return f"all.{scenario_id.replace('/', '-')}.a1"
 
 
 def attempt_pids(trace_dir):
@@ -96,7 +96,7 @@ def test_campaign_report_equals_serial(grid, serial_report, tmp_path):
     campaign = Campaign(grid, tmp_path / "store", workers=2)
     report = campaign.run()
     assert report.results == serial_report.results
-    assert campaign.resumed == 0 and not campaign.failed
+    assert campaign.resumed == 0 and not campaign.ledger
     assert campaign.aggregate.snapshot()["completed"] == len(grid)
     assert multiprocessing.active_children() == []  # no worker outlives run
 
@@ -122,28 +122,24 @@ def test_one_worker_runs_every_attempt(grid, serial_report, tmp_path):
 
 
 def test_worker_that_raised_is_replaced(grid, serial_report, tmp_path):
-    """A worker whose attempt raised is never reused: the retry and every
-    later scenario run in a fresh process."""
+    """A worker whose scenario raised is never reused: every later
+    scenario runs in a fresh process."""
     target = ids_of(grid)[0]
     obs.configure(tmp_path / "trace", label="parent")
     try:
-        with injected_faults(
-            FaultSpec("raise", 1, target), state_dir=tmp_path / "faults"
-        ):
+        with injected_faults(FaultSpec("raise", None, target)):
             campaign = Campaign(
-                grid, tmp_path / "store", workers=1, on_failure="retry:1"
+                grid, tmp_path / "store", workers=1, on_failure="continue"
             )
             report = campaign.run()
     finally:
         obs.reset()
-    assert report.results == serial_report.results
+    expected = [r for r in serial_report.results if r.scenario_id != target]
+    assert list(report.results) == expected
     assert [f["kind"] for f in campaign.ledger] == ["exception"]
     pids = attempt_pids(tmp_path / "trace")
-    raised = pids.pop(attempt_label(target, 1))
-    assert sorted(pids) == sorted(
-        [attempt_label(target, 2)]
-        + [attempt_label(i) for i in ids_of(grid)[1:]]
-    )
+    raised = pids.pop(attempt_label(target))
+    assert sorted(pids) == sorted(attempt_label(i) for i in ids_of(grid)[1:])
     (replacement,) = set(pids.values())
     assert replacement != raised
 
@@ -188,64 +184,51 @@ def test_campaign_rejects_wrong_grid_store(grid, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Failure policies: crash, hang, raise
+# Failure policies: crash, hang, raise; a resume completes the failed
 # ----------------------------------------------------------------------
 
 
-def test_crashed_worker_is_retried_bit_identically(
+def test_crashed_worker_is_resumed_bit_identically(
     grid, serial_report, tmp_path
 ):
     target = ids_of(grid)[0]
-    with injected_faults(
-        FaultSpec("crash", 1, target), state_dir=tmp_path / "faults"
-    ):
+    with injected_faults(FaultSpec("crash", None, target)):
         campaign = Campaign(
-            grid, tmp_path / "store", workers=2, on_failure="retry:2"
+            grid, tmp_path / "store", workers=2, on_failure="continue"
         )
         report = campaign.run()
-    assert report.results == serial_report.results
+    assert report.scenario_ids == sorted(set(ids_of(grid)) - {target})
     assert [f["kind"] for f in campaign.ledger] == ["worker-death"]
     assert str(CRASH_EXIT_CODE) in campaign.ledger[0]["detail"]
-    assert not campaign.failed
     # The ledger is durable, not just in-memory.
     assert ResultStore(tmp_path / "store").failures() == campaign.ledger
+    # A fault-free resume runs the crashed scenario, and only it.
+    resumed = Campaign(grid, tmp_path / "store", workers=2)
+    assert resumed.run().results == serial_report.results
+    assert resumed.resumed == len(grid) - 1 and not resumed.ledger
 
 
-def test_hung_worker_is_killed_retried_with_backoff(
-    grid, serial_report, tmp_path
-):
-    target = ids_of(grid)[1]
-    policy = FailurePolicy(kind="retry", retries=1, backoff=0.3)
-    started = time.monotonic()
-    with injected_faults(
-        FaultSpec("hang", 1, target), state_dir=tmp_path / "faults"
-    ):
+def test_hung_worker_is_killed_and_resumed(grid, serial_report, tmp_path):
+    """A hung scenario holds the only worker until its timeout: the
+    worker is killed, the rest of the grid runs, progress ticks keep
+    firing meanwhile, and a resume completes the hung scenario."""
+    target = ids_of(grid)[0]
+    snapshots = []
+    with injected_faults(FaultSpec("hang", None, target)):
         campaign = Campaign(
-            grid, tmp_path / "store", workers=2,
-            on_failure=policy, timeout=0.5,
+            grid, tmp_path / "store", workers=1, on_failure="continue",
+            timeout=0.5, progress_interval=0.05,
         )
-        report = campaign.run()
-    elapsed = time.monotonic() - started
+        report = campaign.run(progress=snapshots.append)
     assert multiprocessing.active_children() == []  # the hung one was killed
-    assert report.results == serial_report.results
+    assert report.scenario_ids == sorted(set(ids_of(grid)) - {target})
     assert [f["kind"] for f in campaign.ledger] == ["timeout"]
     assert campaign.ledger[0]["scenario_id"] == target
-    assert not campaign.failed
-    # timeout (0.5s) + backoff (0.3s) both actually elapsed.
-    assert elapsed >= 0.8
-
-
-def test_exhausted_retries_become_permanent_failure(grid, tmp_path):
-    target = ids_of(grid)[2]
-    with injected_faults(FaultSpec("raise", None, target)):
-        campaign = Campaign(
-            grid, tmp_path / "store", workers=2,
-            on_failure=FailurePolicy(kind="retry", retries=2, backoff=0.01),
-        )
-        report = campaign.run()
-    assert len(campaign.ledger) == 3  # 1 attempt + 2 retries
-    assert [f["scenario_id"] for f in campaign.failed] == [target]
-    assert report.scenario_ids == sorted(set(ids_of(grid)) - {target})
+    assert campaign.ledger[0]["duration_seconds"] >= 0.5
+    # Ticks fired while the hung scenario held the worker.
+    assert sum(s["completed"] == 0 for s in snapshots) >= 5
+    report = Campaign(grid, tmp_path / "store", workers=1).run()
+    assert report.results == serial_report.results
 
 
 def test_continue_policy_completes_the_rest(grid, serial_report, tmp_path):
@@ -255,8 +238,8 @@ def test_continue_policy_completes_the_rest(grid, serial_report, tmp_path):
             grid, tmp_path / "store", workers=2, on_failure="continue"
         )
         report = campaign.run()
-    assert [f["kind"] for f in campaign.failed] == ["exception"]
-    assert "InjectedFault" in campaign.failed[0]["detail"]
+    assert [f["kind"] for f in campaign.ledger] == ["exception"]
+    assert "InjectedFault" in campaign.ledger[0]["detail"]
     expected = [r for r in serial_report.results if r.scenario_id != target]
     assert list(report.results) == expected
     # A later fault-free resume completes the failed scenario too.
@@ -288,7 +271,7 @@ def _campaign_argv(grid_seeds, store, extra=()):
         "--workloads", "web_0", "--seeds", str(grid_seeds),
         "--days", "0.02", "--blocks", "64", "--pages-per-block", "64",
         # Two slots: the deliberately hung scenario pins one, the other
-        # keeps draining the queue (including the crash retry).
+        # keeps draining the rest of the grid.
         "--campaign", str(store), "--resume", "--workers", "2",
         *extra,
     ]
@@ -305,16 +288,13 @@ def test_sigkilled_campaign_resumes_bit_identically(
     env = dict(
         os.environ,
         PYTHONPATH=str(os.path.dirname(os.path.dirname(repro.__file__))),
-        # Crash the second scenario's first attempt (a worker death the
-        # campaign retries), then hang the last scenario forever so the
+        # Crash the second scenario (a worker death the campaign ledgers
+        # and moves past), then hang the last scenario forever so the
         # parent is deterministically mid-campaign when we shoot it.
-        **{
-            ENV_FAULTS: f"crash:1:{ids[1]};hang:*:{ids[-1]}",
-            ENV_STATE: str(tmp_path / "faults"),
-        },
+        **{ENV_FAULTS: f"crash:*:{ids[1]};hang:*:{ids[-1]}"},
     )
     process = subprocess.Popen(
-        _campaign_argv(len(ids), store, extra=("--on-failure", "retry:2")),
+        _campaign_argv(len(ids), store, extra=("--on-failure", "continue")),
         env=env,
         start_new_session=True,  # so killpg reaps campaign workers too
         stdout=subprocess.DEVNULL,
@@ -322,8 +302,11 @@ def test_sigkilled_campaign_resumes_bit_identically(
     )
     try:
         deadline = time.monotonic() + 120
-        expected = set(ids[:-1])
-        while ResultStore(store).scenario_ids() != expected:
+        expected = set(ids) - {ids[1], ids[-1]}
+        while (
+            ResultStore(store).scenario_ids() != expected
+            or not ResultStore(store).failures()
+        ):
             assert process.poll() is None, "campaign exited prematurely"
             assert time.monotonic() < deadline, "campaign made no progress"
             time.sleep(0.05)
@@ -333,11 +316,12 @@ def test_sigkilled_campaign_resumes_bit_identically(
         except ProcessLookupError:
             pass
         process.wait()
-    # Every stored result survived the kill; the hung scenario did not
-    # land.  Resume in-process with no faults armed.
-    campaign = Campaign(grid, store, workers=2, on_failure="retry:2")
+    # Every stored result survived the kill; the crashed and the hung
+    # scenario did not land.  Resume in-process with no faults armed.
+    assert [f["kind"] for f in ResultStore(store).failures()] == ["worker-death"]
+    campaign = Campaign(grid, store, workers=2, on_failure="continue")
     report = campaign.run()
-    assert campaign.resumed == len(ids) - 1
+    assert campaign.resumed == len(ids) - 2
     assert report.results == serial_report.results
 
 
@@ -531,20 +515,15 @@ def test_store_written_under_leases_loads_resumes_and_reports(
 # ----------------------------------------------------------------------
 
 
-def test_failure_policy_parsing():
-    assert FailurePolicy.parse("fail_fast").kind == "fail_fast"
-    assert FailurePolicy.parse("continue").kind == "continue"
-    policy = FailurePolicy.parse("retry:3")
-    assert (policy.kind, policy.retries) == ("retry", 3)
-    for bad in ("retry", "retry:", "retry:0", "retry:x", "panic", "continue:2"):
-        with pytest.raises(ValueError):
-            FailurePolicy.parse(bad)
-
-
-def test_failure_policy_backoff_schedule():
-    policy = FailurePolicy(kind="retry", retries=3, backoff=0.5, backoff_factor=2.0)
-    assert [policy.delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-    assert policy.retry_allowed(3) and not policy.retry_allowed(4)
+def test_failure_policy_parsing(grid, tmp_path):
+    """Two policies, ``fail_fast`` and ``continue``.  Anything else,
+    ``retry:N`` included, raises before the store directory is touched."""
+    for policy in ("fail_fast", "continue"):
+        assert Campaign(grid, tmp_path / policy, on_failure=policy).on_failure == policy
+    for bad in ("retry:2", "retry", "panic", "continue:2"):
+        with pytest.raises(ValueError, match="unknown failure policy"):
+            Campaign(grid, tmp_path / "bad", on_failure=bad)
+    assert not (tmp_path / "bad").exists()
 
 
 def test_streaming_aggregate_percentiles(serial_report):
@@ -605,8 +584,9 @@ def test_progress_callback_streams_snapshots(grid, tmp_path):
 def test_failure_ledger_schema_is_pinned(grid, tmp_path):
     """The durable failure record carries exactly these fields — in
     particular both clocks: wall time (humans, cross-host ordering) and
-    a monotonic duration (retry/backoff analysis that survives NTP
-    steps).  Anything depending on the ledger pins against this."""
+    a monotonic duration (how long the scenario ran before it failed,
+    truthful across NTP steps).  Every failure of a run is attempt 1.
+    Anything depending on the ledger pins against this."""
     target = ids_of(grid)[0]
     with injected_faults(FaultSpec("raise", None, target)):
         campaign = Campaign(

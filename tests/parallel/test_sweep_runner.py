@@ -12,18 +12,21 @@ import os
 import pickle
 import random
 import signal
+import time
 
 import pytest
 
 from repro.controller.factory import run_scenario
 from repro.parallel import (
+    Campaign,
     ScenarioFailure,
     SweepRunner,
-    SweepWorkerLost,
     default_workers,
     run_sweep,
 )
 from repro.parallel.results import ScenarioResult, SweepReport
+from repro.parallel.runner import run_tasks
+from repro.testing.faults import ENV_FAULTS, FaultSpec, injected_faults
 from repro.workloads.grid import BackendSpec, GeometrySpec, PolicySpec, ScenarioGrid
 from repro.workloads.suites import WORKLOAD_SUITE
 
@@ -111,18 +114,45 @@ def test_result_records_are_picklable_and_plain():
 
 
 def test_failure_surfaces_scenario_id_serial_and_parallel():
-    # 32x32 at 7% overprovision fails SsdConfig validation inside the run.
-    bad = ScenarioGrid(
+    grid = counter_grid(seeds=1)
+    expected_id = grid.scenarios()[1].scenario_id
+    with injected_faults(FaultSpec("raise", None, expected_id)):
+        for workers in (1, 2):
+            with pytest.raises(ScenarioFailure) as excinfo:
+                SweepRunner(workers=workers).run(grid)
+            assert excinfo.value.scenario_id == expected_id
+            assert expected_id in str(excinfo.value)
+            assert "InjectedFault" in excinfo.value.detail
+
+
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        # 7% overprovision leaves too few spare blocks for the GC threshold.
+        (GeometrySpec(blocks=32, pages_per_block=32), "geometry 32x32: over"),
+        (GeometrySpec(blocks=2, pages_per_block=64), "at least 4 blocks"),
+    ],
+    ids=["gc-threshold", "too-few-blocks"],
+)
+def test_unrunnable_geometry_is_rejected_before_anything_runs(
+    tmp_path, geometry, message
+):
+    """Both front doors, the runner's and the campaign's, reject a grid
+    the FTL cannot run with a ValueError before any worker starts or
+    any store is bound."""
+    grid = ScenarioGrid(
         workloads=(WORKLOAD_SUITE["web_0"],),
-        geometries=(GeometrySpec(blocks=32, pages_per_block=32), SMALL_GEOMETRY),
+        geometries=(SMALL_GEOMETRY, geometry),
         duration_days=0.01,
     )
-    expected_id = "web_0/d0.01/32x32/baseline/counter/s0"
     for workers in (1, 2):
-        with pytest.raises(ScenarioFailure) as excinfo:
-            SweepRunner(workers=workers).run(bad)
-        assert excinfo.value.scenario_id == expected_id
-        assert expected_id in str(excinfo.value)
+        with pytest.raises(ValueError, match=message):
+            SweepRunner(workers=workers).run(grid)
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match=message):
+        Campaign(grid, store, workers=1, on_failure="continue").run()
+    assert not (store / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_scenario_failure_pickles_across_process_boundary():
@@ -132,10 +162,13 @@ def test_scenario_failure_pickles_across_process_boundary():
     assert "boom" in str(clone)
 
 
-def test_duplicate_scenario_ids_rejected():
+def test_duplicate_scenario_ids_rejected(tmp_path):
     scenario = counter_grid(seeds=1).scenarios()[0]
     with pytest.raises(ValueError, match="unique"):
         SweepRunner(workers=1).run([scenario, scenario])
+    with pytest.raises(ValueError, match="unique"):
+        Campaign([scenario, scenario], tmp_path / "store")
+    assert not (tmp_path / "store" / "manifest.json").exists()
 
 
 def test_report_lookup_and_json():
@@ -203,7 +236,7 @@ def test_runner_validation():
 
 
 # ----------------------------------------------------------------------
-# Worker loss, env parsing, and the spawn start method
+# The pool's scheduling loop: worker loss, timeouts, ticks
 # ----------------------------------------------------------------------
 
 
@@ -213,51 +246,75 @@ def _die_or_square(x):
     return x * x
 
 
+def worker_death_detail(exitcode):
+    """What the loop reports for a worker that died without reporting:
+    the same text a campaign ledgers for a ``worker-death``."""
+    return (
+        f"worker process died with exit code {exitcode} before reporting "
+        f"a result (crash, os._exit, or kill)"
+    )
+
+
 def test_sigkilled_map_worker_raises_worker_lost_not_hang():
     """A SIGKILL'd pool worker used to stall the sweep forever (a plain
     multiprocessing.Pool never detects the death); now it raises a
-    SweepWorkerLost naming exactly the label in flight on that worker."""
-    with pytest.raises(SweepWorkerLost) as excinfo:
+    ScenarioFailure naming exactly the label in flight on that worker."""
+    with pytest.raises(ScenarioFailure) as excinfo:
         SweepRunner(workers=2).map(
             _die_or_square, [1, "die", 2, 3], labels=["a", "die", "b", "c"]
         )
     lost = excinfo.value
-    assert lost.scenario_ids == ("die",)
-    assert lost.scenario_id == "die"  # base-class anchor
+    assert lost.scenario_id == "die"
+    assert lost.detail == worker_death_detail(-signal.SIGKILL)
     assert multiprocessing.active_children() == []  # survivors were killed
-    assert "died without reporting" in str(lost)
-    # It is a ScenarioFailure subclass: existing handlers keep working.
-    assert isinstance(lost, ScenarioFailure)
 
 
-def test_crashed_scenario_worker_names_unfinished_scenarios():
+def test_crashed_scenario_worker_names_unfinished_scenarios(tmp_path):
     """End-to-end through run(): a worker hard-crashing mid-scenario
     (os._exit — what an OOM kill looks like) surfaces the in-flight
-    scenario id instead of hanging the sweep."""
-    from repro.testing.faults import FaultSpec, injected_faults
+    scenario id instead of hanging the sweep, with the detail a
+    campaign ledgers for the same crash."""
+    from repro.testing.faults import CRASH_EXIT_CODE
 
     grid = counter_grid()
     target = grid.scenarios()[0].scenario_id
     with injected_faults(FaultSpec("crash", None, target)):
-        with pytest.raises(SweepWorkerLost) as excinfo:
+        with pytest.raises(ScenarioFailure) as excinfo:
             SweepRunner(workers=2).run(grid)
-    assert excinfo.value.scenario_ids == (target,)
+        campaign = Campaign(
+            grid, tmp_path / "store", workers=2, on_failure="continue"
+        )
+        campaign.run()
+    assert excinfo.value.scenario_id == target
+    assert excinfo.value.detail == worker_death_detail(CRASH_EXIT_CODE)
+    (entry,) = campaign.ledger
+    assert entry["kind"] == "worker-death"
+    assert entry["detail"] == excinfo.value.detail
 
 
-def test_worker_lost_pickles_across_process_boundary():
-    lost = SweepWorkerLost(("grid/a", "grid/b"), "exit code -9")
-    clone = pickle.loads(pickle.dumps(lost))
-    assert clone.scenario_ids == ("grid/a", "grid/b")
-    assert clone.scenario_id == "grid/a"
-    assert "exit code -9" in str(clone)
-
-
-def test_sweep_workers_env_rejects_non_integers(monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "many")
-    with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS"):
-        default_workers()
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-    assert default_workers() == 3
+def test_timed_out_task_is_killed_and_the_next_task_runs():
+    """One worker: the first task hangs past the timeout, its worker is
+    killed, and the loop goes on to launch the second task in a fresh
+    worker.  Ticks keep firing while nothing lands."""
+    outcomes, ticks = [], []
+    run_tasks(
+        [("hang", time.sleep, (60,)), ("square", _square, (7,))],
+        1,
+        lambda key, kind, payload, seconds: outcomes.append(
+            (key, kind, payload, seconds)
+        ),
+        timeout=0.5,
+        on_tick=lambda: ticks.append(time.monotonic()),
+        tick_seconds=0.05,
+    )
+    assert [(key, kind) for key, kind, _, _ in outcomes] == [
+        ("hang", "timeout"), ("square", "ok"),
+    ]
+    assert outcomes[0][2] == "exceeded the 0.5s wall-clock timeout; worker killed"
+    assert outcomes[0][3] >= 0.5
+    assert outcomes[1][2] == 49
+    assert len(ticks) >= 5  # while the hung task held the only worker
+    assert multiprocessing.active_children() == []
 
 
 def test_default_worker_counts_honour_the_cpu_affinity_mask(monkeypatch):
@@ -265,29 +322,15 @@ def test_default_worker_counts_honour_the_cpu_affinity_mask(monkeypatch):
     this process may run on, not every CPU of the machine."""
     from repro.controller.executor import default_executor_workers
 
-    monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_EXECUTOR_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert default_workers() == 1
     assert default_executor_workers() == 1
-
-
-def test_executor_workers_env_rejects_non_integers(monkeypatch):
-    from repro.controller.executor import default_executor_workers
-
-    monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "4.5")
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR_WORKERS"):
-        default_executor_workers()
-    monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
-    assert default_executor_workers() == 2
 
 
 def test_scenario_failure_round_trips_under_spawn(monkeypatch):
     """Under the spawn start method every boundary crossing pickles —
     the scenario out, the ScenarioFailure back.  The failure must
     arrive intact, still naming its scenario id."""
-    import multiprocessing
-
     import repro.parallel.runner as runner_module
 
     monkeypatch.setattr(
@@ -295,22 +338,19 @@ def test_scenario_failure_round_trips_under_spawn(monkeypatch):
         "_pool_context",
         lambda: multiprocessing.get_context("spawn"),
     )
-    bad = ScenarioGrid(
-        workloads=(WORKLOAD_SUITE["web_0"],),
-        geometries=(GeometrySpec(blocks=32, pages_per_block=32), SMALL_GEOMETRY),
-        duration_days=0.01,
-    )
-    expected_id = "web_0/d0.01/32x32/baseline/counter/s0"
+    grid = counter_grid(seeds=1)
+    expected_id = grid.scenarios()[0].scenario_id
+    # Spawn workers share no memory: arm the fault through the env.
+    monkeypatch.setenv(ENV_FAULTS, f"raise:*:{expected_id}")
     with pytest.raises(ScenarioFailure) as excinfo:
-        SweepRunner(workers=2).run(bad)
+        SweepRunner(workers=2).run(grid)
     assert excinfo.value.scenario_id == expected_id
+    assert "InjectedFault" in excinfo.value.detail
 
 
 def test_spawn_sweep_matches_fork_report(monkeypatch):
     """Start method is an implementation detail: spawn workers rebuild
     everything from the pickled scenario and report identical bits."""
-    import multiprocessing
-
     import repro.parallel.runner as runner_module
 
     grid = counter_grid(seeds=1)

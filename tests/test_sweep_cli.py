@@ -164,7 +164,7 @@ def test_cli_campaign_runs_and_resumes(capsys, tmp_path):
         "--blocks", "64", "--pages-per-block", "64",
         "--seeds", "2",
         "--campaign", str(store),
-        "--on-failure", "retry:1",
+        "--on-failure", "continue",
         "--serial-check",
     ]
     assert main(argv) == 0
@@ -179,13 +179,19 @@ def test_cli_campaign_runs_and_resumes(capsys, tmp_path):
     assert "resumed: 2 scenario(s)" in out
 
 
-def test_cli_campaign_flag_dependencies(tmp_path):
+def test_cli_campaign_flag_dependencies(capsys, tmp_path):
     with pytest.raises(SystemExit, match="--campaign"):
         main(["--resume"])
     with pytest.raises(SystemExit, match="--campaign"):
         main(["--shard", "0/2"])
-    with pytest.raises(SystemExit, match="failure policy"):
-        main(["--campaign", str(tmp_path / "s"), "--on-failure", "panic"])
+    # Two failure policies; anything else, retry:N included, is a usage
+    # error before any store is touched.
+    for policy in ("panic", "retry:2"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--campaign", str(tmp_path / "s"), "--on-failure", policy])
+        assert excinfo.value.code == 2
+        assert "--on-failure: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 # ("-1/2" looks like an option to argparse and dies with its own

@@ -6,17 +6,19 @@ recovery stories, deterministically:
 
 **Kill-and-resume** (``--campaign`` + ``--resume``):
 
-1. Launch a small campaign with two faults armed through the
-   :mod:`repro.testing.faults` env hooks: scenario *k* hard-crashes its
-   first attempt (``--on-failure retry:2`` must retry it), and the last
-   scenario hangs forever (so the parent is provably mid-campaign).
-2. Poll the result store until every non-hung scenario has landed
-   durably, then SIGKILL the campaign's whole process group — the
-   unceremonious end of a host.
+1. Launch a small campaign under ``--on-failure continue`` with two
+   faults armed through the :mod:`repro.testing.faults` env hooks:
+   scenario *k* hard-crashes (the campaign ledgers a ``worker-death``
+   and runs the rest), and the last scenario hangs forever (so the
+   parent is provably mid-campaign).
+2. Poll the result store until every scenario but the crashed and the
+   hung one has landed durably and the ledger holds the
+   ``worker-death``, then SIGKILL the campaign's whole process group —
+   the unceremonious end of a host.
 3. Re-run the same CLI command with ``--resume`` and no faults armed,
-   plus ``--serial-check``: the resumed campaign must complete only the
-   missing scenario and the merged report must be bit-identical to the
-   uninterrupted in-process serial reference.
+   plus ``--serial-check``: the resumed campaign must complete exactly
+   the crashed and the hung scenario, and the merged report must be
+   bit-identical to the uninterrupted in-process serial reference.
 
 **Two shards, one store** (``--shard i/N`` over a shared directory):
 
@@ -40,8 +42,8 @@ per attempt, and ``scenario.run`` and ``store.append`` spans;
 ``python -m repro.obs.export`` over the same store must agree with that
 status document, the store, and the trace directory.
 
-Exit code 0 means both stories held, including the crash attempt in
-the failure ledger and one record file per shard in the shared store.
+Exit code 0 means both stories held, including the crash in the
+failure ledger and one record file per shard in the shared store.
 
 Run from the repo root: ``PYTHONPATH=src python tools/campaign_smoke.py``.
 """
@@ -58,7 +60,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.parallel import shard_of  # noqa: E402
 from repro.parallel.store import ResultStore  # noqa: E402
-from repro.testing.faults import ENV_FAULTS, ENV_STATE  # noqa: E402
+from repro.testing.faults import ENV_FAULTS  # noqa: E402
 from repro.workloads.grid import GeometrySpec, ScenarioGrid  # noqa: E402
 from repro.workloads.suites import WORKLOAD_SUITE  # noqa: E402
 
@@ -74,7 +76,7 @@ def argv(seeds: int) -> list[str]:
         "--seeds", str(seeds),
         "--days", "0.02",
         "--blocks", "64", "--pages-per-block", "64",
-        "--on-failure", "retry:2",
+        "--on-failure", "continue",
         "--workers", "2",
         "--resume",
     ]
@@ -100,10 +102,7 @@ def kill_resume_smoke() -> int:
         store = Path(tmp) / "store"
         env = dict(
             os.environ,
-            **{
-                ENV_FAULTS: f"crash:1:{crash_target};hang:*:{hang_target}",
-                ENV_STATE: str(Path(tmp) / "faults"),
-            },
+            **{ENV_FAULTS: f"crash:*:{crash_target};hang:*:{hang_target}"},
         )
         print(f"[1/3] campaign with crash@{crash_target} hang@{hang_target}")
         process = subprocess.Popen(
@@ -113,8 +112,11 @@ def kill_resume_smoke() -> int:
         )
         try:
             deadline = time.monotonic() + 300
-            expected = set(ids) - {hang_target}
-            while ResultStore(store).scenario_ids() != expected:
+            expected = set(ids) - {crash_target, hang_target}
+            while (
+                ResultStore(store).scenario_ids() != expected
+                or not ResultStore(store).failures()
+            ):
                 if process.poll() is not None:
                     print("FAIL: campaign exited before the kill")
                     return 1
@@ -129,9 +131,12 @@ def kill_resume_smoke() -> int:
                 pass
             process.wait()
         print(f"[2/3] SIGKILL'd campaign with {len(expected)}/{len(ids)} stored")
-        ledger = ResultStore(store).failures()
-        if not any(entry["kind"] == "worker-death" for entry in ledger):
-            print(f"FAIL: injected crash not in the failure ledger: {ledger}")
+        ledger = [
+            (entry["scenario_id"], entry["kind"])
+            for entry in ResultStore(store).failures()
+        ]
+        if ledger != [(crash_target, "worker-death")]:
+            print(f"FAIL: expected only the injected crash in the ledger: {ledger}")
             return 1
         print("[3/3] resume without faults, with --serial-check")
         resumed = subprocess.run(ARGV + ["--campaign", str(store), "--serial-check"])

@@ -52,6 +52,9 @@ DOCUMENTED_NAMES = [
     "parallel.runner.SweepRunner",
     "parallel.runner.SweepRunner.run",
     "parallel.runner.SweepRunner.map",
+    "parallel.runner.run_tasks",
+    "parallel.runner.check_grid",
+    "parallel.campaign.Campaign.run",
     "parallel.results.ScenarioResult",
     "parallel.results.SweepReport",
 ]
