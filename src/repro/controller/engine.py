@@ -390,11 +390,11 @@ class SimulationEngine(FtlObserver):
         no such entry keeps its window-start location.  Only reads of lpns
         the window changed are joined.  The log and those reads are sorted
         by lpn alone, stably (log order and read order survive inside an
-        lpn), on the narrowest unsigned key dtype, which numpy radix-sorts
-        at 8 and 16 bits; one ``searchsorted`` of the sorted reads then
-        finds each read's entry.  Charges to blocks reopened at a later
-        epoch are dropped (the per-op loop's counter reset would have
-        wiped them).
+        lpn), on the narrowest unsigned key dtype through
+        :func:`_stable_argsort` (radix sorts for keys up to 32 bits); one
+        ``searchsorted`` of the sorted reads then finds each read's entry.
+        Charges to blocks reopened at a later epoch are dropped (the
+        per-op loop's counter reset would have wiped them).
         """
         read_positions = np.flatnonzero(ops == OP_READ)
         if read_positions.size == 0:
@@ -425,8 +425,8 @@ class SimulationEngine(FtlObserver):
             visible[last < 0] = 0
             key_type = np.min_scalar_type(logical_pages - 1)
             narrow_lpns = log_lpns.astype(key_type)
-            order = np.argsort(narrow_lpns, kind="stable")
-            by_lpn = np.argsort(read_lpns[changed].astype(key_type), kind="stable")
+            order = _stable_argsort(narrow_lpns)
+            by_lpn = _stable_argsort(read_lpns[changed].astype(key_type))
             queries = changed[by_lpn]
             # Keys lpn * n + log position ascend in this order (the lpn is
             # widened first: a narrow product would wrap).  The rightmost
@@ -580,3 +580,20 @@ class SimulationEngine(FtlObserver):
             max_pe_cycles=int(np.max(self.ftl.pe_cycles)),
             unmapped_reads=self.ftl.unmapped_reads,
         )
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for unsigned integer keys.
+
+    numpy radix-sorts 8- and 16-bit keys and falls back to timsort for
+    wider ones, so 32-bit keys sort as two stable 16-bit radix passes:
+    by the low halves, then by the high halves in that order (ties keep
+    the low-half order, which kept the input order).  For 280k keys
+    below 120,000 that took 16 ms against timsort's 44 ms (2-vCPU
+    x86_64 host, numpy 2.4).
+    """
+    if keys.dtype.itemsize != 4:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]

@@ -25,6 +25,10 @@ class BlockState(IntEnum):
     CLOSED = 2
 
 
+# Plain ints for the per-block step: an IntEnum member costs an int() per use.
+_FREE, _OPEN, _CLOSED = int(BlockState.FREE), int(BlockState.OPEN), int(BlockState.CLOSED)
+
+
 @dataclass(frozen=True)
 class SsdConfig:
     """Geometry and policy knobs of the simulated SSD."""
@@ -104,7 +108,7 @@ class FtlObserver:
     ) -> None:
         """A contiguous run of logical pages was appended to *block*
         (one relocation chunk; ``pages`` are consecutive, from the
-        block's write pointer).
+        block's write pointer, in a read-only view of an FTL table).
 
         The default unrolls into per-page :meth:`on_append` calls in page
         order, so observers that only implement the scalar hook see the
@@ -125,8 +129,9 @@ class FtlObserver:
         """A run of host writes landed on *block* (one run of
         :meth:`PageMappingFtl.write_many`): write *i* put ``lpns[i]`` on
         ``pages[i]`` at ``times[i]``, invalidating ``old_ppns[i]``.
-        ``pages`` are consecutive, from the block's write pointer.  A
-        repeated lpn's old copy is its previous slot in the run.
+        ``pages`` are consecutive, from the block's write pointer, in a
+        read-only view of an FTL table.  A repeated lpn's old copy is
+        its previous slot in the run.
 
         The default unrolls into per-write :meth:`on_append` calls with
         per-write timestamps, the event sequence of a :meth:`write` loop.
@@ -147,8 +152,11 @@ class PageMappingFtl:
         self._logical_pages = cfg.logical_pages
         #: logical page -> physical page id (block * pages_per_block + page).
         self.l2p = np.full(self._logical_pages, self.INVALID, dtype=np.int64)
-        #: physical page id -> logical page (or INVALID).
-        self.p2l = np.full(cfg.physical_pages, self.INVALID, dtype=np.int64)
+        #: physical page id -> logical page (or INVALID).  A view of a
+        #: buffer one slot longer, whose last slot absorbs writes through
+        #: an INVALID (-1) index.
+        self._p2l_buffer = np.full(cfg.physical_pages + 1, self.INVALID, dtype=np.int64)
+        self.p2l = self._p2l_buffer[:-1]
         self.valid_count = np.zeros(cfg.blocks, dtype=np.int64)
         self.block_state = np.full(cfg.blocks, int(BlockState.FREE), dtype=np.int8)
         self.pe_cycles = np.zeros(cfg.blocks, dtype=np.int64)
@@ -156,6 +164,18 @@ class PageMappingFtl:
         self.program_time = np.zeros(cfg.blocks, dtype=np.float64)
         self.write_pointer = np.zeros(cfg.blocks, dtype=np.int64)
         self._free_blocks = list(range(cfg.blocks - 1, -1, -1))
+        # Read-only 0, 1, 2, ...: _place hands out slices of it as page
+        # numbers within a block and as physical page numbers.
+        self._ids = _frozen(np.arange(cfg.physical_pages, dtype=np.int64))
+        # Physical page -> block, and an INVALID (-1) index -> a spare
+        # bin ``blocks``: a run's old copies count per block in one
+        # bincount, never-written lpns in the spare bin.
+        self._block_of = _frozen(
+            np.append(
+                np.repeat(np.arange(cfg.blocks, dtype=np.intp), cfg.pages_per_block),
+                cfg.blocks,
+            )
+        )
         #: optional :class:`FtlObserver` notified of physical mutations.
         self.observer: FtlObserver | None = None
         self._active_block = self._allocate_block(0.0)
@@ -262,35 +282,33 @@ class PageMappingFtl:
 
     def _write_run(self, lpns: np.ndarray, times: np.ndarray) -> None:
         """Apply one run of :meth:`write_many` (it fits the open block)."""
-        cfg = self.config
         size = int(lpns.size)
         now = float(times[-1])
         # Fancy indexing copies: the pre-run location of every write.
         old_ppns = self.l2p[lpns]
+        block, pages, ppns = self._place(lpns)
         stale = old_ppns
-        live = later = None
-        if size > 1:
+        # A repeated lpn leaves some write's slot unmapped in l2p (which
+        # one numpy leaves unspecified), so this readback finds repeats.
+        # Comparing bytes is the cheapest array inequality at run sizes.
+        if size > 1 and self.l2p[lpns].tobytes() != ppns.tobytes():
             # A repeated lpn's old copy is its previous slot in this run,
-            # and only its last occurrence stays mapped; resolved here
-            # rather than through numpy's unspecified order for duplicate
-            # fancy-index assignment.
+            # and only its last occurrence stays mapped.
             order = lpns.argsort(kind="stable")
             repeat = lpns[order[1:]] == lpns[order[:-1]]
-            if repeat.any():
-                earlier, later = order[:-1][repeat], order[1:][repeat]
-                live = np.ones(size, dtype=bool)
-                live[earlier] = False
-                # Only first occurrences invalidate a pre-run copy.
-                stale = np.delete(old_ppns, later)
-        stale = stale[stale != self.INVALID]
-        if stale.size:
-            self.p2l[stale] = self.INVALID
-            self.valid_count -= np.bincount(
-                stale // cfg.pages_per_block, minlength=cfg.blocks
-            )
-        block, pages = self._place(lpns, live)
-        if later is not None:
-            old_ppns[later] = block * cfg.pages_per_block + pages[earlier]
+            earlier, later = order[:-1][repeat], order[1:][repeat]
+            live = np.ones(size, dtype=bool)
+            live[earlier] = False
+            self.l2p[lpns[live]] = ppns[live]
+            self.p2l[ppns[earlier]] = self.INVALID
+            self.valid_count[block] -= earlier.size
+            # Only first occurrences invalidate a pre-run copy.
+            stale = np.delete(old_ppns, later)
+            old_ppns[later] = ppns[earlier]
+        # Never-written lpns (INVALID) land in the spare slots.
+        self._p2l_buffer[stale] = self.INVALID
+        invalidated = np.bincount(self._block_of[stale], minlength=self.config.blocks + 1)
+        self.valid_count -= invalidated[:-1]
         self.host_writes += size
         if self.observer is not None:
             self.observer.on_write_run(block, pages, lpns, old_ppns, times)
@@ -329,19 +347,22 @@ class PageMappingFtl:
     def _close_if_full(self, block: int, now: float) -> None:
         """Close *block* once its last page is written and open the next."""
         if self.write_pointer[block] == self.config.pages_per_block:
-            self.block_state[block] = int(BlockState.CLOSED)
+            self.block_state[block] = _CLOSED
             self._active_block = self._allocate_block(now)
 
     def _allocate_block(self, now: float) -> int:
-        """Take the least-worn free block (wear leveling) and open it."""
-        if not self._free_blocks:
+        """Take the least-worn free block (wear leveling) and open it:
+        the first free-list position with the fewest P/E cycles."""
+        free = self._free_blocks
+        if not free:
             raise GcStarvationError("no free blocks available to open")
-        best_idx = min(
-            range(len(self._free_blocks)),
-            key=lambda i: self.pe_cycles[self._free_blocks[i]],
-        )
-        block = self._free_blocks.pop(best_idx)
-        self.block_state[block] = int(BlockState.OPEN)
+        wear = self.pe_cycles
+        best, least = 0, wear[free[0]]
+        for position in range(1, len(free)):
+            if wear[free[position]] < least:
+                best, least = position, wear[free[position]]
+        block = free.pop(best)
+        self.block_state[block] = _OPEN
         self.write_pointer[block] = 0
         self.reads_since_program[block] = 0
         self.program_time[block] = now
@@ -353,7 +374,7 @@ class PageMappingFtl:
         start = block * self.config.pages_per_block
         self.p2l[start : start + self.config.pages_per_block] = self.INVALID
         self.valid_count[block] = 0
-        self.block_state[block] = int(BlockState.FREE)
+        self.block_state[block] = _FREE
         self.write_pointer[block] = 0
         self.pe_cycles[block] += 1
         self._free_blocks.append(block)
@@ -373,11 +394,19 @@ class PageMappingFtl:
                 )
 
     def collect_garbage(self, now: float) -> int:
-        """Greedy GC: relocate the closed block with fewest valid pages."""
-        closed = np.flatnonzero(self.block_state == int(BlockState.CLOSED))
-        if closed.size == 0:
+        """Greedy GC: relocate the closed block with fewest valid pages
+        (the lowest-numbered one on a tie)."""
+        # Blocks that are not closed score past any closed block's count,
+        # and argmin takes the first of equal scores.
+        victim = int(
+            np.where(
+                self.block_state == _CLOSED,
+                self.valid_count,
+                self.config.pages_per_block + 1,
+            ).argmin()
+        )
+        if self.block_state[victim] != _CLOSED:
             raise GcStarvationError("no closed blocks to garbage-collect")
-        victim = int(closed[np.argmin(self.valid_count[closed])])
         self.relocate_block(victim, now)
         self.gc_runs += 1
         return victim
@@ -395,13 +424,13 @@ class PageMappingFtl:
         equivalence; the physics-path golden summaries in
         ``tests/controller/test_backend_vectorized.py`` pin it end to end).
         """
-        if self.block_state[block] == int(BlockState.FREE):
+        if self.block_state[block] == _FREE:
             raise ValueError(f"block {block} is free; nothing to relocate")
         if self.observer is not None:
             self.observer.on_relocate_begin(block, now)
         if block == self._active_block:
             # Close the active block first so appends target a fresh one.
-            self.block_state[block] = int(BlockState.CLOSED)
+            self.block_state[block] = _CLOSED
             self._active_block = self._allocate_block(now)
         start = block * self.config.pages_per_block
         lpns = self.p2l[start : start + self.config.pages_per_block]
@@ -424,21 +453,20 @@ class PageMappingFtl:
         the block open/close event order — and therefore wear leveling —
         is unchanged.  Observers receive one :meth:`FtlObserver.on_append_many`
         per chunk (per-page order preserved by its default unrolling).
+        The source block's ``p2l`` entries are left to the erase that
+        follows in :meth:`relocate_block`.
         """
         cfg = self.config
-        # The old copies all live in the source block, which cannot be a
-        # destination (it is not free until the erase below), so they can
-        # be invalidated up front in one pass.  Fancy indexing returns a
-        # fresh array, so the l2p updates below cannot alias old_ppns.
+        # Fancy indexing returns a fresh array, so the l2p updates below
+        # cannot alias old_ppns.
         old_ppns = self.l2p[lpns]
-        self.p2l[old_ppns] = self.INVALID
         self.valid_count[source_block] -= lpns.size
         position = 0
         while position < lpns.size:
             room = cfg.pages_per_block - int(self.write_pointer[self._active_block])
             take = min(room, int(lpns.size) - position)
             chunk = lpns[position : position + take]
-            block, pages = self._place(chunk)
+            block, pages, _ = self._place(chunk)
             if self.observer is not None:
                 self.observer.on_append_many(
                     block, pages, chunk, old_ppns[position : position + take], now
@@ -446,29 +474,25 @@ class PageMappingFtl:
             self._close_if_full(block, now)
             position += take
 
-    def _place(
-        self, lpns: np.ndarray, live: np.ndarray | None = None
-    ) -> tuple[int, np.ndarray]:
+    def _place(self, lpns: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Lay *lpns* at the open block's write pointer (they must fit its
-        room) and return the block and their pages.
+        room) and return the block, their pages and their physical pages
+        (both read-only views).
 
-        Old copies are the caller's to invalidate.  *live* masks the
-        writes whose slot stays mapped (default: all); a superseded slot
-        stays INVALID in ``p2l``, as a later overwrite would leave it.
+        Old copies are the caller's to invalidate, and so is a repeated
+        lpn: numpy leaves unspecified which of its slots ``l2p`` keeps.
         """
-        cfg = self.config
         block = self._active_block
         pointer = int(self.write_pointer[block])
-        pages = np.arange(pointer, pointer + lpns.size, dtype=np.int64)
-        ppns = block * cfg.pages_per_block + pages
-        if live is not None:
-            lpns, ppns = lpns[live], ppns[live]
+        end = pointer + lpns.size
+        first = block * self.config.pages_per_block
+        ppns = self._ids[first + pointer : first + end]
         self.l2p[lpns] = ppns
-        self.p2l[ppns] = lpns
+        self.p2l[first + pointer : first + end] = lpns
         self.valid_count[block] += lpns.size
-        self.write_pointer[block] += pages.size
-        self.flash_writes += pages.size
-        return block, pages
+        self.write_pointer[block] = end
+        self.flash_writes += lpns.size
+        return block, self._ids[pointer:end], ppns
 
     # ------------------------------------------------------------------
     # Introspection
@@ -499,3 +523,9 @@ class PageMappingFtl:
         )
         if not np.array_equal(per_block_valid, self.valid_count):
             raise AssertionError("valid_count out of sync with mapping")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """*array*, made read-only."""
+    array.flags.writeable = False
+    return array

@@ -161,6 +161,8 @@ class Tracer:
         self._seq = 0
         self._pid = os.getpid()
         self._handle = None
+        # Handles inherited across fork (see _ensure_open).
+        self._inherited_handles = []
         self._lock = threading.Lock()
         self._stacks = threading.local()
 
@@ -204,11 +206,13 @@ class Tracer:
         if self._handle is not None and pid == self._pid:
             return self._handle
         if self._handle is not None:
-            # Forked: abandon the inherited handle (never close it —
-            # the parent owns the fd's flush semantics).  The thread's
+            # Forked: the inherited handle is the parent's.  It stays
+            # referenced, never written, flushed or closed here: dropped,
+            # the garbage collector would close it.  The thread's
             # inherited span stack is kept: spans the parent opened are
             # this child's natural implicit parents (their begin lines
             # live in the parent's file; only the parent ends them).
+            self._inherited_handles.append(self._handle)
             self._handle = None
             self.label = f"{self.label}-p{pid}"
             self._seq = 0

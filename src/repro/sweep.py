@@ -593,6 +593,27 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
     return report, campaign
 
 
+def run_sweep_cli(args: argparse.Namespace, grid: ScenarioGrid):
+    """The plain-sweep execution path: every scenario, no store."""
+    try:
+        runner = SweepRunner(workers=args.workers)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    trace_dir = _resolve_trace_dir(args)
+    if trace_dir is not None:
+        obs.configure(trace_dir, label="sweep", detail=args.trace_detail)
+    print(
+        f"sweeping {len(grid)} scenarios across {runner.workers} "
+        f"worker{'s' if runner.workers != 1 else ''}...",
+        flush=True,
+    )
+    try:
+        return runner.run(grid)
+    except ValueError as exc:
+        # The front door: a geometry the FTL cannot run.
+        raise SystemExit(str(exc)) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_workloads:
@@ -608,30 +629,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.progress is not None and args.progress <= 0:
         raise SystemExit("--progress must be positive seconds")
     grid = build_grid(args)
-    if args.campaign is not None:
-        report, campaign = run_campaign_cli(args, grid)
+    try:
+        if args.campaign is not None:
+            report, _ = run_campaign_cli(args, grid)
+        else:
+            report = run_sweep_cli(args, grid)
         if args.serial_check:
             serial_check(grid, report)
-    else:
-        try:
-            runner = SweepRunner(workers=args.workers)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        trace_dir = _resolve_trace_dir(args)
-        if trace_dir is not None:
-            obs.configure(trace_dir, label="sweep", detail=args.trace_detail)
-        print(
-            f"sweeping {len(grid)} scenarios across {runner.workers} "
-            f"worker{'s' if runner.workers != 1 else ''}...",
-            flush=True,
-        )
-        try:
-            report = runner.run(grid)
-        except ValueError as exc:
-            # The front door: a geometry the FTL cannot run.
-            raise SystemExit(str(exc)) from None
-        if args.serial_check:
-            serial_check(grid, report)
+    finally:
+        if args.trace is not None:
+            # Close the trace file this run opened, on every exit path.
+            obs.reset()
     print(summary_table(report))
     if args.json is not None:
         if str(args.json) == "-":

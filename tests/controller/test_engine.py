@@ -11,6 +11,7 @@ from repro.controller import (
     SimulationEngine,
     SsdConfig,
 )
+from repro.controller.engine import _stable_argsort
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
 
@@ -311,3 +312,19 @@ def test_flash_chip_backend_rejects_odd_pages_per_block():
             SsdConfig(blocks=16, pages_per_block=25, overprovision=0.3),
             backend=backend,
         )
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_stable_argsort_matches_numpy_stable_argsort(dtype):
+    """The join's key sort equals numpy's stable argsort on every key
+    width it meets, with heavy repeats, keys spanning both 16-bit halves
+    of a 32-bit key, and the width's extreme values."""
+    rng = np.random.default_rng(3)
+    top = np.iinfo(dtype).max
+    keys = np.concatenate([
+        rng.integers(0, min(top, 120_000), 50_000),
+        rng.integers(0, 40, 20_000),
+        [0, top, top, 0],
+    ]).astype(dtype)
+    rng.shuffle(keys)
+    assert np.array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.controller.ftl import BlockState, GcStarvationError, PageMappingFtl, SsdConfig
+from repro.controller.ftl import (
+    BlockState,
+    FtlObserver,
+    GcStarvationError,
+    PageMappingFtl,
+    SsdConfig,
+)
 
 SMALL = SsdConfig(blocks=8, pages_per_block=16, overprovision=0.45, gc_threshold_blocks=2)
 
@@ -410,3 +416,25 @@ def test_write_many_rejects_mismatched_inputs_before_writing(lpns, times):
     assert ftl.host_writes == 0
     assert recorder.events == [] and recorder.runs == []
     _assert_same_state(ftl, state)
+
+
+class _PageWriter(FtlObserver):
+    """Writes into the ``pages`` a batched hook hands over."""
+
+    def on_write_run(self, block, pages, lpns, old_ppns, times):
+        pages[0] = 0
+
+    def on_append_many(self, block, pages, lpns, old_ppns, now):
+        pages[0] = 0
+
+
+def test_observers_get_read_only_pages():
+    """Batched hooks hand observers views of the FTL's page table: a
+    write through one raises instead of corrupting later runs."""
+    ftl = PageMappingFtl(SMALL)
+    ftl.write_many(np.arange(20), np.zeros(20))
+    ftl.observer = _PageWriter()
+    with pytest.raises(ValueError, match="read-only"):
+        ftl.write_many(np.array([1, 2]), np.ones(2))
+    with pytest.raises(ValueError, match="read-only"):
+        ftl.relocate_block(ftl.read(0)[0], now=2.0)

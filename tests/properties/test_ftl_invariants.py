@@ -1,10 +1,17 @@
 """Property-based FTL invariants under random operation sequences."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.controller import SimulationEngine
-from repro.controller.ftl import FtlObserver, PageMappingFtl, SsdConfig
+from repro.controller.ftl import (
+    BlockState,
+    FtlObserver,
+    GcStarvationError,
+    PageMappingFtl,
+    SsdConfig,
+)
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
 
@@ -173,3 +180,47 @@ def test_counter_run_replay_matches_per_op_loop(
         assert np.array_equal(getattr(ftl_b, name), getattr(ftl_s, name)), name
     if observe:
         assert log_b.events == log_s.events
+
+
+@st.composite
+def _block_tables(draw):
+    """Random per-block state, valid counts, wear and free list, drawn
+    from narrow ranges so ties are common."""
+    blocks = draw(st.integers(5, 24))
+    pages_per_block = draw(st.integers(1, 6))
+    states = draw(st.lists(st.sampled_from(list(BlockState)), min_size=blocks,
+                           max_size=blocks))
+    valid = draw(st.lists(st.integers(0, pages_per_block), min_size=blocks,
+                          max_size=blocks))
+    wear = draw(st.lists(st.integers(0, 3), min_size=blocks, max_size=blocks))
+    free = draw(st.permutations(range(blocks)))[: draw(st.integers(1, blocks))]
+    return blocks, pages_per_block, states, valid, wear, free
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_tables())
+def test_victim_and_allocation_picks_match_their_definitions(tables):
+    """GC's victim is the lowest-index closed block with the fewest valid
+    pages (no closed block: GcStarvationError), and allocation takes the
+    first free-list position with the least wear."""
+    blocks, pages_per_block, states, valid, wear, free = tables
+    ftl = PageMappingFtl(
+        SsdConfig(blocks=blocks, pages_per_block=pages_per_block,
+                  overprovision=0.45, gc_threshold_blocks=1)
+    )
+    ftl.block_state[:] = states
+    ftl.valid_count[:] = valid
+    ftl.pe_cycles[:] = wear
+    picked = []
+    ftl.relocate_block = lambda block, now: picked.append(block)
+    closed = np.flatnonzero(ftl.block_state == int(BlockState.CLOSED))
+    if closed.size:
+        assert ftl.collect_garbage(1.0) == picked[0]
+        assert picked == [int(closed[np.argmin(ftl.valid_count[closed])])]
+    else:
+        with pytest.raises(GcStarvationError):
+            ftl.collect_garbage(1.0)
+    ftl._free_blocks = list(free)
+    position = min(range(len(free)), key=lambda i: wear[free[i]])
+    assert ftl._allocate_block(2.0) == free[position]
+    assert ftl._free_blocks == free[:position] + free[position + 1:]

@@ -2,7 +2,11 @@
 executor plumbing, and a tiny end-to-end run."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +363,30 @@ def test_cli_runs_a_multi_cell_ablation(capsys, tmp_path):
     assert "2 scenarios" in out
     assert "baseline" in out and "reclaim-rc5000" in out
     assert json_path.exists()
+
+
+def test_traced_cli_runs_leave_no_file_to_the_garbage_collector(tmp_path):
+    """A traced two-worker sweep and a traced campaign, each in a fresh
+    interpreter with every ResourceWarning shown: the forked workers keep
+    the parent's inherited trace handle, and the CLI closes its own
+    tracer, so no trace file is closed by the garbage collector."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    base = [
+        sys.executable, "-W", "always::ResourceWarning", "-m", "repro.sweep",
+        "--workloads", "web_0", "--days", "0.01",
+        "--blocks", "64", "--pages-per-block", "64",
+        "--seeds", "2", "--workers", "2",
+    ]
+    runs = {
+        "sweep": ["--trace", str(tmp_path / "sweep-trace")],
+        "campaign": ["--campaign", str(tmp_path / "store"), "--trace"],
+    }
+    for name, extra in runs.items():
+        done = subprocess.run(
+            base + extra, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        assert "ResourceWarning" not in done.stderr, (name, done.stderr)
+    assert (tmp_path / "sweep-trace" / "trace-sweep.jsonl").exists()
+    assert (tmp_path / "store" / "trace" / "trace-all.jsonl").exists()

@@ -40,8 +40,10 @@ FLOORS = [
     ("engine_throughput", "counter_batched_ops_per_sec", 5_000_000),
     ("engine_throughput", "counter_batched_speedup", 8.0),
     # The write-heavy side: the Figure-8 suite, where host-write runs and
-    # GC are the work (per-page change logging ran at ~0.2M here).
-    ("engine_throughput", "counter_suite_ops_per_sec", 250_000),
+    # GC are the work (per-page change logging ran at ~0.2M here, the
+    # per-block step before its numpy-call cuts at ~0.47M; 0.80M
+    # recorded, the floor is 70% of that).
+    ("engine_throughput", "counter_suite_ops_per_sec", 560_000),
     ("engine_throughput", "flash_chip_ops_per_sec", 25_000),
     # The batched device primitives.
     ("physics_hotpath", "decode_nominal_speedup", 1.2),
