@@ -158,7 +158,7 @@ def _physics_cpu_run(trace_dir):
     of a shared machine that dwarfs a 2% wall-clock margin.
     """
     if trace_dir is not None:
-        obs.configure(trace_dir, label="bench", detail="coarse")
+        obs.configure(trace_dir, label="bench")
     try:
         precondition, trace = _traces(PHYSICS_FOOTPRINT, OVERHEAD_OPS)
         engine = SimulationEngine(
@@ -247,10 +247,10 @@ def _sweep():
     rows.append(
         ["flash-chip / batched", PHYSICS_OPS, f"{t_physics:.2f}", f"{ops_physics:,.0f}", "-"]
     )
-    # Telemetry overhead: the same flash-chip row with metrics + coarse
-    # tracing armed (the production campaign configuration), gated
-    # <= 1.02x by check_bench.py — observability must stay out of the
-    # hot path's way.
+    # Telemetry overhead: the same flash-chip row with tracing armed
+    # (every read flush writes its physics.flush span and phase spans;
+    # the serial executor writes no per-block spans), gated <= 1.02x by
+    # check_bench.py — observability must stay out of the hot path's way.
     overhead = _telemetry_overhead()
     rows.append(
         [

@@ -24,7 +24,6 @@ mapped host reads.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Protocol, runtime_checkable
@@ -34,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro.rng import RngFactory, spawn_key
 from repro.units import VPASS_NOMINAL
-from repro.core.rdr import RdrConfig, ReadDisturbRecovery
+from repro.core.rdr import ReadDisturbRecovery
 from repro.ecc import DEFAULT_ECC, EccConfig, EccDecoder
 from repro.ecc.decoder import BatchDecodeResult
 from repro.ecc.fault_model import (
@@ -229,8 +228,6 @@ class FlashChipBackend:
         initial_pe_cycles: int = 0,
         vpass: float = VPASS_NOMINAL,
         ecc: EccConfig = DEFAULT_ECC,
-        rdr: RdrConfig | None = None,
-        enable_rdr: bool = True,
         seed: int = 0,
         executor: str = "serial",
         fault_pattern: str | FaultSpec | None = None,
@@ -255,7 +252,7 @@ class FlashChipBackend:
         self._wordline_capability = self.decoder.config.page_capability_bits(
             2 * self.bitlines_per_block
         )
-        self.rdr = ReadDisturbRecovery(rdr) if enable_rdr else None
+        self.rdr = ReadDisturbRecovery()
         self.seed = int(seed)
         #: runs each read flush's per-block tasks; "serial" and
         #: "threaded[:N]" are bit-identical by construction.
@@ -283,7 +280,7 @@ class FlashChipBackend:
             name: 0 for name in PATTERN_NAMES if name != "clean"
         }
         # Parent span id for per-block task records; set only around the
-        # executor.map of a traced flush (detail "block").
+        # executor.map of a traced flush on a multi-worker executor.
         self._trace_block_parent: str | None = None
 
     # ------------------------------------------------------------------
@@ -361,34 +358,29 @@ class FlashChipBackend:
         the mapping current at flush time (the engine flushes before any
         relocation moves data); the voltage cache is managed by the
         block's own epoch bumps.
+
+        **Tracing.**  A traced flush writes ``physics.flush`` with its
+        ``physics.plan``/``physics.execute``/``physics.merge`` phases.
+        On an executor with more than one worker, where tasks overlap on
+        threads, each task also writes a ``physics.block`` span under
+        the execute span (:meth:`_sense_and_decode`).
         """
         if ppns.size == 0:
             return
         tracer = obs.tracer()
-        if not tracer.detail_flush:
-            self._flush_reads_inner(ppns, now, tracer)
-            return
         with tracer.span("physics.flush", reads=int(ppns.size)):
-            self._flush_reads_inner(ppns, now, tracer)
-
-    def _flush_reads_inner(self, ppns: np.ndarray, now: float, tracer) -> None:
-        # Phase spans only at detail "flush"+.
-        if tracer.detail_flush:
-            span = tracer.span
-        else:
-            span = lambda name, **attrs: nullcontext(None)  # noqa: E731
-        with span("physics.plan"):
-            tasks = self._plan_reads(ppns)
-        execute = partial(self._sense_and_decode, now=now)
-        with span("physics.execute", blocks=len(tasks)) as execute_span:
-            if execute_span is not None and tracer.detail_block:
-                self._trace_block_parent = execute_span.id
-            try:
-                outcomes = self.executor.map(execute, tasks)
-            finally:
-                self._trace_block_parent = None
-        with span("physics.merge", blocks=len(tasks)):
-            self._merge_outcomes(outcomes, now)
+            with tracer.span("physics.plan"):
+                tasks = self._plan_reads(ppns)
+            execute = partial(self._sense_and_decode, now=now)
+            with tracer.span("physics.execute", blocks=len(tasks)) as span:
+                if tracer.enabled and self.executor.workers > 1:
+                    self._trace_block_parent = span.id
+                try:
+                    outcomes = self.executor.map(execute, tasks)
+                finally:
+                    self._trace_block_parent = None
+            with tracer.span("physics.merge", blocks=len(tasks)):
+                self._merge_outcomes(outcomes, now)
 
     def _plan_reads(self, ppns: np.ndarray) -> list[BlockReadTask]:
         """Grouping/planning pass: one :class:`BlockReadTask` per block.
@@ -427,11 +419,12 @@ class FlashChipBackend:
     ) -> BlockReadOutcome:
         """:meth:`_sense_decode_block`, plus an optional per-block span.
 
-        The span (detail "block") uses a parent-derived id via
+        The span uses a parent-derived id via
         :meth:`~repro.obs.tracing.Tracer.record`, so concurrent tasks
         consume no shared sequence and ids stay deterministic under any
         thread interleaving.  ``_trace_block_parent`` is only ever set
-        around the executor.map of a traced flush.
+        around the executor.map of a traced flush on a multi-worker
+        executor.
         """
         parent = self._trace_block_parent
         if parent is None:
@@ -623,9 +616,6 @@ class FlashChipBackend:
         """Uncorrectable page: try RDR, then queue the block for remap."""
         if block not in self._pending_relocations:
             self._pending_relocations.append(block)
-        if self.rdr is None:
-            self.data_loss_events += 1
-            return
         if (block, wordline) in rescued:
             return
         rescued.add((block, wordline))

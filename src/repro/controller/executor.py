@@ -29,21 +29,12 @@ is **bit-identical** to ``executor="serial"`` (pinned by
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+from repro.parallel.runner import default_workers
 from repro.workloads.grid import parse_executor_spec
-
-
-def default_executor_workers() -> int:
-    """Thread count when the caller does not choose: one per CPU in this
-    process's affinity mask (:func:`os.sched_getaffinity`), else
-    :func:`os.cpu_count`."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
 
 
 class BlockExecutor:
@@ -70,11 +61,13 @@ class BlockExecutor:
         """The executor an executor spec names, parsed by
         :func:`~repro.workloads.grid.parse_executor_spec`: ``"serial"``
         is one worker, ``"threaded:N"`` is *N*, and a bare
-        ``"threaded"`` is :func:`default_executor_workers`."""
+        ``"threaded"`` is one per CPU in this process's affinity mask
+        (:func:`~repro.parallel.runner.default_workers`, the sweep
+        runner's default too)."""
         kind, workers = parse_executor_spec(spec)
         if kind == "serial":
             return cls(1)
-        return cls(default_executor_workers() if workers is None else workers)
+        return cls(default_workers() if workers is None else workers)
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
         """Apply *fn* to every task, results in task order."""

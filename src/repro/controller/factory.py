@@ -38,7 +38,6 @@ def build_backend(spec: BackendSpec, seed: int) -> PhysicsBackend:
         initial_pe_cycles=spec.initial_pe_cycles,
         vpass=spec.vpass,
         ecc=ecc,
-        enable_rdr=spec.enable_rdr,
         seed=seed,
         executor=spec.executor,
         fault_pattern=spec.fault_pattern,

@@ -35,7 +35,6 @@ class SsdConfig:
 
     blocks: int = 256
     pages_per_block: int = 256
-    page_size_bytes: int = 4096
     #: fraction of physical space held back from the logical capacity.
     overprovision: float = 0.07
     #: GC runs when the free-block pool drops to this size.

@@ -17,6 +17,7 @@ from functools import lru_cache
 from scipy.optimize import brentq
 from scipy.stats import binom, poisson
 
+from repro.ecc.rs import check_rs_code
 from repro.physics import constants
 
 #: Decoder engines selectable on :attr:`EccConfig.decoder`.
@@ -57,17 +58,9 @@ class EccConfig:
             raise ValueError(
                 f"decoder must be one of {DECODER_KINDS}, got {self.decoder!r}"
             )
-        # Mirror RsCode's constraints here so a bad spec fails at config
-        # construction (the sweep grid validates specs without building
-        # decoders).
-        if not 3 <= self.rs_n <= 255:
-            raise ValueError(f"rs_n must be in [3, 255], got {self.rs_n}")
-        if not 1 <= self.rs_k < self.rs_n:
-            raise ValueError(f"rs_k must be in [1, rs_n), got {self.rs_k}")
-        if (self.rs_n - self.rs_k) % 2:
-            raise ValueError(
-                f"rs_n - rs_k must be even, got n={self.rs_n} k={self.rs_k}"
-            )
+        # A bad code rate fails at config construction, before any
+        # decoder is built.
+        check_rs_code(self.rs_n, self.rs_k)
 
     @property
     def rs_t(self) -> int:

@@ -48,6 +48,25 @@ from repro.ecc.gf256 import EXP, GROUP_ORDER, LOG
 _SYNDROME_CHUNK = 1024
 
 
+def check_rs_code(n: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``RS(n, k)`` is a code :class:`RsCode`
+    builds: ``3 <= n <= 255``, ``1 <= k < n`` and ``n - k`` even.
+
+    The one check of a code rate: :class:`RsCode`,
+    :class:`~repro.ecc.config.EccConfig` and
+    :class:`~repro.workloads.grid.BackendSpec` all call it, so a rate a
+    grid accepts never fails inside a worker.
+    """
+    if not 3 <= n <= 255:
+        raise ValueError(f"RS n must be in [3, 255], got {n}")
+    if not 1 <= k < n:
+        raise ValueError(f"RS k must be in [1, n), got k={k} n={n}")
+    if (n - k) % 2:
+        raise ValueError(
+            f"RS n - k must be even (t parity symbol pairs), got n={n} k={k}"
+        )
+
+
 @dataclass(frozen=True)
 class RsBatchResult:
     """Outcome of one batched :meth:`RsCode.decode` call."""
@@ -87,14 +106,7 @@ class RsCode:
     fcr = 1
 
     def __init__(self, n: int, k: int):
-        if not 3 <= n <= 255:
-            raise ValueError(f"RS n must be in [3, 255], got {n}")
-        if not 1 <= k < n:
-            raise ValueError(f"RS k must be in [1, n), got k={k} n={n}")
-        if (n - k) % 2:
-            raise ValueError(
-                f"RS n - k must be even (t parity symbol pairs), got n={n} k={k}"
-            )
+        check_rs_code(n, k)
         self.n = n
         self.k = k
         self.nparity = n - k

@@ -22,14 +22,14 @@ with tracing on, and the disabled path (the shared
 flash-chip bench gates it at <2% (``telemetry_overhead_ratio`` in
 ``BENCH_physics.json``).
 
-**Process model.**  State is module-global and per-process:
+**Process model.**  State is module-global and per-process, and has
+two values: tracing into a directory under a label, or off.
 :func:`configure` arms it (usually from the CLI's ``--trace``), forked
 workers inherit it, and each worker that wants a deterministic
 identity calls :func:`rebind` with its logical label (campaign
 scenario workers do; anonymous forked sweep workers fall back to the
-tracer's pid-suffix fork safety).  ``REPRO_TRACE_DIR`` /
-``REPRO_TRACE_DETAIL`` carry the configuration to spawn-start workers
-that share no memory (:func:`configure_from_env`).
+tracer's pid-suffix fork safety).  A worker started by spawn, which
+shares no memory with its parent, runs untraced.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 
 from repro.obs.tracing import (
-    DETAIL_LEVELS,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -49,13 +48,10 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "ENV_TRACE_DIR",
-    "ENV_TRACE_DETAIL",
     "Span",
     "Tracer",
     "NullTracer",
     "configure",
-    "configure_from_env",
     "rebind",
     "reset",
     "tracer",
@@ -64,11 +60,6 @@ __all__ = [
     "merge_spans",
     "trace_file_paths",
 ]
-
-#: environment carriers of the trace configuration (for workers that
-#: do not inherit this process's memory).
-ENV_TRACE_DIR = "REPRO_TRACE_DIR"
-ENV_TRACE_DETAIL = "REPRO_TRACE_DETAIL"
 
 _tracer: Tracer | NullTracer = NULL_TRACER
 
@@ -79,69 +70,33 @@ def tracer() -> Tracer | NullTracer:
 
 
 def configure(
-    trace_dir: str | os.PathLike | None,
-    *,
-    label: str | None = None,
-    detail: str = "coarse",
-    propagate: bool = True,
+    trace_dir: str | os.PathLike | None, *, label: str | None = None
 ) -> None:
     """Arm (or with ``trace_dir=None`` disarm) tracing in this process.
 
     With a *trace_dir* the process gets a :class:`Tracer` writing
-    ``trace-<label>.jsonl`` there at *detail*; with ``None`` it gets
-    the shared :class:`NullTracer` back.  *label* defaults to
-    ``p<pid>`` — deterministic callers (the campaign CLI) pass their
-    writer name instead.  A label whose file an earlier run left in
-    *trace_dir* becomes ``<label>-r<k>`` (see :class:`Tracer`).
-    *propagate* exports the configuration via :data:`ENV_TRACE_DIR` /
-    :data:`ENV_TRACE_DETAIL` so spawn-start workers can pick it up with
-    :func:`configure_from_env`.
+    ``trace-<label>.jsonl`` there; with ``None`` it gets the shared
+    :class:`NullTracer` back.  *label* defaults to ``p<pid>`` —
+    deterministic callers (the campaign CLI) pass their writer name
+    instead.  A label whose file an earlier run left in *trace_dir*
+    becomes ``<label>-r<k>`` (see :class:`Tracer`).
     """
     global _tracer
     _tracer.close()
     if trace_dir is None:
         _tracer = NULL_TRACER
-        if propagate:
-            os.environ.pop(ENV_TRACE_DIR, None)
-            os.environ.pop(ENV_TRACE_DETAIL, None)
     else:
         _tracer = Tracer(
-            trace_dir,
-            label if label is not None else f"p{os.getpid()}",
-            detail=detail,
+            trace_dir, label if label is not None else f"p{os.getpid()}"
         )
-        if propagate:
-            os.environ[ENV_TRACE_DIR] = str(trace_dir)
-            os.environ[ENV_TRACE_DETAIL] = detail
-
-
-def configure_from_env(label: str | None = None) -> bool:
-    """Arm telemetry from the environment carriers, if set.
-
-    The entry hook for workers that share no memory with the
-    configuring process.  Returns whether tracing is armed after the
-    call; already-armed processes are left untouched (fork-start
-    workers inherit live state, which wins over the env)."""
-    if _tracer.enabled:
-        return True
-    directory = os.environ.get(ENV_TRACE_DIR)
-    if not directory:
-        return False
-    configure(
-        directory,
-        label=label,
-        detail=os.environ.get(ENV_TRACE_DETAIL, "coarse"),
-        propagate=False,
-    )
-    return True
 
 
 def rebind(label: str) -> None:
     """Give this process's tracer a fresh deterministic identity.
 
-    Called by workers that inherited a configured tracer (fork) or
-    found one in the env (spawn) and know their logical name — e.g. a
-    campaign scenario worker's ``<worker>.<scenario>.a<attempt>``.
+    Called by workers that inherited a configured tracer across fork
+    and know their logical name — e.g. a campaign scenario worker's
+    ``<worker>.<scenario>.a<attempt>``.
     The new tracer starts a fresh file and id sequence, so span ids
     are stable across runs regardless of pids or scheduling.  The old
     tracer's file is closed if this process opened it (the previous
@@ -152,7 +107,7 @@ def rebind(label: str) -> None:
         return
     old = _tracer
     old.close()
-    _tracer = Tracer(old.directory, label, detail=old.detail)
+    _tracer = Tracer(old.directory, label)
 
 
 def reset() -> None:

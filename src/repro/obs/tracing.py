@@ -12,8 +12,7 @@ parent process's attempt span) reconstruct the full tree.
 **File format** (schema-versioned, one JSON object per line):
 
 - line 1 — header: ``{"k": "header", "format": "repro-trace",
-  "version": 1, "label": ..., "pid": ..., "wall_start": ...,
-  "detail": ...}``
+  "version": 1, "label": ..., "pid": ..., "wall_start": ...}``
 - span begin: ``{"k": "b", "id": ..., "parent": ..., "name": ...,
   "t0": ..., "attrs": {...}}``
 - span end: ``{"k": "e", "id": ..., "t1": ..., "attrs": {...}}``
@@ -47,10 +46,12 @@ it racy — so they use parent-derived ids instead
 (:meth:`Tracer.child_id`, e.g. ``wA.web_0-…-s0.a1:000007/b12``) via
 :meth:`Tracer.record`, which allocates nothing.
 
-**Detail levels** gate span volume: ``coarse`` (default — windows,
-scenarios, attempts, store appends), ``flush`` (adds the
-plan/execute/merge phases of every physics read flush), ``block``
-(adds one span per per-block sense+decode task).
+**What a traced run writes** is decided by the run, not by a knob:
+windows, scenarios, attempts and store appends, plus every flash-chip
+read flush with its plan/execute/merge phases.  One span per per-block
+sense+decode task is added exactly when the flush's executor has more
+than one worker, the one case where those tasks overlap in time and
+show something the execute span does not.
 
 **Out-of-band contract.**  Nothing here feeds RNG streams, scenario
 ids, or result payloads; a tracer failing to write must never fail the
@@ -69,7 +70,6 @@ from pathlib import Path
 __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "DETAIL_LEVELS",
     "Span",
     "Tracer",
     "NullTracer",
@@ -83,9 +83,6 @@ __all__ = [
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
-
-#: coarse < flush < block; each level includes the previous ones.
-DETAIL_LEVELS = ("coarse", "flush", "block")
 
 
 class Span:
@@ -141,23 +138,13 @@ class Tracer:
         ``<writer>.<scenario>.a<attempt>``, not a pid).  When the
         directory already holds this label's file, the tracer writes
         as ``<label>-r<k>`` instead (:attr:`label` tells which).
-    detail:
-        One of :data:`DETAIL_LEVELS`.
     """
 
     enabled = True
 
-    def __init__(self, directory: str | os.PathLike, label: str,
-                 detail: str = "coarse"):
-        if detail not in DETAIL_LEVELS:
-            raise ValueError(
-                f"unknown trace detail {detail!r}; expected one of "
-                f"{DETAIL_LEVELS}"
-            )
+    def __init__(self, directory: str | os.PathLike, label: str):
         self.directory = Path(directory)
         self.label = str(label)
-        self.detail = detail
-        self._level = DETAIL_LEVELS.index(detail)
         self._seq = 0
         self._pid = os.getpid()
         self._handle = None
@@ -165,18 +152,6 @@ class Tracer:
         self._inherited_handles = []
         self._lock = threading.Lock()
         self._stacks = threading.local()
-
-    # ------------------------------------------------------------------
-    # Detail gates (cheap booleans for hot call sites)
-    # ------------------------------------------------------------------
-
-    @property
-    def detail_flush(self) -> bool:
-        return self._level >= 1
-
-    @property
-    def detail_block(self) -> bool:
-        return self._level >= 2
 
     # ------------------------------------------------------------------
     # File lifecycle
@@ -235,7 +210,6 @@ class Tracer:
             "label": self.label,
             "pid": pid,
             "wall_start": time.time(),
-            "detail": self.detail,
         })
         return self._handle
 
@@ -270,25 +244,23 @@ class Tracer:
         return stack[-1].id if stack else None
 
     def begin(self, name: str, *, parent: str | None = None,
-              span_id: str | None = None, detached: bool = False,
-              **attrs) -> Span:
+              detached: bool = False, **attrs) -> Span:
         """Open a span; pair with :meth:`end` (or use :meth:`span`).
 
         The parent defaults to this thread's innermost open span.
         *detached* spans are not pushed on the thread's stack — use it
         for spans that overlap arbitrarily (e.g. concurrent campaign
         attempts held open by the scheduler) with an explicit *parent*.
-        *span_id* overrides the allocated ``<label>:<seq>`` id (for
-        parent-derived ids in concurrently scheduled work).
+        Concurrently scheduled work takes parent-derived ids through
+        :meth:`record` instead.
         """
         if parent is None:
             parent = self.current_id()
         t0 = time.monotonic()
         with self._lock:
             self._ensure_open()
-            if span_id is None:
-                span_id = f"{self.label}:{self._seq:06d}"
-                self._seq += 1
+            span_id = f"{self.label}:{self._seq:06d}"
+            self._seq += 1
             record = {"k": "b", "id": span_id, "parent": parent,
                       "name": name, "t0": t0}
             if attrs:
@@ -346,7 +318,7 @@ class Tracer:
         return f"{parent_id}/{suffix}"
 
     def __repr__(self) -> str:
-        return f"Tracer(label={self.label!r}, detail={self.detail!r})"
+        return f"Tracer(label={self.label!r})"
 
 
 class _NullSpanContext:
@@ -363,9 +335,6 @@ class NullTracer:
     """The disabled tracer: every operation is a shared-singleton no-op."""
 
     enabled = False
-    detail = "coarse"
-    detail_flush = False
-    detail_block = False
     label = ""
 
     def begin(self, name: str, **kwargs) -> Span:

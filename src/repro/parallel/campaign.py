@@ -197,9 +197,8 @@ def _campaign_worker(
     from repro.controller.factory import run_scenario
 
     if trace_label is not None:
-        # Fork-inherited state wins over the env; rebind gives this
-        # attempt its own file and a pid-free deterministic id prefix.
-        obs.configure_from_env(label=trace_label)
+        # rebind gives this attempt its own file and a pid-free
+        # deterministic id prefix under the fork-inherited tracer.
         obs.rebind(trace_label)
     return run_scenario(scenario, span_parent=span_parent)
 

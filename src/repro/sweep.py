@@ -61,28 +61,36 @@ from pathlib import Path
 
 from repro import obs
 from repro.analysis.reporting import format_table
-from repro.obs.tracing import DETAIL_LEVELS
-from repro.parallel import SweepRunner
+from repro.parallel import SweepRunner, parse_shard
 from repro.parallel.campaign import FAILURE_POLICIES
 from repro.units import VPASS_NOMINAL
-from repro.workloads.grid import BackendSpec, GeometrySpec, PolicySpec, ScenarioGrid
+from repro.workloads.grid import (
+    BackendSpec,
+    GeometrySpec,
+    PolicySpec,
+    ScenarioGrid,
+    parse_executor_spec,
+)
 from repro.workloads.suites import WORKLOAD_SUITE, suite_grid, workload_names
 
 
-def _shard_argument(text: str) -> str:
-    """argparse type for ``--shard``: validate ``i/N`` at parse time.
+def _checked_by(parse):
+    """argparse type that validates a spec string with *parse* at parse
+    time (``--shard i/N``, ``--executor threaded:N``).
 
-    Malformed specs (non-integers, ``N <= 0``, ``i >= N``) die here with
-    an argparse error naming the flag, instead of surfacing later as a
-    raw exception from the campaign layer.
+    A malformed spec dies here with an argparse usage error naming the
+    flag (exit 2), instead of surfacing later as a raw exception from
+    the grid or the campaign layer.
     """
-    from repro.parallel import parse_shard
 
-    try:
-        parse_shard(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,14 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="pass-through voltage(s); several values form a backend axis",
     )
     physics.add_argument(
-        "--executor", choices=("serial", "threaded"), default="serial",
+        "--executor", default="serial", metavar="SPEC",
+        type=_checked_by(parse_executor_spec),
         help="how flash-chip read flushes run their per-block sense and "
-        "decode tasks (bit-identical in every mode; threaded defaults to "
-        "one thread per CPU)",
-    )
-    physics.add_argument(
-        "--executor-workers", type=int, default=None, metavar="N",
-        help="thread count for --executor threaded (default: one per CPU)",
+        "decode tasks: serial, threaded (one thread per CPU) or threaded:N "
+        "(bit-identical in every mode)",
     )
     physics.add_argument(
         "--decoder", choices=("threshold", "rs"), nargs="+",
@@ -196,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the scenario counts as failed",
     )
     campaign.add_argument(
-        "--shard", default=None, metavar="i/N", type=_shard_argument,
+        "--shard", default=None, metavar="i/N",
+        type=_checked_by(parse_shard),
         help="run only the scenarios hashing to shard i of N (0-based); "
         "shards share one store directory (pass --resume) or merge "
         "separate stores with ResultStore.ingest",
@@ -218,14 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry.add_argument(
         "--trace", nargs="?", const="auto", default=None, metavar="DIR",
-        help="emit span traces as JSONL files under DIR; a bare --trace "
-        "defaults to <campaign-dir>/trace",
-    )
-    telemetry.add_argument(
-        "--trace-detail", choices=DETAIL_LEVELS, default="coarse",
-        help="span volume: coarse (windows, attempts, store appends), "
-        "flush (+ physics plan/execute/merge per read flush), block "
-        "(+ one span per per-block task)",
+        help="emit span traces as JSONL files under DIR (flash-chip read "
+        "flushes with their phases; per-block tasks too when the executor "
+        "runs more than one thread); a bare --trace defaults to "
+        "<campaign-dir>/trace",
     )
     parser.add_argument(
         "--serial-check", action="store_true",
@@ -285,11 +287,6 @@ def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
     flash-chip knob (its label could not distinguish the cells), so it
     only accepts single-valued defaults.
     """
-    executor = args.executor
-    if args.executor_workers is not None:
-        if executor != "threaded":
-            raise SystemExit("--executor-workers needs --executor threaded")
-        executor = f"{executor}:{args.executor_workers}"
     if args.backend == "counter" and (len(args.pe_cycles), len(args.vpass)) != (1, 1):
         raise SystemExit(
             "the counter backend ignores --pe-cycles/--vpass; sweep them "
@@ -321,7 +318,7 @@ def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
                                     bitlines_per_block=args.bitlines,
                                     initial_pe_cycles=pe_cycles,
                                     vpass=vpass,
-                                    executor=executor,
+                                    executor=args.executor,
                                     decoder=decoder,
                                     rs_n=rs_n,
                                     rs_k=rs_k,
@@ -562,9 +559,7 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
     if trace_dir is not None:
         # The campaign's writer name is the deterministic trace label
         # (shards sharing a directory each get their own file).
-        obs.configure(
-            trace_dir, label=campaign.writer, detail=args.trace_detail
-        )
+        obs.configure(trace_dir, label=campaign.writer)
     scope = f" (shard {args.shard})" if args.shard else ""
     print(
         f"campaign over {len(grid)} scenario(s){scope}, up to "
@@ -601,7 +596,7 @@ def run_sweep_cli(args: argparse.Namespace, grid: ScenarioGrid):
         raise SystemExit(str(exc)) from None
     trace_dir = _resolve_trace_dir(args)
     if trace_dir is not None:
-        obs.configure(trace_dir, label="sweep", detail=args.trace_detail)
+        obs.configure(trace_dir, label="sweep")
     print(
         f"sweeping {len(grid)} scenarios across {runner.workers} "
         f"worker{'s' if runner.workers != 1 else ''}...",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.ecc.rs import check_rs_code
 from repro.rng import spawn_key
 from repro.units import VPASS_NOMINAL
 from repro.workloads.synthetic import WorkloadSpec
@@ -160,7 +161,6 @@ class BackendSpec:
     bitlines_per_block: int = 2048
     initial_pe_cycles: int = 0
     vpass: float = VPASS_NOMINAL
-    enable_rdr: bool = True
     executor: str = "serial"
     #: ECC engine: "threshold" (capability count) or "rs" (the GF(256)
     #: Reed-Solomon codec; see :mod:`repro.ecc`).  A *physics* knob —
@@ -186,16 +186,7 @@ class BackendSpec:
             raise ValueError(
                 f"unknown decoder {self.decoder!r}; expected 'threshold' or 'rs'"
             )
-        # Mirror RsCode's constraints (repro.ecc.rs) without importing
-        # the scipy-backed config module at grid-build time.
-        if not 3 <= self.rs_n <= 255:
-            raise ValueError(f"rs_n must be in [3, 255], got {self.rs_n}")
-        if not 1 <= self.rs_k < self.rs_n:
-            raise ValueError(f"rs_k must be in [1, rs_n), got {self.rs_k}")
-        if (self.rs_n - self.rs_k) % 2:
-            raise ValueError(
-                f"rs_n - rs_k must be even, got n={self.rs_n} k={self.rs_k}"
-            )
+        check_rs_code(self.rs_n, self.rs_k)
         if self.decoder != "rs" and (
             _non_default(self, "rs_n") or _non_default(self, "rs_k")
         ):
@@ -226,8 +217,6 @@ class BackendSpec:
             label += f"-pe{self.initial_pe_cycles}"
         if _non_default(self, "vpass"):
             label += f"-vp{self.vpass:g}"
-        if not self.enable_rdr:
-            label += "-nordr"
         if _non_default(self, "decoder"):
             label += f"-{self.decoder}{self.rs_n}.{self.rs_k}"
         if self.fault_pattern is not None:

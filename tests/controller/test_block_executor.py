@@ -26,9 +26,8 @@ from repro.controller import (
     SimulationEngine,
     SsdConfig,
 )
-from repro.controller.executor import default_executor_workers
 from repro.controller.factory import run_scenario
-from repro.parallel import SweepRunner
+from repro.parallel import SweepRunner, default_workers
 from repro.parallel.results import ScenarioFailure
 from repro.units import days
 from repro.workloads import IoTrace, OP_READ, OP_WRITE
@@ -194,7 +193,7 @@ def test_parse_executor_spec():
 
 def test_block_executor_from_spec():
     assert BlockExecutor.from_spec("serial").workers == 1
-    assert BlockExecutor.from_spec("threaded").workers == default_executor_workers()
+    assert BlockExecutor.from_spec("threaded").workers == default_workers()
     assert BlockExecutor.from_spec("threaded:3").workers == 3
 
 

@@ -1,13 +1,14 @@
 """Traced flash-chip read flushes, end to end through the engine.
 
-At trace detail ``block`` every read flush writes one
-``physics.execute`` and one ``physics.merge`` span, and one
-``physics.block`` span per block task, parented to its execute span,
-under the serial and the threaded executor.  The trace accounts for
+Tracing is on or off, and the run decides its span set.  Every traced
+read flush writes one ``physics.flush`` span with its
+``physics.plan``/``physics.execute``/``physics.merge`` children.  Per-block
+``physics.block`` spans appear exactly when the block executor has more
+than one worker: none under ``serial``, and under ``threaded:2`` one per
+scheduled block, parented to its execute span.  The trace accounts for
 the work: the ``engine.window`` spans' ``ops`` cover every trace op
-once, and the ``physics.block`` spans are exactly the blocks the
-execute spans scheduled.  Tracing stays out-of-band: the traced run's
-stats and summary equal the untraced run's.
+once.  Tracing stays out-of-band: the traced run's stats and summary
+equal the untraced run's.
 """
 
 import importlib.util
@@ -66,21 +67,35 @@ def _run(backend_kwargs):
 def test_traced_flushes_validate_and_change_nothing(case, tmp_path):
     backend_kwargs = CASES[case]
     untraced = _run(backend_kwargs)
-    obs.configure(tmp_path, label="engine", detail="block")
+    obs.configure(tmp_path, label="engine")
     traced = _run(backend_kwargs)
     obs.reset()
     assert traced == untraced
 
-    names = ("physics.execute", "physics.merge", "physics.block")
-    assert trace_validate.validate(tmp_path, [(name, 1) for name in names]) == []
+    phases = ("physics.flush", "physics.plan", "physics.execute", "physics.merge")
+    assert trace_validate.validate(tmp_path, [(name, 1) for name in phases]) == []
     spans = merge_spans(tmp_path)
     by_id = {span["id"]: span for span in spans}
-    blocks = [span for span in spans if span["name"] == "physics.block"]
-    assert all(by_id[span["parent"]]["name"] == "physics.execute" for span in blocks)
-    executes = [span for span in spans if span["name"] == "physics.execute"]
-    assert len(blocks) == sum(span["attrs"]["blocks"] for span in executes)
-    assert len(executes) == sum(span["name"] == "physics.flush" for span in spans)
-    windows = [span for span in spans if span["name"] == "engine.window"]
+
+    def named(name):
+        return [span for span in spans if span["name"] == name]
+
+    def parent_name(span):
+        return by_id[span["parent"]]["name"]
+
+    flushes = named("physics.flush")
+    for name in phases[1:]:
+        assert len(named(name)) == len(flushes)
+        assert all(parent_name(span) == "physics.flush" for span in named(name))
+    blocks = named("physics.block")
+    if backend_kwargs["executor"] == "serial":
+        assert blocks == []
+    else:
+        executes = named("physics.execute")
+        assert all(parent_name(span) == "physics.execute" for span in blocks)
+        assert len(blocks) == sum(span["attrs"]["blocks"] for span in executes)
+        assert len(blocks) > len(executes)  # some flush scheduled several blocks
+    windows = named("engine.window")
     # Every op of both traces (100 precondition writes + the 1,500-op
     # mixed day) lands in exactly one window.
     assert sum(span["attrs"]["ops"] for span in windows) == 1_600

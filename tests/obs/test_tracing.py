@@ -10,6 +10,7 @@ cross-file merge that stitches worker traces to the coordinator's.
 import gc
 import json
 import multiprocessing
+import os
 import sys
 import warnings
 
@@ -17,7 +18,6 @@ import pytest
 
 from repro import obs
 from repro.obs.tracing import (
-    DETAIL_LEVELS,
     TRACE_FORMAT,
     TRACE_VERSION,
     Tracer,
@@ -139,16 +139,6 @@ def test_detached_spans_do_not_become_implicit_parents(tmp_path):
     # is the root, not the attempt held open by the scheduler.
     assert named["store.append"]["parent"] == root.id
     assert named["campaign.attempt"]["parent"] == root.id
-
-
-def test_detail_level_gates(tmp_path):
-    assert DETAIL_LEVELS == ("coarse", "flush", "block")
-    coarse = Tracer(tmp_path, "c", detail="coarse")
-    assert not coarse.detail_flush and not coarse.detail_block
-    flush = Tracer(tmp_path, "f", detail="flush")
-    assert flush.detail_flush and not flush.detail_block
-    block = Tracer(tmp_path, "b", detail="block")
-    assert block.detail_flush and block.detail_block
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +265,17 @@ def test_merge_rejects_colliding_labels(tmp_path):
 # ----------------------------------------------------------------------
 # Rebinding: one file per campaign scenario, in long-lived workers
 # ----------------------------------------------------------------------
+
+
+def test_configure_leaves_the_environment_untouched(tmp_path):
+    """Tracing state lives in the configuring process and the workers
+    it forks: arming and disarming it writes no environment variable."""
+    before = dict(os.environ)
+    obs.configure(tmp_path, label="w0")
+    armed = dict(os.environ)
+    obs.reset()
+    assert armed == before
+    assert dict(os.environ) == before
 
 
 def test_rebind_closes_the_file_the_previous_scenario_opened(tmp_path):

@@ -66,18 +66,24 @@ def test_duplicate_axis_values_fail_cleanly():
         build_grid(_args("--reclaim", "0", "0"))
 
 
-def test_executor_flags():
+def test_executor_flags(capsys):
+    """--executor takes the executor spec string and checks it at parse
+    time; the deleted --executor-workers is a usage error."""
     grid = build_grid(_args("--backend", "flash_chip", "--executor", "threaded"))
     assert grid.backends[0].executor == "threaded"
     grid = build_grid(
-        _args(
-            "--backend", "flash_chip",
-            "--executor", "threaded", "--executor-workers", "3",
-        )
+        _args("--backend", "flash_chip", "--executor", "threaded:3")
     )
     assert grid.backends[0].executor == "threaded:3"
-    with pytest.raises(SystemExit, match="--executor threaded"):
-        build_grid(_args("--executor-workers", "3"))
+    with pytest.raises(SystemExit) as excinfo:
+        _args("--executor", "threaded:0")
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--executor" in err and "bad executor worker count" in err
+    with pytest.raises(SystemExit) as excinfo:
+        _args("--executor-workers", "3")
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_decoder_axis_expands_with_rs_codes():
@@ -220,12 +226,13 @@ def test_cli_shard_is_validated_at_parse_time(capsys, spec):
         ["--lease-batch", "1"],
         ["--worker-name", "wA"],
         ["--resident-blocks", "4"],
+        ["--trace-detail", "block"],
     ],
 )
 def test_cli_rejects_the_deleted_elastic_flags(capsys, tmp_path, argv):
-    """The lease scheduler's flags and the out-of-core block budget are
-    gone: argparse rejects them with a usage error before any store is
-    touched."""
+    """The lease scheduler's flags, the out-of-core block budget and the
+    trace detail level (tracing is on or off) are gone: argparse rejects
+    them with a usage error before any store is touched."""
     store = tmp_path / "store"
     with pytest.raises(SystemExit) as excinfo:
         main(["--campaign", str(store), *argv])

@@ -56,9 +56,10 @@ FLOORS = [
 
 #: (section, key, ceiling) — overhead ratios that must stay *below* the
 #: line.  Floors guard "fast stays fast"; ceilings guard "cheap stays
-#: cheap": telemetry armed at coarse detail costs at most 2% of the
-#: flash-chip engine row, and a campaign's wall clock stays within 1.25x
-#: of the in-process runner's (1.15 as recorded).
+#: cheap": armed tracing, every read flush's phase spans included,
+#: costs at most 2% of the flash-chip engine row, and a campaign's wall
+#: clock stays within 1.25x of the in-process runner's (1.15 as
+#: recorded).
 CEILINGS = [
     ("engine_throughput", "telemetry_overhead_ratio", 1.02),
     ("campaign_store", "campaign_overhead_ratio", 1.25),
