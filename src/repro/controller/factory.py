@@ -17,7 +17,6 @@ from dataclasses import asdict
 from repro import obs
 from repro.units import SECONDS_PER_DAY
 from repro.controller.backends import CounterBackend, FlashChipBackend, PhysicsBackend
-from repro.ecc import DEFAULT_ECC, EccConfig
 from repro.controller.engine import SimulationEngine
 from repro.controller.ftl import SsdConfig
 from repro.parallel.results import ScenarioResult
@@ -30,17 +29,12 @@ def build_backend(spec: BackendSpec, seed: int) -> PhysicsBackend:
     """Instantiate the physics backend a scenario asked for."""
     if spec.kind == "counter":
         return CounterBackend()
-    ecc = DEFAULT_ECC
-    if spec.decoder != "threshold":
-        ecc = EccConfig(decoder=spec.decoder, rs_n=spec.rs_n, rs_k=spec.rs_k)
     return FlashChipBackend(
         bitlines_per_block=spec.bitlines_per_block,
         initial_pe_cycles=spec.initial_pe_cycles,
         vpass=spec.vpass,
-        ecc=ecc,
         seed=seed,
         executor=spec.executor,
-        fault_pattern=spec.fault_pattern,
     )
 
 

@@ -17,33 +17,23 @@ from functools import lru_cache
 from scipy.optimize import brentq
 from scipy.stats import binom, poisson
 
-from repro.ecc.rs import check_rs_code
 from repro.physics import constants
-
-#: Decoder engines selectable on :attr:`EccConfig.decoder`.
-DECODER_KINDS = ("threshold", "rs")
 
 
 @dataclass(frozen=True)
 class EccConfig:
     """Provisioned ECC strength plus the paper's reserved-margin policy.
 
-    ``decoder`` selects the engine :class:`~repro.ecc.decoder.EccDecoder`
-    runs: the binomial ``"threshold"`` model (default) or the real
-    ``"rs"`` symbol codec, whose code rate is ``rs_n``/``rs_k`` (total /
-    data symbols per GF(256) codeword; ``t = (rs_n - rs_k) // 2`` symbol
-    errors correctable).  The provisioning math above the engines
-    (tolerable RBER, page capability, reserved margin) is shared — RDR
-    and the Vpass tuner budget in raw bits regardless of decoder.
+    One rule judges every page: :class:`~repro.ecc.decoder.EccDecoder`
+    fails a page whose raw bit errors exceed
+    :meth:`page_capability_bits`, the tolerable-RBER envelope scaled to
+    the page.  RDR and the Vpass tuner budget against the same math.
     """
 
     codeword_bits: int = constants.ECC_CODEWORD_BITS
     correctable_bits: int = constants.ECC_T_BITS
     reserved_margin_fraction: float = constants.ECC_RESERVED_MARGIN_FRACTION
     codeword_failure_target: float = 1e-13
-    decoder: str = "threshold"
-    rs_n: int = 255
-    rs_k: int = 223
 
     def __post_init__(self) -> None:
         if self.codeword_bits <= 0 or self.correctable_bits <= 0:
@@ -54,18 +44,6 @@ class EccConfig:
             raise ValueError("reserved margin fraction must be in [0, 1)")
         if not 0.0 < self.codeword_failure_target < 1.0:
             raise ValueError("failure target must be a probability")
-        if self.decoder not in DECODER_KINDS:
-            raise ValueError(
-                f"decoder must be one of {DECODER_KINDS}, got {self.decoder!r}"
-            )
-        # A bad code rate fails at config construction, before any
-        # decoder is built.
-        check_rs_code(self.rs_n, self.rs_k)
-
-    @property
-    def rs_t(self) -> int:
-        """Correctable symbol errors per RS codeword."""
-        return (self.rs_n - self.rs_k) // 2
 
     @property
     def raw_capability_rber(self) -> float:

@@ -642,38 +642,6 @@ class FlashBlock:
             self.record_reads(wordlines, np.ones(wordlines.size, dtype=np.int64), vpass)
         return counts
 
-    def page_error_masks(
-        self,
-        pages: np.ndarray,
-        now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
-        vpass: float = VPASS_NOMINAL,
-        record_disturb: bool = False,
-    ) -> np.ndarray:
-        """Batched raw bit-error *positions*: ``(pages, bitlines)`` bool.
-
-        The position-level companion of :meth:`page_error_counts` for
-        decoders that need more than a count (the RS engine decodes the
-        mask as a received word).  Both methods share one fused
-        sense-and-compare kernel, so
-        ``page_error_masks(...).sum(axis=1) == page_error_counts(...)``
-        bit-for-bit, under the same disturb-recording and ``(now,
-        voltage_epoch)`` cache contract.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return np.zeros((0, self.geometry.bitlines_per_block), dtype=bool)
-        wordlines, inverse, errors_lsb, errors_msb = self._page_error_flags(
-            pages, now, references, vpass
-        )
-        masks = np.empty((pages.size, self.geometry.bitlines_per_block), dtype=bool)
-        lsb = pages % 2 == 0
-        masks[lsb] = errors_lsb[inverse[lsb]]
-        masks[~lsb] = errors_msb[inverse[~lsb]]
-        if record_disturb:
-            self.record_reads(wordlines, np.ones(wordlines.size, dtype=np.int64), vpass)
-        return masks
-
     def _page_error_flags(
         self,
         pages: np.ndarray,
@@ -681,7 +649,7 @@ class FlashBlock:
         references: ReadReferences,
         vpass: float,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused sense-and-compare shared by the count and mask paths.
+        """Fused sense-and-compare behind :meth:`page_error_counts`.
 
         Returns ``(wordlines, inverse, errors_lsb, errors_msb)`` — the
         per-unique-wordline boolean error matrices for both page kinds,

@@ -154,22 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decode tasks: serial, threaded (one thread per CPU) or threaded:N "
         "(bit-identical in every mode)",
     )
-    physics.add_argument(
-        "--decoder", choices=("threshold", "rs"), nargs="+",
-        default=["threshold"], metavar="ENGINE",
-        help="ECC engine(s): threshold (capability count) and/or rs (the "
-        "GF(256) Reed-Solomon codec); several values form a backend axis",
-    )
-    physics.add_argument(
-        "--rs-code", nargs="+", default=["255,223"], metavar="N,K",
-        help="RS code rate(s) as total,data symbols per codeword (applies "
-        "to --decoder rs cells; several values form a backend axis)",
-    )
-    physics.add_argument(
-        "--fault-pattern", nargs="+", default=["none"], metavar="SPEC",
-        help="structured fault injection axis: none, burst{1|2|4}:RATE, or "
-        "scatterN:RATE (e.g. burst2:1e-3); several values form a backend axis",
-    )
     parser.add_argument(
         "--trajectory", action="store_true",
         help="record a per-maintenance-window trajectory (incl. worst-block "
@@ -267,67 +251,29 @@ def build_policies(args: argparse.Namespace) -> tuple[PolicySpec, ...]:
     )
 
 
-def _parse_rs_code(code: str) -> tuple[int, int]:
-    """Parse one ``--rs-code`` value (``"255,223"``) into ``(n, k)``."""
-    try:
-        n, k = (int(part) for part in code.split(","))
-    except ValueError:
-        raise SystemExit(
-            f"bad --rs-code {code!r}: expected N,K (e.g. 255,223)"
-        ) from None
-    return n, k
-
-
 def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
-    """Expand the backend flags into an axis:
-    pe-cycles x vpass x decoder x rs-code x fault-pattern.
+    """Expand the backend flags into an axis: pe-cycles x vpass.
 
-    ``--rs-code`` only multiplies the ``rs`` decoder cells (threshold
-    cells have no code rate).  The counter backend ignores every
-    flash-chip knob (its label could not distinguish the cells), so it
-    only accepts single-valued defaults.
+    The counter backend ignores every flash-chip knob (its label could
+    not distinguish the cells), so it only accepts single-valued
+    defaults.
     """
     if args.backend == "counter" and (len(args.pe_cycles), len(args.vpass)) != (1, 1):
         raise SystemExit(
             "the counter backend ignores --pe-cycles/--vpass; sweep them "
             "with --backend flash_chip"
         )
-    if args.backend == "counter" and (
-        args.decoder != ["threshold"] or args.fault_pattern != ["none"]
-    ):
-        raise SystemExit(
-            "the counter backend has no ECC path; sweep --decoder/"
-            "--fault-pattern with --backend flash_chip"
+    return tuple(
+        BackendSpec(
+            kind=args.backend,
+            bitlines_per_block=args.bitlines,
+            initial_pe_cycles=pe_cycles,
+            vpass=vpass,
+            executor=args.executor,
         )
-    faults = [None if fp == "none" else fp for fp in args.fault_pattern]
-    try:
-        specs = []
-        for pe_cycles in args.pe_cycles:
-            for vpass in args.vpass:
-                for decoder in args.decoder:
-                    codes = (
-                        [_parse_rs_code(code) for code in args.rs_code]
-                        if decoder == "rs"
-                        else [(255, 223)]
-                    )
-                    for rs_n, rs_k in codes:
-                        for fault in faults:
-                            specs.append(
-                                BackendSpec(
-                                    kind=args.backend,
-                                    bitlines_per_block=args.bitlines,
-                                    initial_pe_cycles=pe_cycles,
-                                    vpass=vpass,
-                                    executor=args.executor,
-                                    decoder=decoder,
-                                    rs_n=rs_n,
-                                    rs_k=rs_k,
-                                    fault_pattern=fault,
-                                )
-                            )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    return tuple(specs)
+        for pe_cycles in args.pe_cycles
+        for vpass in args.vpass
+    )
 
 
 def build_grid(args: argparse.Namespace) -> ScenarioGrid:

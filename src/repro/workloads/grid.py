@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from repro.ecc.rs import check_rs_code
 from repro.rng import spawn_key
 from repro.units import VPASS_NOMINAL
 from repro.workloads.synthetic import WorkloadSpec
@@ -144,7 +143,8 @@ class BackendSpec:
 
     ``kind="counter"`` is the fast bookkeeping-only backend;
     ``kind="flash_chip"`` binds every touched block to a Monte-Carlo
-    :class:`~repro.flash.block.FlashBlock` (ECC + RDR in the loop).  The
+    :class:`~repro.flash.block.FlashBlock` (ECC + RDR in the loop; the
+    one ECC rule is the 1e-3 envelope of :mod:`repro.ecc`).  The
     flash-chip knobs are ignored by the counter backend.
 
     *executor* selects how the flash-chip backend runs the per-block
@@ -162,18 +162,6 @@ class BackendSpec:
     initial_pe_cycles: int = 0
     vpass: float = VPASS_NOMINAL
     executor: str = "serial"
-    #: ECC engine: "threshold" (capability count) or "rs" (the GF(256)
-    #: Reed-Solomon codec; see :mod:`repro.ecc`).  A *physics* knob —
-    #: unlike the executor it changes results, so it enters the label.
-    decoder: str = "threshold"
-    #: RS code rate (total / data symbols per codeword); only meaningful
-    #: (and only validated strictly) with ``decoder="rs"``.
-    rs_n: int = 255
-    rs_k: int = 223
-    #: structured fault-injection axis ("burst2:1e-3", "scatter4:1e-3",
-    #: see :func:`repro.ecc.fault_model.parse_fault_spec`); None injects
-    #: nothing.
-    fault_pattern: str | None = None
 
     _KINDS = ("counter", "flash_chip")
 
@@ -182,23 +170,6 @@ class BackendSpec:
             raise ValueError(
                 f"unknown backend kind {self.kind!r}; expected one of {self._KINDS}"
             )
-        if self.decoder not in ("threshold", "rs"):
-            raise ValueError(
-                f"unknown decoder {self.decoder!r}; expected 'threshold' or 'rs'"
-            )
-        check_rs_code(self.rs_n, self.rs_k)
-        if self.decoder != "rs" and (
-            _non_default(self, "rs_n") or _non_default(self, "rs_k")
-        ):
-            raise ValueError("rs_n/rs_k require decoder='rs'")
-        if self.decoder != "threshold" and self.kind != "flash_chip":
-            raise ValueError("decoder='rs' needs the flash_chip backend")
-        if self.fault_pattern is not None:
-            if self.kind != "flash_chip":
-                raise ValueError("fault_pattern needs the flash_chip backend")
-            from repro.ecc.fault_model import parse_fault_spec
-
-            parse_fault_spec(self.fault_pattern)
         parse_executor_spec(self.executor)
 
     @property
@@ -217,10 +188,6 @@ class BackendSpec:
             label += f"-pe{self.initial_pe_cycles}"
         if _non_default(self, "vpass"):
             label += f"-vp{self.vpass:g}"
-        if _non_default(self, "decoder"):
-            label += f"-{self.decoder}{self.rs_n}.{self.rs_k}"
-        if self.fault_pattern is not None:
-            label += f"-f{self.fault_pattern}"
         return label
 
 

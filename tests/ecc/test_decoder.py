@@ -160,68 +160,6 @@ def test_batch_page_index_out_of_range(decoder):
         batch.page(-4)
 
 
-# ----------------------------------------------------------------------
-# RS engine dispatch through the shared contract
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def rs_decoder():
-    from repro.ecc import EccConfig
-
-    return EccDecoder(EccConfig(decoder="rs", rs_n=255, rs_k=223))
-
-
-def test_rs_decode_pages_matches_scalar_decode(rs_decoder):
-    rng = np.random.default_rng(6)
-    true = rng.integers(0, 2, (6, 512), dtype=np.uint8)
-    read = true.copy()
-    t = rs_decoder.config.rs_t
-    for i, n_errors in enumerate([0, 1, 8 * t, 8 * t + 8, 256, 512]):
-        read[i, :n_errors] ^= 1
-    batch = rs_decoder.decode_pages(read, true)
-    assert isinstance(batch.page(0).capability, int)
-    for i in range(6):
-        scalar = rs_decoder.decode(read[i], true[i])
-        assert batch.page(i) == scalar
-        assert batch.raw_errors[i] == int((read[i] != true[i]).sum())
-
-
-def test_rs_batch_page_index_out_of_range(rs_decoder):
-    clean = np.zeros((2, 512), dtype=np.uint8)
-    batch = rs_decoder.decode_pages(clean, clean)
-    with pytest.raises(IndexError, match=r"out of range for batch of 2 pages"):
-        batch.page(2)
-
-
-def test_rs_margins_are_symbol_denominated(rs_decoder):
-    true = np.zeros((2, 512), dtype=np.uint8)
-    read = true.copy()
-    read[1, 0:16] ^= 1  # two full symbols in error
-    batch = rs_decoder.decode_pages(read, true)
-    assert batch.capability == rs_decoder.config.rs_t  # one codeword per page
-    assert batch.symbol_errors.tolist() == [0, 2]
-    assert batch.margins.tolist() == [batch.capability, batch.capability - 2]
-    assert batch.raw_errors.tolist() == [0, 16]
-    assert not batch.miscorrected.any()
-
-
-def test_rs_check_pages_raw_errors_match_threshold(decoder, rs_decoder):
-    from repro.flash import FlashBlock, FlashGeometry
-    from repro.rng import RngFactory
-
-    geometry = FlashGeometry(blocks=1, wordlines_per_block=8, bitlines_per_block=512)
-    blk = FlashBlock(geometry, RngFactory(4))
-    blk.cycle_wear_to(12000)
-    blk.program_random()
-    blk.apply_read_disturb(500_000, target_wordline=0)
-    pages = np.arange(geometry.pages_per_block)
-    threshold = decoder.check_pages(blk, pages, now=3600.0, vpass=500.0)
-    rs = rs_decoder.check_pages(blk, pages, now=3600.0, vpass=500.0)
-    # Same sensed cells, same raw bit errors — only the engine differs.
-    assert np.array_equal(rs.raw_errors, threshold.raw_errors)
-
-
 def test_page_capability_is_memoized():
     from repro.ecc.config import EccConfig, _page_capability_bits
 

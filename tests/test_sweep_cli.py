@@ -86,62 +86,23 @@ def test_executor_flags(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_decoder_axis_expands_with_rs_codes():
-    grid = build_grid(
-        _args(
-            "--backend", "flash_chip",
-            "--decoder", "threshold", "rs",
-            "--rs-code", "255,223", "32,30",
-        )
-    )
-    labels = [b.label for b in grid.backends]
-    # Threshold cells ignore --rs-code (no code rate); rs cells multiply.
-    assert len(grid.backends) == 3
-    assert len({b.label for b in grid.backends}) == 3
-    assert sum("rs255.223" in label for label in labels) == 1
-    assert sum("rs32.30" in label for label in labels) == 1
-    threshold = [b for b in grid.backends if b.decoder == "threshold"]
-    assert len(threshold) == 1 and "rs" not in threshold[0].label
+@pytest.mark.parametrize(
+    "argv",
+    [["--decoder", "rs"], ["--rs-code", "255,223"], ["--fault-pattern", "burst2:0.01"]],
+)
+def test_deleted_ecc_flags_are_usage_errors(capsys, argv):
+    """The Reed-Solomon engine and the symbol fault injector are gone
+    (the threshold rule is the one ECC rule): their flags are argparse
+    usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        _args("--backend", "flash_chip", *argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_fault_pattern_axis():
-    grid = build_grid(
-        _args(
-            "--backend", "flash_chip",
-            "--fault-pattern", "none", "burst2:0.01", "scatter4:0.01",
-        )
-    )
-    assert len(grid.backends) == 3
-    labels = [b.label for b in grid.backends]
-    assert sum("fburst2:0.01" in label for label in labels) == 1
-    assert sum("fscatter4:0.01" in label for label in labels) == 1
-
-
-def test_counter_backend_rejects_decoder_and_fault_axes():
-    with pytest.raises(SystemExit, match="no ECC path"):
-        build_grid(_args("--decoder", "rs"))
-    with pytest.raises(SystemExit, match="no ECC path"):
-        build_grid(_args("--fault-pattern", "burst2:0.01"))
-
-
-def test_bad_rs_code_and_fault_spec_fail_cleanly():
-    with pytest.raises(SystemExit, match="bad --rs-code"):
-        build_grid(
-            _args("--backend", "flash_chip", "--decoder", "rs", "--rs-code", "255")
-        )
-    with pytest.raises(SystemExit, match="even"):
-        build_grid(
-            _args("--backend", "flash_chip", "--decoder", "rs", "--rs-code", "16,11")
-        )
-    with pytest.raises(SystemExit, match="bad fault spec"):
-        build_grid(
-            _args("--backend", "flash_chip", "--fault-pattern", "burst3:oops")
-        )
-
-
-def test_cli_rs_campaign_runs_and_resumes(capsys, tmp_path):
-    """End-to-end acceptance: an RS-decoder sweep through the campaign
-    store, resumed, with --serial-check pinning bit-identity."""
+def test_cli_flash_chip_campaign_runs_and_resumes(capsys, tmp_path):
+    """End-to-end: a flash-chip scenario through the campaign store,
+    resumed, with --serial-check pinning bit-identity."""
     store = tmp_path / "store"
     argv = [
         "--workloads", "web_0",
@@ -150,8 +111,6 @@ def test_cli_rs_campaign_runs_and_resumes(capsys, tmp_path):
         "--blocks", "12", "--pages-per-block", "16",
         "--overprovision", "0.25",
         "--bitlines", "512",
-        "--decoder", "rs",
-        "--fault-pattern", "burst4:0.05",
         "--campaign", str(store),
         "--serial-check",
     ]

@@ -49,9 +49,6 @@ FLOORS = [
     ("physics_hotpath", "decode_nominal_speedup", 1.2),
     ("physics_hotpath", "decode_relaxed_speedup", 100.0),
     ("physics_hotpath", "block_rber_speedup", 1.1),
-    # The vectorized RS engine: batched mask decode vs. per-page loop
-    # (ISSUE-8 acceptance bar: >= 10x on a 512-page batch).
-    ("rs_decode", "speedup_batched", 10.0),
 ]
 
 #: (section, key, ceiling) — overhead ratios that must stay *below* the
@@ -102,7 +99,6 @@ REQUIRED_KEYS = {
         "campaign_overhead_ratio",
         "scenarios",
     ],
-    "rs_decode": ["cpu_count", "pages", "pages_per_sec_batched"],
 }
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Docs gate for CI: public docstrings present, markdown links resolve.
+"""Docs gate for CI: public docstrings present, markdown links resolve,
+README's throughput table matches the bench record.
 
-Two checks, both hard failures:
+Three checks, all hard failures:
 
 1. **Docstrings.**  Imports :mod:`repro` and verifies every name in
    ``repro.__all__`` plus the documented batched primitives (the API
@@ -9,12 +10,16 @@ Two checks, both hard failures:
 2. **Links.**  Every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at an existing file (anchors are stripped;
    external ``http(s)`` links are not fetched).
+3. **Bench numbers.**  Every measured number README's throughput table
+   quotes is mapped to the ``BENCH_physics.json`` ``section.key`` it
+   quotes (:data:`README_QUOTES`) and must lie within 10% of it.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -62,6 +67,40 @@ DOCUMENTED_NAMES = [
 MARKDOWN_FILES = ["README.md", "docs/architecture.md", "ROADMAP.md"]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: (table row, column, pattern, section.key): where README's throughput
+#: table quotes a number recorded in BENCH_physics.json.  The row is the
+#: first cell, the column is "throughput" or "notes", and the pattern's
+#: group captures the number with an optional k/M suffix.
+README_QUOTES = [
+    ("counter backend, batched", "throughput", r"~([\d.]+[kM]?) trace ops/s",
+     "engine_throughput.counter_batched_ops_per_sec"),
+    ("counter backend, batched", "notes", r"([\d.]+)x over per-op",
+     "engine_throughput.counter_batched_speedup"),
+    ("counter backend, per-op", "throughput", r"~([\d.]+[kM]?) trace ops/s",
+     "engine_throughput.counter_per_op_ops_per_sec"),
+    ("counter backend, batched, Figure-8 suite", "throughput",
+     r"~([\d.]+[kM]?) trace ops/s", "engine_throughput.counter_suite_ops_per_sec"),
+    ("counter backend, batched, Figure-8 suite", "notes", r"([\d.]+)x over per-op",
+     "engine_throughput.counter_suite_speedup"),
+    ("flash-chip backend, batched", "throughput", r"~([\d.]+[kM]?) trace ops/s",
+     "engine_throughput.flash_chip_ops_per_sec"),
+    ("relaxed-Vpass decode", "throughput", r"([\d.]+)x over scalar",
+     "physics_hotpath.decode_relaxed_speedup"),
+    ("full-block RBER measurement", "throughput", r"([\d.]+)x over scalar",
+     "physics_hotpath.block_rber_speedup"),
+    ("intra-scenario executor (`threaded:N`), read phase", "throughput",
+     r"([\d.]+)x at `threaded:2`", "intra_scenario.speedup_threaded_2"),
+    ("intra-scenario executor (`threaded:N`), read phase", "notes",
+     r"serial's code \(([\d.]+)x\)", "intra_scenario.write_speedup_threaded_2"),
+    ("sharded sweeps (`workers=N`)", "throughput", r"([\d.]+)x at `workers=2`",
+     "sweep_parallel.speedup_workers_2"),
+]
+
+#: largest relative gap allowed between a quoted and a recorded number.
+README_TOLERANCE = 0.10
+
+_SUFFIX = {"": 1.0, "k": 1e3, "M": 1e6}
 
 
 def _resolve(path: str):
@@ -116,8 +155,48 @@ def check_links() -> list[str]:
     return problems
 
 
+def _table_rows(readme: str) -> dict[str, dict[str, str]]:
+    """Markdown table rows keyed by first cell, as throughput/notes cells."""
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 3:
+            rows[cells[0]] = {"throughput": cells[1], "notes": cells[2]}
+    return rows
+
+
+def check_readme_numbers(readme: str, record: dict) -> list[str]:
+    """Every README quote more than 10% away from its recorded value."""
+    rows = _table_rows(readme)
+    problems = []
+    for row, column, pattern, path in README_QUOTES:
+        where = f"README.md row {row!r} ({column})"
+        cell = rows.get(row, {}).get(column)
+        match = re.search(pattern, cell) if cell is not None else None
+        if match is None:
+            problems.append(f"{where}: no number matching {pattern!r}")
+            continue
+        section, key = path.split(".")
+        recorded = record.get(section, {}).get(key)
+        if recorded is None:
+            problems.append(f"{where}: {path} is not in BENCH_physics.json")
+            continue
+        text = match.group(1)
+        quoted = float(text.rstrip("kM")) * _SUFFIX[text.lstrip("0123456789.")]
+        if abs(quoted - recorded) > README_TOLERANCE * abs(recorded):
+            problems.append(
+                f"{where}: quotes {text}, but {path} records {recorded}"
+            )
+    return problems
+
+
 def main() -> int:
-    problems = check_docstrings() + check_links()
+    record = json.loads((REPO / "BENCH_physics.json").read_text())
+    problems = (
+        check_docstrings()
+        + check_links()
+        + check_readme_numbers((REPO / "README.md").read_text(), record)
+    )
     if problems:
         print("docs check FAILED:")
         for problem in problems:
@@ -125,7 +204,8 @@ def main() -> int:
         return 1
     print(
         f"docs check OK: {len(DOCUMENTED_NAMES)} documented names, "
-        f"links resolve in {', '.join(MARKDOWN_FILES)}"
+        f"links resolve in {', '.join(MARKDOWN_FILES)}, "
+        f"{len(README_QUOTES)} README numbers match BENCH_physics.json"
     )
     return 0
 

@@ -35,7 +35,6 @@ PYTHONPATH=src python -m pytest \
     benchmarks/bench_sweep_parallel.py \
     benchmarks/bench_intra_scenario.py \
     benchmarks/bench_campaign_store.py \
-    benchmarks/bench_rs_decode.py \
     -o python_functions='bench_*' -q "$@"
 
 python tools/check_bench.py
