@@ -2,7 +2,7 @@
 
 Walks the paper's core loop in a dozen lines of API:
 
-1. build a simulated chip and wear a block to 8K P/E cycles;
+1. build a simulated flash block and wear it to 8K P/E cycles;
 2. program pseudo-random data and hammer the block with reads;
 3. watch the raw bit error rate climb;
 4. run Vpass Tuning and see how much disturb the tuned Vpass avoids.
@@ -11,9 +11,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    FlashChip,
+    FlashBlock,
     FlashGeometry,
     MonteCarloTunableBlock,
+    RngFactory,
     VpassTuner,
 )
 from repro.physics.read_disturb import vpass_exposure_weight
@@ -22,8 +23,7 @@ GEOMETRY = FlashGeometry(blocks=1, wordlines_per_block=32, bitlines_per_block=81
 
 
 def main() -> None:
-    chip = FlashChip(GEOMETRY, seed=42)
-    block = chip.block(0)
+    block = FlashBlock(GEOMETRY, RngFactory(42))
 
     # Age the block the way the paper's testbed does, then fill it.
     block.cycle_wear_to(8000)
@@ -35,13 +35,13 @@ def main() -> None:
     for reads in (0, 100_000, 300_000, 1_000_000):
         block.apply_read_disturb(reads - applied)
         applied = reads
-        rber = block.measure_block_rber(now=chip.now)
+        rber = block.measure_block_rber()
         print(f"  {reads:>9,} reads -> RBER {rber:.2e}")
 
     # Fresh block for the mitigation story.
-    block.erase(chip.now)
-    block.program_random(chip.now)
-    tunable = MonteCarloTunableBlock(block, now=chip.now, characterize=False)
+    block.erase()
+    block.program_random()
+    tunable = MonteCarloTunableBlock(block, characterize=False)
     outcome = VpassTuner().tune_after_refresh(tunable)
     print(
         f"\nVpass Tuning: margin M={outcome.margin} bits -> "

@@ -1,10 +1,11 @@
 """Reproduction of "Read Disturb Errors in MLC NAND Flash Memory:
 Characterization, Mitigation, and Recovery" (Cai et al., DSN 2015).
 
-Public API re-exports: the simulated device (:class:`FlashChip`), the
-analytic channel model (:class:`FlashChannelModel`), the paper's two
-mechanisms (:class:`VpassTuner`, :class:`ReadDisturbRecovery`), the
-unified simulation engine (:class:`SimulationEngine` and its backends),
+Public API re-exports: the simulated device, one Monte-Carlo flash block
+at a time (:class:`FlashBlock`), the analytic channel model
+(:class:`FlashChannelModel`), the paper's two mechanisms
+(:class:`VpassTuner`, :class:`ReadDisturbRecovery`), the unified
+simulation engine (:class:`SimulationEngine` and its backends),
 and the sharded sweep subsystem (:class:`ScenarioGrid`,
 :class:`SweepRunner`, ``python -m repro.sweep``).  See README.md for a
 quickstart and docs/architecture.md for the system contracts.
@@ -13,7 +14,6 @@ quickstart and docs/architecture.md for the system contracts.
 from repro.units import VPASS_NOMINAL, days, hours
 from repro.rng import RngFactory
 from repro.flash import (
-    FlashChip,
     FlashBlock,
     FlashGeometry,
     MlcState,
@@ -70,7 +70,6 @@ __all__ = [
     "days",
     "hours",
     "RngFactory",
-    "FlashChip",
     "FlashBlock",
     "FlashGeometry",
     "MlcState",

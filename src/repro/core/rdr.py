@@ -31,7 +31,7 @@ import numpy as np
 from repro.analysis.histograms import quantized_voltages
 from repro.core.classifier import intersection_threshold
 from repro.flash.block import FlashBlock
-from repro.flash.sensing import DEFAULT_REFERENCES, ReadReferences
+from repro.flash.sensing import DEFAULT_REFERENCES
 from repro.flash.state import bit_errors_between
 
 
@@ -114,15 +114,15 @@ class RdrOutcome:
 
 
 class ReadDisturbRecovery:
-    """RDR engine operating on a Monte-Carlo flash block."""
+    """RDR engine operating on a Monte-Carlo flash block.
 
-    def __init__(
-        self,
-        config: RdrConfig | None = None,
-        references: ReadReferences = DEFAULT_REFERENCES,
-    ):
+    The class boundaries RDR corrects across are the read references the
+    block senses against, the paper's defaults
+    (:data:`~repro.flash.sensing.DEFAULT_REFERENCES`).
+    """
+
+    def __init__(self, config: RdrConfig | None = None):
         self.config = config if config is not None else RdrConfig()
-        self.references = references
 
     # ------------------------------------------------------------------
 
@@ -139,7 +139,7 @@ class ReadDisturbRecovery:
         error counts.
         """
         cfg = self.config
-        refs = self.references.as_array()
+        refs = DEFAULT_REFERENCES.as_array()
 
         # Step 1: Vth sweep at failure time.
         vth_before = quantized_voltages(

@@ -25,5 +25,5 @@ def predict_worst_page(block: FlashBlock, now: float = 0.0) -> int:
     block.erase(now)
     block.program_random(now)
     pages = np.arange(block.geometry.pages_per_block, dtype=np.int64)
-    errors = block.page_error_counts(pages, now, record_disturb=False)
+    errors = block.page_error_counts(pages, now)
     return int(np.argmax(errors))

@@ -6,6 +6,10 @@ We model a BCH-like code correcting ``correctable_bits`` per
 probability at which a codeword still fails only with negligible
 probability (the solver below), and it lands at about 1.05e-3 for the
 default 40-bit / 1KB-class configuration — matching the paper's number.
+
+``scipy.stats`` and ``scipy.optimize`` are imported inside the functions
+that use them: the counter backend never provisions ECC, so a cold
+``import repro`` does not load them.
 """
 
 from __future__ import annotations
@@ -13,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.optimize import brentq
-from scipy.stats import binom, poisson
 
 from repro.physics import constants
 
@@ -52,6 +53,8 @@ class EccConfig:
 
     def codeword_failure_probability(self, rber: float) -> float:
         """P[a codeword sees more errors than it can correct] at *rber*."""
+        from scipy.stats import binom
+
         if not 0.0 <= rber <= 1.0:
             raise ValueError("rber must be a probability")
         return float(binom.sf(self.correctable_bits, self.codeword_bits, rber))
@@ -99,6 +102,8 @@ class EccConfig:
         Used by the analytic tunable block to produce the maximum estimated
         error (MEE) the mechanism would observe on its predicted worst page.
         """
+        from scipy.stats import poisson
+
         if pages < 1:
             raise ValueError("need at least one page")
         lam = max(rber, 0.0) * page_bits
@@ -118,6 +123,9 @@ def _page_capability_bits(
 
 @lru_cache(maxsize=64)
 def _tolerable_rber(codeword_bits: int, correctable_bits: int, target: float) -> float:
+    from scipy.optimize import brentq
+    from scipy.stats import binom
+
     def excess(p: float) -> float:
         return float(binom.sf(correctable_bits, codeword_bits, p)) - target
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ecc.config import EccConfig, DEFAULT_ECC
+from repro.units import VPASS_NOMINAL
 
 
 class UncorrectableError(Exception):
@@ -67,31 +68,6 @@ class BatchDecodeResult:
     #: shared correction capability of the batch's page size.
     capability: int
 
-    def __len__(self) -> int:
-        return int(self.raw_errors.size)
-
-    @property
-    def margins(self) -> np.ndarray:
-        """Unused correction capability per page (negative on failure)."""
-        return self.capability - self.raw_errors
-
-    def _check_index(self, index: int) -> int:
-        index = int(index)
-        if not -len(self) <= index < len(self):
-            raise IndexError(
-                f"page index {index} out of range for batch of {len(self)} pages"
-            )
-        return index
-
-    def page(self, index: int) -> DecodeResult:
-        """The scalar :class:`DecodeResult` of one page of the batch."""
-        index = self._check_index(index)
-        return DecodeResult(
-            success=bool(self.success[index]),
-            raw_errors=int(self.raw_errors[index]),
-            capability=self.capability,
-        )
-
 
 class EccDecoder:
     """Decode pages by comparing raw reads against ground truth.
@@ -125,55 +101,21 @@ class EccDecoder:
             raise UncorrectableError(result.raw_errors, result.capability)
         return result
 
-    def decode_pages(
-        self, read_bits: np.ndarray, true_bits: np.ndarray
-    ) -> BatchDecodeResult:
-        """Batched :meth:`decode`: one ``(pages, page_bits)`` comparison.
-
-        Raw errors fall out of a single XOR over the bit matrices and
-        capability resolves once per page size, so a flushed batch is a
-        few vectorized passes instead of a Python loop.
-
-        **Bit-identity.**  ``decode_pages(R, T).page(i)`` equals
-        ``decode(R[i], T[i])`` for every row — same raw-error counts,
-        same success flags, same capability (pinned by
-        ``tests/ecc/test_decoder.py``).  Decoding only reads its
-        arguments; it never mutates block state or consumes RNG, so it
-        can run on any sensed batch without perturbing the simulation.
-        """
-        read_bits = np.asarray(read_bits)
-        true_bits = np.asarray(true_bits)
-        if read_bits.shape != true_bits.shape:
-            raise ValueError("read and true bit arrays must have the same shape")
-        if read_bits.ndim != 2:
-            raise ValueError("decode_pages expects (pages, page_bits) matrices")
-        _require_bit_array("read bits", read_bits)
-        _require_bit_array("true bits", true_bits)
-        errors = np.count_nonzero(read_bits != true_bits, axis=1).astype(np.int64)
-        capability = self.config.page_capability_bits(read_bits.shape[1])
-        return BatchDecodeResult(
-            raw_errors=errors, success=errors <= capability, capability=capability
-        )
-
     def check_page(
         self,
         flash_block,
         page: int,
         now: float = 0.0,
-        vpass: float | None = None,
-        record_disturb: bool = False,
+        vpass: float = VPASS_NOMINAL,
     ) -> DecodeResult:
         """Decode one page of a simulated :class:`~repro.flash.block.FlashBlock`.
 
         This is the controller-side decode of a host read: sense the page
         at the current simulation time and compare against the programmed
-        data.  Disturb recording defaults to off because the caller (the
-        simulation engine) accounts read disturb in bulk per window.
+        data.  It charges no disturb: the caller (the simulation engine)
+        accounts read disturb in bulk per window.
         """
-        kwargs = {} if vpass is None else {"vpass": vpass}
-        read_bits = flash_block.read_page(
-            page, now, record_disturb=record_disturb, **kwargs
-        )
+        read_bits = flash_block.read_page(page, now, vpass, record_disturb=False)
         true_bits = flash_block.expected_page_bits(page)
         return self.decode(read_bits, true_bits)
 
@@ -182,30 +124,29 @@ class EccDecoder:
         flash_block,
         pages: np.ndarray,
         now: float = 0.0,
-        vpass: float | None = None,
-        record_disturb: bool = False,
+        vpass: float = VPASS_NOMINAL,
     ) -> BatchDecodeResult:
         """Batched :meth:`check_page` against one simulated block.
 
         Uses the block's fused error counting
         (:meth:`~repro.flash.block.FlashBlock.page_error_counts`): every
-        page senses against a single voltage materialization.
+        page senses against a single voltage materialization, and, like
+        :meth:`check_page`, the call charges no disturb.
 
-        **Bit-identity.**  Results equal a non-recording
-        :meth:`check_page` loop over *pages*; every page is sensed at
-        the batch's entry exposure (recording, when enabled, charges
-        disturb after sensing — the flush-granular contract of
-        :meth:`~repro.controller.backends.FlashChipBackend.on_reads`).
+        **Bit-identity.**  Results equal a :meth:`check_page` loop over
+        *pages*: ``raw_errors[i]`` and ``success[i]`` are that loop's
+        ``raw_errors`` and ``success`` for ``pages[i]``, with the same
+        ``capability``.  The caller charges disturb itself:
+        :meth:`~repro.controller.backends.FlashChipBackend.on_reads`
+        charges each block's flushed reads in one ``record_reads`` call
+        before it checks the pages.
 
         **Cache precondition.**  Inherits the block's ``(now,
         voltage_epoch)`` cache contract: out-of-band cell mutations need
         :meth:`~repro.flash.block.FlashBlock.invalidate_voltage_cache`
         before decoding.
         """
-        kwargs = {} if vpass is None else {"vpass": vpass}
-        errors = flash_block.page_error_counts(
-            pages, now, record_disturb=record_disturb, **kwargs
-        )
+        errors = flash_block.page_error_counts(pages, now, vpass)
         capability = self.config.page_capability_bits(
             flash_block.geometry.bitlines_per_block
         )

@@ -1,12 +1,14 @@
 """NAND flash device substrate.
 
-This subpackage is the software stand-in for the paper's FPGA-based testing
-platform plus the 2Y-nm MLC NAND chips under test.  It models a chip as an
-array of blocks, each block a grid of wordlines x bitlines of floating-gate
-cells whose state is a continuous normalized threshold voltage.  The same
-observables the paper relies on are exposed here: read/program/erase
-operations, read-retry Vth stepping, per-page error counts, and Vref/Vpass
-control.
+This subpackage is the software stand-in for the 2Y-nm MLC NAND chips the
+paper tests.  Its unit is the :class:`FlashBlock`: a grid of wordlines x
+bitlines of floating-gate cells whose state is a continuous normalized
+threshold voltage.  The characterization experiments build blocks
+directly, as the paper's FPGA platform drives its chips.  A block exposes
+the two observables the paper measures, page reads scored against the
+programmed data (per-page error counts) and read-retry threshold-voltage
+sweeps, plus program/erase and Vpass control.  Every read senses against
+the paper's default read references.
 """
 
 from repro.flash.state import (
@@ -21,8 +23,7 @@ from repro.flash.state import (
 from repro.flash.geometry import FlashGeometry
 from repro.flash.cell_array import CellArray
 from repro.flash.block import FlashBlock
-from repro.flash.chip import FlashChip
-from repro.flash.sensing import ReadReferences, sense_states, sense_page, sense_pages
+from repro.flash.sensing import ReadReferences, sense_states, sense_page
 from repro.flash.errors import (
     ErrorBreakdown,
     count_bit_errors,
@@ -41,11 +42,9 @@ __all__ = [
     "FlashGeometry",
     "CellArray",
     "FlashBlock",
-    "FlashChip",
     "ReadReferences",
     "sense_states",
     "sense_page",
-    "sense_pages",
     "ErrorBreakdown",
     "count_bit_errors",
     "measure_rber",

@@ -17,13 +17,7 @@ from repro.units import VPASS_NOMINAL
 from repro.flash.cell_array import CellArray
 from repro.flash.errors import page_bits_from_states
 from repro.flash.geometry import FlashGeometry
-from repro.flash.sensing import (
-    DEFAULT_REFERENCES,
-    ReadReferences,
-    sense_page,
-    sense_pages,
-    sense_states,
-)
+from repro.flash.sensing import DEFAULT_REFERENCES, sense_page, sense_states
 from repro.flash.state import states_from_bits
 from repro.physics import constants
 from repro.physics.read_disturb import DEFAULT_READ_DISTURB, vpass_exposure_weight
@@ -439,7 +433,6 @@ class FlashBlock:
         self,
         page: int,
         now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
         vpass: float = VPASS_NOMINAL,
         record_disturb: bool = True,
     ) -> np.ndarray:
@@ -447,61 +440,9 @@ class FlashBlock:
         wordline, is_msb = self.geometry.page_to_wordline(page)
         cutoff = self._cutoff_mask(wordline, now, vpass)
         voltages = self._wordline_voltages(np.array([wordline]), now)[0]
-        bits = sense_page(voltages, is_msb, references, cutoff)
+        bits = sense_page(voltages, is_msb, DEFAULT_REFERENCES, cutoff)
         if record_disturb:
             self.record_read(wordline, vpass)
-        return bits
-
-    def read_pages(
-        self,
-        pages: np.ndarray,
-        now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
-        vpass: float = VPASS_NOMINAL,
-        record_disturb: bool = False,
-    ) -> np.ndarray:
-        """Batched :meth:`read_page`: sense every page of *pages* against
-        one materialization of the block.
-
-        Returns the ``(len(pages), bitlines)`` bit matrix.
-
-        **Bit-identity.**  All pages are sensed at the entry exposure —
-        bit-identical to a per-page loop with ``record_disturb=False``
-        (the equivalence suite in ``tests/flash/test_batched_sensing.py``
-        pins this); with recording on, the disturb of the whole batch is
-        charged *after* sensing (one :meth:`record_reads` call), matching
-        the controller's flush-granular accounting rather than a per-op
-        interleave.
-
-        **Cache precondition.**  Sensing reads the ``(now,
-        voltage_epoch)``-keyed cache behind :meth:`block_voltages`; every
-        mutation through this class bumps the epoch, but out-of-band
-        edits to :attr:`cells` or :attr:`disturb_model` must call
-        :meth:`invalidate_voltage_cache` first or this batch senses stale
-        voltages.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size and (
-            pages.min() < 0 or pages.max() >= self.geometry.pages_per_block
-        ):
-            raise IndexError("page out of range in batched read")
-        wordlines = pages // 2
-        is_msb = pages % 2 == 1
-        if vpass < _CUTOFF_CHECK_VPASS:
-            # One shared cutoff pass for the whole batch: count cells above
-            # vpass per bitline once, then exclude each page's own wordline.
-            full = self.block_voltages(now)
-            above = full > vpass
-            above_counts = above.sum(axis=0)
-            cutoff = (above_counts[None, :] - above[wordlines]) > 0
-            voltages = full[wordlines]
-        else:
-            cutoff = None
-            unique_wordlines, inverse = _unique_sorted(wordlines)
-            voltages = self._wordline_voltages(unique_wordlines, now)[inverse]
-        bits = sense_pages(voltages, is_msb, references, cutoff)
-        if record_disturb and pages.size:
-            self.record_reads(wordlines, np.ones(wordlines.size, dtype=np.int64), vpass)
         return bits
 
     def threshold_read(
@@ -543,7 +484,7 @@ class FlashBlock:
         physically shifts the block between steps and must stay an
         ordered per-step loop (as RDR's sweeps do).
 
-        **Cache precondition.**  Same as :meth:`read_pages`: warm
+        **Cache precondition.**  Same as :meth:`page_error_counts`: warm
         ``(now, voltage_epoch)`` caches are reused, so out-of-band cell
         mutations require :meth:`invalidate_voltage_cache`.
         """
@@ -561,14 +502,13 @@ class FlashBlock:
         self,
         wordline: int,
         now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
         vpass: float = VPASS_NOMINAL,
         record_disturb: bool = True,
     ) -> np.ndarray:
-        """Full-state sense of one wordline (used by read-retry sweeps)."""
+        """Full-state sense of one wordline against the default references."""
         cutoff = self._cutoff_mask(wordline, now, vpass)
         voltages = self._wordline_voltages(np.array([wordline]), now)[0]
-        states = sense_states(voltages, references, cutoff)
+        states = sense_states(voltages, DEFAULT_REFERENCES, cutoff)
         if record_disturb:
             self.record_read(wordline, vpass)
         return states
@@ -582,36 +522,25 @@ class FlashBlock:
         wordline, is_msb = self.geometry.page_to_wordline(page)
         return page_bits_from_states(self.cells.true_states[wordline], is_msb)
 
-    def expected_pages_bits(self, pages: np.ndarray) -> np.ndarray:
-        """Batched :meth:`expected_page_bits`: the ``(len(pages),
-        bitlines)`` ground-truth bit matrix."""
-        pages = np.asarray(pages, dtype=np.int64)
-        states = self.cells.true_states[pages // 2]
-        lsb = page_bits_from_states(states, False)
-        msb = page_bits_from_states(states, True)
-        return np.where((pages % 2 == 1)[:, None], msb, lsb)
-
     def page_error_count(
         self,
         page: int,
         now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
         vpass: float = VPASS_NOMINAL,
         record_disturb: bool = True,
     ) -> int:
         """Bit errors a read of *page* would return right now."""
-        bits = self.read_page(page, now, references, vpass, record_disturb)
+        bits = self.read_page(page, now, vpass, record_disturb)
         return int((bits != self.expected_page_bits(page)).sum())
 
     def page_error_counts(
         self,
         pages: np.ndarray,
         now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
         vpass: float = VPASS_NOMINAL,
-        record_disturb: bool = False,
     ) -> np.ndarray:
-        """Batched :meth:`page_error_count`: raw bit errors per page.
+        """Batched :meth:`page_error_count`: raw bit errors per page, with
+        no disturb charged (callers account their reads themselves).
 
         Sensing and the ground-truth comparison are fused per unique
         wordline (both page kinds at once), so a whole block's error
@@ -621,45 +550,24 @@ class FlashBlock:
         **Bit-identity.**  Counts equal a non-recording scalar
         :meth:`page_error_count` loop exactly (equivalence suite:
         ``tests/flash/test_batched_sensing.py``, including relaxed-Vpass
-        cutoff cases); as in :meth:`read_pages`, recording (when
-        enabled) charges the batch's disturb after sensing.
+        cutoff cases).
 
-        **Cache precondition.**  Same ``(now, voltage_epoch)`` cache
-        contract as :meth:`read_pages`: call
-        :meth:`invalidate_voltage_cache` after any out-of-band mutation.
+        **Cache precondition.**  Sensing reads the ``(now,
+        voltage_epoch)``-keyed cache behind :meth:`block_voltages`; every
+        mutation through this class bumps the epoch, but out-of-band
+        edits to :attr:`cells` or :attr:`disturb_model` must call
+        :meth:`invalidate_voltage_cache` first or this batch senses stale
+        voltages.
         """
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0:
             return np.zeros(0, dtype=np.int64)
-        wordlines, inverse, errors_lsb, errors_msb = self._page_error_flags(
-            pages, now, references, vpass
-        )
-        per_wordline = np.empty((errors_lsb.shape[0], 2), dtype=np.int64)
-        per_wordline[:, 0] = np.count_nonzero(errors_lsb, axis=1)
-        per_wordline[:, 1] = np.count_nonzero(errors_msb, axis=1)
-        counts = per_wordline[inverse, pages % 2]
-        if record_disturb:
-            self.record_reads(wordlines, np.ones(wordlines.size, dtype=np.int64), vpass)
-        return counts
-
-    def _page_error_flags(
-        self,
-        pages: np.ndarray,
-        now: float,
-        references: ReadReferences,
-        vpass: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused sense-and-compare behind :meth:`page_error_counts`.
-
-        Returns ``(wordlines, inverse, errors_lsb, errors_msb)`` — the
-        per-unique-wordline boolean error matrices for both page kinds,
-        one voltage materialization total.
-        """
         if pages.min() < 0 or pages.max() >= self.geometry.pages_per_block:
             raise IndexError("page out of range in batched error count")
-        wordlines = pages // 2
-        unique_wordlines, inverse = _unique_sorted(wordlines)
+        unique_wordlines, inverse = _unique_sorted(pages // 2)
         if vpass < _CUTOFF_CHECK_VPASS:
+            # One shared cutoff pass for the whole batch: count cells above
+            # vpass per bitline once, then exclude each wordline's own row.
             full = self.block_voltages(now)
             above = full > vpass
             above_counts = above.sum(axis=0)
@@ -677,41 +585,39 @@ class FlashBlock:
         expected_msb |= states == 3
         # LSB page: sensed bit is V <= Vb (cut-off senses 0, erring wherever
         # the true bit is 1); MSB page: V <= Va or V > Vc (cut-off senses 1).
-        errors_lsb = voltages <= references.vb
+        errors_lsb = voltages <= DEFAULT_REFERENCES.vb
         np.not_equal(errors_lsb, expected_lsb, out=errors_lsb)
-        errors_msb = voltages <= references.va
-        errors_msb |= voltages > references.vc
+        errors_msb = voltages <= DEFAULT_REFERENCES.va
+        errors_msb |= voltages > DEFAULT_REFERENCES.vc
         np.not_equal(errors_msb, expected_msb, out=errors_msb)
         if cutoff is not None:
             # A cut-off bitline's sensed bit is fixed (LSB 0 / MSB 1), so
             # its error flag is just the expected bit (or its complement).
             np.copyto(errors_lsb, expected_lsb, where=cutoff)
             np.copyto(errors_msb, ~expected_msb, where=cutoff)
-        return wordlines, inverse, errors_lsb, errors_msb
+        per_wordline = np.empty((errors_lsb.shape[0], 2), dtype=np.int64)
+        per_wordline[:, 0] = np.count_nonzero(errors_lsb, axis=1)
+        per_wordline[:, 1] = np.count_nonzero(errors_msb, axis=1)
+        return per_wordline[inverse, pages % 2]
 
     def measure_block_rber(
         self,
         now: float = 0.0,
-        references: ReadReferences = DEFAULT_REFERENCES,
         vpass: float = VPASS_NOMINAL,
-        record_disturb: bool = False,
     ) -> float:
-        """RBER over all programmed pages (measurement reads are optionally
-        excluded from disturb accounting, like a characterization pass).
+        """RBER over all programmed pages, with no disturb charged: the
+        measurement reads are left out of the block's disturb accounting,
+        like a characterization pass.
 
         Runs on :meth:`page_error_counts`, so the whole block is measured
-        from a single voltage materialization.  With ``record_disturb``
-        on, every page is sensed at the entry exposure and the
-        measurement's disturb is charged afterwards in one batch — unlike
-        the historical per-page loop, where each measurement read
-        disturbed the pages sensed after it.
+        from a single voltage materialization.
         """
         programmed = np.flatnonzero(self.programmed)
         if programmed.size == 0:
             raise RuntimeError("block has no programmed pages to measure")
         pages = np.repeat(2 * programmed, 2)
         pages[1::2] += 1
-        errors = self.page_error_counts(pages, now, references, vpass, record_disturb)
+        errors = self.page_error_counts(pages, now, vpass)
         return float(errors.sum()) / (pages.size * self.geometry.bitlines_per_block)
 
     def true_states_of_wordline(self, wordline: int) -> np.ndarray:

@@ -28,10 +28,6 @@ class ReadReferences:
         if not self.va < self.vb < self.vc:
             raise ValueError("references must satisfy va < vb < vc")
 
-    def shifted(self, dva: float = 0.0, dvb: float = 0.0, dvc: float = 0.0) -> "ReadReferences":
-        """Read-retry: return references shifted by the given offsets."""
-        return ReadReferences(self.va + dva, self.vb + dvb, self.vc + dvc)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.va, self.vb, self.vc], dtype=np.float64)
 
@@ -77,30 +73,4 @@ def sense_page(
         bits = (voltages <= references.vb).astype(np.uint8)
         if cutoff is not None:
             bits = np.where(np.asarray(cutoff, bool), np.uint8(0), bits)
-    return bits
-
-
-def sense_pages(
-    voltages: np.ndarray,
-    is_msb: np.ndarray,
-    references: ReadReferences = DEFAULT_REFERENCES,
-    cutoff: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched :func:`sense_page`: sense many pages in two passes.
-
-    *voltages* is ``(pages, bitlines)`` — one wordline's voltages per row —
-    and *is_msb* a boolean per row.  Rows are grouped by page kind and each
-    group is sensed with :func:`sense_page`, so the result is bit-identical
-    to a per-page loop at a fraction of the call count.
-    """
-    voltages = np.asarray(voltages, dtype=np.float64)
-    is_msb = np.asarray(is_msb, dtype=bool)
-    if voltages.ndim != 2 or is_msb.shape != (voltages.shape[0],):
-        raise ValueError("need (pages, bitlines) voltages and one is_msb flag per page")
-    bits = np.empty(voltages.shape, dtype=np.uint8)
-    for msb in (False, True):
-        rows = is_msb if msb else ~is_msb
-        if rows.any():
-            group_cutoff = cutoff[rows] if cutoff is not None else None
-            bits[rows] = sense_page(voltages[rows], msb, references, group_cutoff)
     return bits

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flash import FlashBlock, FlashChip, FlashGeometry
+from repro.flash import FlashBlock, FlashGeometry
 from repro.model import FlashChannelModel
 from repro.rng import RngFactory
 
@@ -37,11 +37,6 @@ def programmed_block(small_geometry) -> FlashBlock:
     blk.cycle_wear_to(8000)
     blk.program_random()
     return blk
-
-
-@pytest.fixture
-def chip(small_geometry) -> FlashChip:
-    return FlashChip(small_geometry, seed=11)
 
 
 @pytest.fixture(scope="session")

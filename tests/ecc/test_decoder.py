@@ -56,34 +56,8 @@ def test_shape_mismatch_rejected(decoder):
 
 
 # ----------------------------------------------------------------------
-# Batched decoding
+# Batched checking
 # ----------------------------------------------------------------------
-
-
-def test_decode_pages_matches_scalar_decode(decoder):
-    rng = np.random.default_rng(3)
-    true = rng.integers(0, 2, (7, 4096), dtype=np.uint8)
-    read = true.copy()
-    cap = DEFAULT_ECC.page_capability_bits(4096)
-    # Page error counts straddling the capability, including both edges.
-    for i, n_errors in enumerate([0, 1, cap - 1, cap, cap + 1, 2 * cap, 4096]):
-        read[i, :n_errors] ^= 1
-    batch = decoder.decode_pages(read, true)
-    assert len(batch) == 7
-    assert batch.capability == cap
-    for i in range(7):
-        scalar = decoder.decode(read[i], true[i])
-        assert batch.page(i) == scalar
-        assert batch.raw_errors[i] == scalar.raw_errors
-        assert bool(batch.success[i]) == scalar.success
-        assert batch.margins[i] == scalar.margin
-
-
-def test_decode_pages_rejects_bad_shapes(decoder):
-    with pytest.raises(ValueError):
-        decoder.decode_pages(np.zeros((2, 8)), np.zeros((2, 9)))
-    with pytest.raises(ValueError):
-        decoder.decode_pages(np.zeros(8), np.zeros(8))
 
 
 def test_check_pages_matches_check_page_loop(decoder):
@@ -100,7 +74,13 @@ def test_check_pages_matches_check_page_loop(decoder):
         batch = decoder.check_pages(blk, pages, now=3600.0, vpass=vpass)
         for i, page in enumerate(pages):
             scalar = decoder.check_page(blk, int(page), now=3600.0, vpass=vpass)
-            assert batch.page(i) == scalar
+            assert batch.raw_errors[i] == scalar.raw_errors
+            assert bool(batch.success[i]) == scalar.success
+            assert batch.capability == scalar.capability
+        if vpass < 512.0:
+            # The relaxed read must fail some pages, so the success flags
+            # are compared on both outcomes.
+            assert not batch.success.all()
 
 
 # ----------------------------------------------------------------------
@@ -136,28 +116,6 @@ def test_decode_rejects_non_bit_values(decoder):
         decoder.decode(dirty, clean)
     with pytest.raises(ValueError, match=r"true bits must contain only 0/1"):
         decoder.decode(clean, dirty.astype(np.int64) * -1)
-
-
-def test_decode_pages_rejects_float_and_bool(decoder):
-    clean = np.zeros((3, 64), dtype=np.uint8)
-    with pytest.raises(ValueError, match=r"got dtype float32"):
-        decoder.decode_pages(np.zeros((3, 64), dtype=np.float32), clean)
-    with pytest.raises(ValueError, match=r"got dtype bool"):
-        decoder.decode_pages(clean, np.zeros((3, 64), dtype=bool))
-
-
-def test_batch_page_index_out_of_range(decoder):
-    clean = np.zeros((3, 64), dtype=np.uint8)
-    batch = decoder.decode_pages(clean, clean)
-    assert batch.page(-1) == batch.page(2)  # negatives index from the end
-    with pytest.raises(
-        IndexError, match=r"page index 3 out of range for batch of 3 pages"
-    ):
-        batch.page(3)
-    with pytest.raises(
-        IndexError, match=r"page index -4 out of range for batch of 3 pages"
-    ):
-        batch.page(-4)
 
 
 def test_page_capability_is_memoized():

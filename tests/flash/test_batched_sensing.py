@@ -1,18 +1,18 @@
 """Batched sensing primitives must match the scalar paths bit-for-bit.
 
-The vectorized hot path (`read_pages`, `page_error_counts`,
-`threshold_sweep_counts`, the fused materialization kernel, and the
-epoch-keyed voltage cache) exists purely for speed: every test here pins
-it to the per-page scalar reference, including the low-Vpass cutoff-mask
-cases and cache invalidation across disturb recording, erase, and
-reprogramming.
+The vectorized hot path (`page_error_counts`, `threshold_sweep_counts`,
+the fused materialization kernel, and the epoch-keyed voltage cache)
+exists purely for speed: every test here pins it to the per-page scalar
+reference, including the low-Vpass cutoff-mask cases and cache
+invalidation across disturb recording, erase, and reprogramming.
 """
 
 import numpy as np
 import pytest
 
+from repro.ecc import EccDecoder
 from repro.flash import FlashBlock, FlashGeometry
-from repro.flash.sensing import DEFAULT_REFERENCES, sense_page, sense_pages
+from repro.flash.sensing import sense_page
 from repro.rng import RngFactory
 from repro.units import days
 
@@ -31,12 +31,6 @@ def make_block(seed=7, pe=8000, reads=200_000, wordlines=8, bitlines=512):
     return blk
 
 
-def scalar_read_pages(blk, pages, now, vpass):
-    return np.stack(
-        [blk.read_page(int(p), now, vpass=vpass, record_disturb=False) for p in pages]
-    )
-
-
 def scalar_error_counts(blk, pages, now, vpass):
     return np.array(
         [
@@ -45,15 +39,6 @@ def scalar_error_counts(blk, pages, now, vpass):
         ],
         dtype=np.int64,
     )
-
-
-@pytest.mark.parametrize("vpass", VPASS_CASES)
-def test_read_pages_matches_scalar_loop(vpass):
-    blk = make_block()
-    pages = np.array([0, 1, 2, 3, 7, 8, 15, 14, 3])  # unsorted + duplicate
-    batched = blk.read_pages(pages, now=days(1), vpass=vpass)
-    scalar = scalar_read_pages(blk, pages, days(1), vpass)
-    assert np.array_equal(batched, scalar)
 
 
 @pytest.mark.parametrize("vpass", VPASS_CASES)
@@ -73,6 +58,19 @@ def test_page_error_counts_match_scalar_loop(vpass):
         # The relaxed-Vpass case must actually exercise cutoff errors,
         # otherwise this equivalence proves less than it claims.
         assert batched.sum() > scalar_error_counts(blk, pages, days(2), 512.0).sum()
+
+
+def test_page_error_counts_range_check():
+    blk = make_block(reads=0)
+    last = blk.geometry.pages_per_block
+    message = "page out of range in batched error count"
+    for bad in (-1, last):
+        with pytest.raises(IndexError, match=message):
+            blk.page_error_counts(np.array([0, bad]))
+        with pytest.raises(IndexError, match=message):
+            EccDecoder().check_pages(blk, np.array([bad]))
+    empty = blk.page_error_counts(np.array([], dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_fused_materialization_matches_reference_composition():
@@ -107,7 +105,7 @@ def test_measure_block_rber_skips_unprogrammed_wordlines():
         msb = rng.integers(0, 2, 256, dtype=np.uint8)
         blk.program_wordline_bits(wordline, lsb, msb)
     pages = np.array([2, 3, 8, 9])
-    expected = blk.page_error_counts(pages, record_disturb=False).sum() / (4 * 256)
+    expected = blk.page_error_counts(pages).sum() / (4 * 256)
     assert blk.measure_block_rber() == expected
 
 
@@ -120,26 +118,6 @@ def test_threshold_sweep_counts_match_scalar_sweep():
         for t in thresholds:
             scalar += blk.threshold_read(wordline, float(t), days(1), record_disturb=False)
         assert np.array_equal(batched, scalar)
-
-
-def test_expected_pages_bits_matches_scalar():
-    blk = make_block(reads=0)
-    pages = np.arange(blk.geometry.pages_per_block)
-    batched = blk.expected_pages_bits(pages)
-    for i, page in enumerate(pages):
-        assert np.array_equal(batched[i], blk.expected_page_bits(int(page)))
-
-
-def test_sense_pages_matches_sense_page():
-    rng = np.random.default_rng(5)
-    voltages = rng.uniform(-40.0, 520.0, (6, 128))
-    is_msb = np.array([False, True, True, False, True, False])
-    cutoff = rng.random((6, 128)) < 0.1
-    batched = sense_pages(voltages, is_msb, DEFAULT_REFERENCES, cutoff)
-    for i in range(6):
-        assert np.array_equal(
-            batched[i], sense_page(voltages[i], bool(is_msb[i]), DEFAULT_REFERENCES, cutoff[i])
-        )
 
 
 # ----------------------------------------------------------------------
@@ -171,17 +149,25 @@ def test_cache_invalidated_by_record_read_and_apply():
 
 def test_cache_invalidated_by_erase_and_reprogram():
     blk = make_block()
-    pages = np.arange(4)
-    blk.read_pages(pages, now=0.0)  # warm the cache
+
+    def read_pages():
+        return np.stack([blk.read_page(p, now=0.0, record_disturb=False) for p in range(4)])
+
+    def uncached_pages():
+        voltages = blk.current_voltages(0.0, np.array([0, 1]))
+        return np.stack([sense_page(voltages[p // 2], p % 2 == 1) for p in range(4)])
+
+    blk.block_voltages(0.0)  # warm the cache with the programmed block
     blk.erase()
-    erased = blk.read_pages(pages, now=0.0)
-    assert np.array_equal(erased, scalar_read_pages(blk, pages, 0.0, 512.0))
+    erased = read_pages()
+    assert np.array_equal(erased, uncached_pages())
     # Erased cells sense as ER: LSB pages read all-ones.
     assert (erased[0] == 1).all() and (erased[2] == 1).all()
+    blk.block_voltages(0.0)  # warm the cache with the erased block
     blk.program_random()
-    reprogrammed = blk.read_pages(pages, now=0.0)
+    reprogrammed = read_pages()
     assert not np.array_equal(erased, reprogrammed)
-    assert np.array_equal(reprogrammed, scalar_read_pages(blk, pages, 0.0, 512.0))
+    assert np.array_equal(reprogrammed, uncached_pages())
 
 
 def test_cache_keyed_on_time():

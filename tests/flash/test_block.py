@@ -45,6 +45,37 @@ def test_cycle_wear_cannot_decrease(programmed_block):
         programmed_block.cycle_wear_to(10)
 
 
+def test_read_page_charges_one_read_to_its_wordline(small_geometry):
+    factory = RngFactory(11)
+    block = FlashBlock(small_geometry, factory, block_id=0)
+    other = FlashBlock(small_geometry, factory, block_id=1)
+    for blk in (block, other):
+        blk.erase()
+        blk.program_random()
+    block.read_page(3)  # wordline 1's MSB page, at the default Vpass
+    assert block.total_reads == 1
+    expected = np.zeros(small_geometry.wordlines_per_block, dtype=np.int64)
+    expected[1] = 1
+    assert np.array_equal(block.reads_targeted, expected)
+    assert other.total_reads == 0 and not other.reads_targeted.any()
+
+
+def test_blocks_with_same_seed_identical():
+    g = FlashGeometry(blocks=1, wordlines_per_block=4, bitlines_per_block=256)
+    a, b = FlashBlock(g, RngFactory(5)), FlashBlock(g, RngFactory(5))
+    for blk in (a, b):
+        blk.erase()
+        blk.program_random()
+    assert np.array_equal(a.cells.v0, b.cells.v0)
+    assert np.array_equal(a.cells.true_states, b.cells.true_states)
+
+
+def test_blocks_with_different_seeds_differ():
+    g = FlashGeometry(blocks=1, wordlines_per_block=4, bitlines_per_block=256)
+    a, b = FlashBlock(g, RngFactory(5)), FlashBlock(g, RngFactory(6))
+    assert not np.array_equal(a.cells.susceptibility, b.cells.susceptibility)
+
+
 def test_read_disturbs_other_wordlines_only(block):
     block.erase()
     block.program_random()

@@ -50,13 +50,6 @@ def test_page_sense_consistent_with_state_sense():
     assert np.array_equal(sense_page(voltages, True), msb_of_state(states))
 
 
-def test_reference_shift_helper():
-    refs = DEFAULT_REFERENCES.shifted(dva=-8, dvc=4)
-    assert refs.va == DEFAULT_REFERENCES.va - 8
-    assert refs.vb == DEFAULT_REFERENCES.vb
-    assert refs.vc == DEFAULT_REFERENCES.vc + 4
-
-
 def test_references_must_be_ordered():
     with pytest.raises(ValueError):
         ReadReferences(va=200, vb=100, vc=300)

@@ -16,7 +16,6 @@ def test_mechanisms_exported():
     assert repro.VpassTuner is not None
     assert repro.ReadDisturbRecovery is not None
     assert repro.FlashChannelModel is not None
-    assert repro.FlashChip is not None
 
 
 def test_analysis_lazy_exports():

@@ -29,7 +29,6 @@ REPO = Path(__file__).resolve().parent.parent
 #: attribute paths (under the repro package) whose docstrings are part of
 #: the documented contract — the batched primitives and the sweep API.
 DOCUMENTED_NAMES = [
-    "flash.block.FlashBlock.read_pages",
     "flash.block.FlashBlock.page_error_counts",
     "flash.block.FlashBlock.threshold_sweep_counts",
     "flash.block.FlashBlock.block_voltages",
@@ -42,7 +41,6 @@ DOCUMENTED_NAMES = [
     "workloads.grid.parse_executor_spec",
     "rng.block_spawn_key",
     "workloads.trace_cache.generated_trace",
-    "ecc.decoder.EccDecoder.decode_pages",
     "ecc.decoder.EccDecoder.check_pages",
     "controller.backends.FlashChipBackend.on_reads",
     "controller.ftl.PageMappingFtl.relocate_block",
