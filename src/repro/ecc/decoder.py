@@ -65,8 +65,6 @@ class BatchDecodeResult:
     raw_errors: np.ndarray
     #: per-page decode success (errors within capability).
     success: np.ndarray
-    #: shared correction capability of the batch's page size.
-    capability: int
 
 
 class EccDecoder:
@@ -135,8 +133,8 @@ class EccDecoder:
 
         **Bit-identity.**  Results equal a :meth:`check_page` loop over
         *pages*: ``raw_errors[i]`` and ``success[i]`` are that loop's
-        ``raw_errors`` and ``success`` for ``pages[i]``, with the same
-        ``capability``.  The caller charges disturb itself:
+        ``raw_errors`` and ``success`` for ``pages[i]``.  The caller
+        charges disturb itself:
         :meth:`~repro.controller.backends.FlashChipBackend.on_reads`
         charges each block's flushed reads in one ``record_reads`` call
         before it checks the pages.
@@ -150,6 +148,4 @@ class EccDecoder:
         capability = self.config.page_capability_bits(
             flash_block.geometry.bitlines_per_block
         )
-        return BatchDecodeResult(
-            raw_errors=errors, success=errors <= capability, capability=capability
-        )
+        return BatchDecodeResult(raw_errors=errors, success=errors <= capability)

@@ -17,7 +17,7 @@ from repro.units import VPASS_NOMINAL
 from repro.flash.cell_array import CellArray
 from repro.flash.errors import page_bits_from_states
 from repro.flash.geometry import FlashGeometry
-from repro.flash.sensing import DEFAULT_REFERENCES, sense_page, sense_states
+from repro.flash.sensing import DEFAULT_REFERENCES, sense_page
 from repro.flash.state import states_from_bits
 from repro.physics import constants
 from repro.physics.read_disturb import DEFAULT_READ_DISTURB, vpass_exposure_weight
@@ -497,21 +497,6 @@ class FlashBlock:
         if cutoff is not None:
             counts[cutoff] = 0
         return counts.astype(np.int64)
-
-    def read_wordline_states(
-        self,
-        wordline: int,
-        now: float = 0.0,
-        vpass: float = VPASS_NOMINAL,
-        record_disturb: bool = True,
-    ) -> np.ndarray:
-        """Full-state sense of one wordline against the default references."""
-        cutoff = self._cutoff_mask(wordline, now, vpass)
-        voltages = self._wordline_voltages(np.array([wordline]), now)[0]
-        states = sense_states(voltages, DEFAULT_REFERENCES, cutoff)
-        if record_disturb:
-            self.record_read(wordline, vpass)
-        return states
 
     # ------------------------------------------------------------------
     # Ground truth helpers (simulator-only; a real chip cannot do this)

@@ -1,4 +1,4 @@
-"""``repro.obs``: the unified telemetry layer (tracing + export).
+"""``repro.obs``: the unified telemetry layer (span tracing).
 
 Zero-dependency observability for the whole stack — the engine's
 windows, the flash backend's plan/execute/merge flushes, the block
@@ -8,9 +8,11 @@ store appends all report here.  Two pieces:
 - :mod:`repro.obs.tracing` — nested timed spans emitted as
   crash-tolerant, schema-versioned JSONL, one file per participating
   process, merged by deterministic span ids;
-- :mod:`repro.obs.export` — post-hoc machine-readable snapshots
-  (``metrics.json`` + a Prometheus-style textfile) rendered from
-  store + trace state alone.
+- :func:`repro.obs.tracing.trace_summary` — the per-span-name digest
+  (span count + summed seconds) of a trace directory, which
+  ``--status --json`` carries as its ``trace`` key, so the campaign's
+  one machine-readable health document is read from store + trace
+  state alone.
 
 **The out-of-band contract.**  Telemetry observes the run; it never
 participates.  Nothing in this package feeds an RNG stream, a scenario
@@ -45,6 +47,7 @@ from repro.obs.tracing import (
     load_trace_file,
     merge_spans,
     trace_file_paths,
+    trace_summary,
 )
 
 __all__ = [
@@ -59,6 +62,7 @@ __all__ = [
     "load_trace_file",
     "merge_spans",
     "trace_file_paths",
+    "trace_summary",
 ]
 
 _tracer: Tracer | NullTracer = NULL_TRACER
@@ -96,7 +100,7 @@ def rebind(label: str) -> None:
 
     Called by workers that inherited a configured tracer across fork
     and know their logical name — e.g. a campaign scenario worker's
-    ``<worker>.<scenario>.a<attempt>``.
+    ``<worker>.<scenario>``.
     The new tracer starts a fresh file and id sequence, so span ids
     are stable across runs regardless of pids or scheduling.  The old
     tracer's file is closed if this process opened it (the previous

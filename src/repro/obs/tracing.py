@@ -43,7 +43,7 @@ the first free ``<label>-r<k>``, k = 2, 3, … (see
 recorded from *concurrently scheduled* work (per-block executor tasks)
 must not consume the shared sequence — thread interleaving would make
 it racy — so they use parent-derived ids instead
-(:meth:`Tracer.child_id`, e.g. ``wA.web_0-…-s0.a1:000007/b12``) via
+(:meth:`Tracer.child_id`, e.g. ``wA.web_0-…-s0:000007/b12``) via
 :meth:`Tracer.record`, which allocates nothing.
 
 **What a traced run writes** is decided by the run, not by a knob:
@@ -78,6 +78,7 @@ __all__ = [
     "trace_file_paths",
     "load_trace_file",
     "load_trace_dir",
+    "trace_summary",
     "merge_spans",
 ]
 
@@ -135,7 +136,7 @@ class Tracer:
         This writer's logical name — it prefixes every span id, so it
         must be unique among the run's writers *and* stable across
         runs for ids to be comparable (campaign workers use
-        ``<writer>.<scenario>.a<attempt>``, not a pid).  When the
+        ``<writer>.<scenario>``, not a pid).  When the
         directory already holds this label's file, the tracer writes
         as ``<label>-r<k>`` instead (:attr:`label` tells which).
     """
@@ -459,6 +460,36 @@ def load_trace_file(path: str | os.PathLike) -> dict:
 def load_trace_dir(directory: str | os.PathLike) -> list[dict]:
     """Load every trace file of *directory* (sorted by filename)."""
     return [load_trace_file(path) for path in trace_file_paths(directory)]
+
+
+def trace_summary(trace_dir: str | os.PathLike) -> dict:
+    """Digest a trace directory: spans per name, seconds per name.
+
+    Tolerates a missing directory (tracing was off) and torn files (a
+    worker died mid-span) — both simply contribute nothing.
+    """
+    trace_dir = Path(trace_dir)
+    by_name: dict[str, dict] = {}
+    files = 0
+    skipped = 0
+    if trace_dir.is_dir():
+        for loaded in load_trace_dir(trace_dir):
+            files += 1
+            skipped += loaded["skipped"]
+            for span in loaded["spans"]:
+                entry = by_name.setdefault(
+                    span["name"], {"count": 0, "seconds": 0.0}
+                )
+                entry["count"] += 1
+                if span["t1"] is not None:  # open spans have no duration
+                    entry["seconds"] += max(0.0, span["t1"] - span["t0"])
+    for entry in by_name.values():
+        entry["seconds"] = round(entry["seconds"], 6)
+    return {
+        "files": files,
+        "skipped_lines": skipped,
+        "spans": {name: by_name[name] for name in sorted(by_name)},
+    }
 
 
 def merge_spans(directory: str | os.PathLike) -> list[dict]:

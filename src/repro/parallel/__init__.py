@@ -34,7 +34,6 @@ from repro.parallel.campaign import (
     StreamingAggregate,
     campaign_status,
     parse_shard,
-    run_campaign,
     shard_of,
 )
 from repro.parallel.results import ScenarioFailure, ScenarioResult, SweepReport
@@ -53,7 +52,6 @@ __all__ = [
     "default_workers",
     "grid_fingerprint",
     "parse_shard",
-    "run_campaign",
     "run_sweep",
     "shard_of",
 ]

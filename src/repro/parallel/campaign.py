@@ -357,7 +357,7 @@ class Campaign:
                     # Deterministic worker identity, stable across runs; a
                     # rerun's writer takes <label>-r<k> (see obs.Tracer).
                     trace_label = (
-                        f"{self.writer}.{_trace_slug(scenario.scenario_id)}.a1"
+                        f"{self.writer}.{_trace_slug(scenario.scenario_id)}"
                     )
                     # Detached: concurrent attempts overlap arbitrarily,
                     # so none sits on the scheduler thread's span stack.
@@ -366,7 +366,6 @@ class Campaign:
                         parent=root_span.id,
                         detached=True,
                         scenario=scenario.scenario_id,
-                        attempt=1,
                     )
                     span_id = span.id
                 yield (
@@ -388,7 +387,7 @@ class Campaign:
             # A run makes one attempt per scenario: a rerun is a new run.
             self.ledger.append(
                 self.store.record_failure(
-                    scenario_id, 1, outcome, payload, duration=seconds
+                    scenario_id, outcome, payload, duration=seconds
                 )
             )
             self.aggregate.observe_failure()
@@ -437,23 +436,15 @@ class Campaign:
         return SweepReport(results=ordered, workers=self.workers)
 
 
-def run_campaign(
-    grid: ScenarioGrid | Iterable[Scenario],
-    store: ResultStore | str,
-    **kwargs,
-) -> SweepReport:
-    """One-call convenience: ``Campaign(grid, store, **kwargs).run()``."""
-    return Campaign(grid, store, **kwargs).run()
-
-
 def campaign_status(root: str | os.PathLike) -> dict:
     """Live health of a campaign directory, from store state alone.
 
     Works on a running, crashed, or finished campaign — everything is
     derived from the durable artifacts (manifest, records, failure
-    ledger), so ``--status`` needs no connection to any worker.  A
-    directory without a store manifest raises :class:`ValueError` and
-    is left untouched.
+    ledger, and the trace files under ``<root>/trace``, digested by
+    :func:`~repro.obs.tracing.trace_summary`), so ``--status`` needs no
+    connection to any worker.  A directory without a store manifest
+    raises :class:`ValueError` and is left untouched.
     """
     if not ResultStore.is_initialized(root):
         raise ValueError(f"{root} is not an initialized campaign store")
@@ -473,4 +464,5 @@ def campaign_status(root: str | os.PathLike) -> dict:
         "store": {"live_files": len(list(store.records_dir.glob("*.jsonl")))},
         "failures": {"total": len(failures), "kinds": dict(kinds)},
         "aggregate": aggregate.snapshot(),
+        "trace": obs.trace_summary(store.root / "trace"),
     }

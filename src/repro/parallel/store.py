@@ -29,9 +29,10 @@ parents, killed workers, torn writes, bit flips — and merges back into a
 
 ``failures/<writer>.jsonl``
     The failure ledger: one record per failed *attempt* (scenario id,
-    attempt number, failure kind, detail, wall-clock timestamp, and the
-    attempt's monotonic-clock duration, which a stepped wall clock
-    cannot distort), appended by the campaign as failures happen.
+    failure kind, detail, wall-clock timestamp, and the attempt's
+    monotonic-clock duration, which a stepped wall clock cannot
+    distort), appended by the campaign as failures happen.  Entries an
+    older campaign wrote with an ``attempt`` number load as written.
     Purely diagnostic — never merged into reports.
 
 **Order-free merge by construction.**  Results are keyed by scenario
@@ -270,7 +271,6 @@ class ResultStore:
     def record_failure(
         self,
         scenario_id: str,
-        attempt: int,
         kind: str,
         detail: str,
         duration: float | None = None,
@@ -287,7 +287,6 @@ class ResultStore:
         """
         entry = {
             "scenario_id": scenario_id,
-            "attempt": int(attempt),
             "kind": kind,
             "detail": detail,
             "wall_time": time.time(),

@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", type=Path, nargs="?", const=Path("-"), default=None,
         metavar="PATH",
         help="write the full merged report as JSON ('-' or a bare --json "
-        "= stdout); with --status, emit the status document as JSON "
-        "instead of the human-readable report",
+        "= stdout); with --status, emit the status document, plus the "
+        "span digest of DIR/trace, as JSON instead of the human-readable "
+        "report",
     )
     return parser
 
@@ -432,7 +433,7 @@ def render_status(status: dict) -> str:
 
 #: schema identity of the ``--status --json`` document.
 STATUS_FORMAT = "repro-campaign-status"
-STATUS_VERSION = 3
+STATUS_VERSION = 4
 
 
 def run_status_cli(args: argparse.Namespace) -> int:
@@ -445,7 +446,7 @@ def run_status_cli(args: argparse.Namespace) -> int:
     if args.json is not None:
         # One stable machine-readable document (the dashboard surface):
         # schema-versioned, sorted keys, everything campaign_status
-        # derives from the durable store artifacts.
+        # derives from the durable store and trace artifacts.
         doc = json.dumps(
             {"format": STATUS_FORMAT, "version": STATUS_VERSION, **status},
             indent=2,

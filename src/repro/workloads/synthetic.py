@@ -68,9 +68,6 @@ class SyntheticWorkload:
     reproducibly derived from the seed.
     """
 
-    #: cap on per-call array sizes; generation is chunked above this.
-    _CHUNK = 1 << 20
-
     def __init__(self, spec: WorkloadSpec, seed: int = 0):
         self.spec = spec
         self.seed = int(seed)

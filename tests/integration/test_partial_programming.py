@@ -11,7 +11,7 @@ cell voltage), so a partially-programmed block shows it end to end.
 
 import numpy as np
 
-from repro.flash import FlashBlock, FlashGeometry, MlcState
+from repro.flash import FlashBlock, FlashGeometry
 from repro.rng import RngFactory
 
 GEOMETRY = FlashGeometry(blocks=1, wordlines_per_block=8, bitlines_per_block=8192)
@@ -47,8 +47,11 @@ def test_unprogrammed_wordlines_disturb_faster():
 def test_erased_cells_cross_into_programmed_states():
     block = _partially_programmed_block()
     block.apply_read_disturb(1_000_000, target_wordline=0)
-    states = block.read_wordline_states(6, record_disturb=False)
-    misread = (states != int(MlcState.ER)).mean()
+    # Wordline 6 holds pages 12 (LSB) and 13 (MSB).  ER reads as 11, so a
+    # cell misreads as programmed when either of its bits reads 0.
+    lsb = block.read_page(12, record_disturb=False)
+    msb = block.read_page(13, record_disturb=False)
+    misread = ((lsb == 0) | (msb == 0)).mean()
     assert misread > 0.01, "heavily disturbed erased wordline reads as programmed"
 
 

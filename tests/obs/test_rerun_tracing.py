@@ -2,7 +2,7 @@
 
 A resumed campaign, a rerun shard or a second traced sweep reuses the
 first run's labels (``all``, ``shard<i>of<N>``, ``sweep``, and the
-campaign's ``<writer>.<scenario>.a<attempt>`` worker labels).  The
+campaign's ``<writer>.<scenario>`` worker labels).  The
 second writer of a label takes ``<label>-r<k>``, so span ids stay
 unique, the merged trace validates, and every run's root span survives.
 """
@@ -54,7 +54,7 @@ def test_second_writer_of_a_label_takes_the_next_free_rerun_label(tmp_path):
 def test_traced_campaign_and_traced_resume_keep_both_runs(tmp_path):
     """The first run ledgers one scenario as failed under ``continue``;
     the resume reruns it.  Both the parent label (``all``) and that
-    scenario's first-attempt label are written twice."""
+    scenario's worker label are written twice."""
     store, trace = tmp_path / "store", tmp_path / "trace"
     argv = ARGV + [
         "--seeds", "2", "--workers", "1", "--on-failure", "continue",

@@ -24,6 +24,7 @@ from repro.obs.tracing import (
     load_trace_file,
     merge_spans,
     trace_file_paths,
+    trace_summary,
 )
 
 
@@ -86,12 +87,12 @@ def test_sibling_spans_share_the_parent(tmp_path):
 
 def test_end_attrs_merge_over_begin_attrs(tmp_path):
     tracer = Tracer(tmp_path, "w0")
-    span = tracer.begin("campaign.attempt", scenario="s/0", attempt=1)
+    span = tracer.begin("campaign.attempt", scenario="s/0")
     tracer.end(span, outcome="ok")
     tracer.close()
     named = spans_by_name(load_trace_file(tracer.path))
     assert named["campaign.attempt"]["attrs"] == {
-        "scenario": "s/0", "attempt": 1, "outcome": "ok",
+        "scenario": "s/0", "outcome": "ok",
     }
 
 
@@ -176,6 +177,21 @@ def test_killed_writer_leaves_open_spans(tmp_path):
     assert named["campaign.attempt"]["attrs"] == {"scenario": "s/9"}
 
 
+def test_trace_summary_skips_open_spans_durations(tmp_path):
+    """The digest counts an open span (a killed writer's) and gives it
+    zero seconds."""
+    tracer = Tracer(tmp_path, "w0")
+    with tracer.span("closed"):
+        pass
+    tracer.begin("abandoned")
+    tracer.close()
+    summary = trace_summary(tmp_path)
+    assert summary["files"] == 1 and summary["skipped_lines"] == 0
+    assert summary["spans"]["abandoned"] == {"count": 1, "seconds": 0.0}
+    assert summary["spans"]["closed"]["count"] == 1
+    assert summary["spans"]["closed"]["seconds"] >= 0.0
+
+
 def test_orphan_end_is_skipped(tmp_path):
     tracer = Tracer(tmp_path, "w0")
     with tracer.span("real"):
@@ -211,7 +227,7 @@ def write_worker_pair(directory):
     attempt = coordinator.begin(
         "campaign.attempt", parent=root.id, detached=True
     )
-    worker = Tracer(directory, "wA.s0.a1")
+    worker = Tracer(directory, "wA.s0")
     with worker.span("scenario.run", parent=attempt.id):
         pass
     worker.close()
@@ -283,7 +299,7 @@ def test_rebind_closes_the_file_the_previous_scenario_opened(tmp_path):
     closes the file the previous scenario's tracer opened in this
     process, so no handle is left for the garbage collector."""
     obs.configure(tmp_path, label="all")
-    labels = [f"all.web_0-s{i}.a1" for i in range(3)]
+    labels = [f"all.web_0-s{i}" for i in range(3)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         for label in labels:
@@ -299,7 +315,7 @@ def test_rebind_closes_the_file_the_previous_scenario_opened(tmp_path):
 
 
 def _rebind_in_forked_child(inherited):
-    obs.rebind("all.child.a1")
+    obs.rebind("all.child")
     with obs.tracer().span("scenario.run"):
         pass
     handle = inherited._handle
@@ -320,4 +336,4 @@ def test_rebind_never_closes_a_handle_inherited_across_fork(tmp_path):
     assert [s["name"] for s in load_trace_file(parent.path)["spans"]] == [
         "campaign.run"
     ]
-    assert load_trace_file(tmp_path / "trace-all.child.a1.jsonl")["spans"]
+    assert load_trace_file(tmp_path / "trace-all.child.jsonl")["spans"]

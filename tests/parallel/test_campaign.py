@@ -33,7 +33,6 @@ from repro.parallel import (
     SweepRunner,
     campaign_status,
     parse_shard,
-    run_campaign,
     shard_of,
 )
 from repro.parallel.store import ResultStore
@@ -74,7 +73,7 @@ def ids_of(grid):
 def attempt_label(scenario_id):
     """Trace label of a scenario's attempt in the non-sharded campaign
     ("all"); a run makes one attempt per scenario."""
-    return f"all.{scenario_id.replace('/', '-')}.a1"
+    return f"all.{scenario_id.replace('/', '-')}"
 
 
 def attempt_pids(trace_dir):
@@ -156,7 +155,7 @@ def test_reused_worker_carries_no_state(grid, serial_report, tmp_path):
 
 
 def test_resume_skips_stored_scenarios(grid, serial_report, tmp_path):
-    run_campaign(grid, tmp_path / "store", workers=2)
+    Campaign(grid, tmp_path / "store", workers=2).run()
     resumed = Campaign(grid, tmp_path / "store", workers=2)
     report = resumed.run()
     assert resumed.resumed == len(grid)  # nothing re-ran
@@ -243,7 +242,7 @@ def test_continue_policy_completes_the_rest(grid, serial_report, tmp_path):
     expected = [r for r in serial_report.results if r.scenario_id != target]
     assert list(report.results) == expected
     # A later fault-free resume completes the failed scenario too.
-    report = run_campaign(grid, tmp_path / "store", workers=2)
+    report = Campaign(grid, tmp_path / "store", workers=2).run()
     assert report.results == serial_report.results
 
 
@@ -388,7 +387,7 @@ def test_torn_append_reruns_on_resume(grid, serial_report, tmp_path):
     """A parent killed mid-append leaves a torn record; resume re-runs
     exactly that scenario and the report still matches serial."""
     store = tmp_path / "store"
-    run_campaign(grid, store, workers=1)
+    Campaign(grid, store, workers=1).run()
     truncate_store_tail(store)
     campaign = Campaign(grid, store, workers=1)
     report = campaign.run()
@@ -585,8 +584,9 @@ def test_failure_ledger_schema_is_pinned(grid, tmp_path):
     """The durable failure record carries exactly these fields — in
     particular both clocks: wall time (humans, cross-host ordering) and
     a monotonic duration (how long the scenario ran before it failed,
-    truthful across NTP steps).  Every failure of a run is attempt 1.
-    Anything depending on the ledger pins against this."""
+    truthful across NTP steps).  A run makes one attempt per scenario,
+    so the entry carries no attempt number.  Anything depending on the
+    ledger pins against this."""
     target = ids_of(grid)[0]
     with injected_faults(FaultSpec("raise", None, target)):
         campaign = Campaign(
@@ -597,10 +597,9 @@ def test_failure_ledger_schema_is_pinned(grid, tmp_path):
     assert entries == campaign.ledger  # durable ≡ in-memory, field-exact
     (entry,) = entries
     assert set(entry) == {
-        "scenario_id", "attempt", "kind", "detail",
-        "wall_time", "duration_seconds",
+        "scenario_id", "kind", "detail", "wall_time", "duration_seconds",
     }
-    assert entry["scenario_id"] == target and entry["attempt"] == 1
+    assert entry["scenario_id"] == target
     assert isinstance(entry["wall_time"], float) and entry["wall_time"] > 0
     assert isinstance(entry["duration_seconds"], float)
     assert entry["duration_seconds"] >= 0

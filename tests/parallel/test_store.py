@@ -295,7 +295,7 @@ def test_ingest_keeps_failure_ledgers(tmp_path):
     store_b.bind(grid)
     with store_b:
         entry = store_b.record_failure(
-            "s/9", 1, "timeout", "hung for 600s", duration=600.25
+            "s/9", "timeout", "hung for 600s", duration=600.25
         )
     store_a.ingest(store_b)
     assert ResultStore(a).failures() == [entry]

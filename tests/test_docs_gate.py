@@ -1,5 +1,6 @@
-"""The docs gate's README check (tools/check_docs.py): the throughput
-table must quote what ``BENCH_physics.json`` records."""
+"""The docs gate's README checks (tools/check_docs.py): the throughput
+table must quote what ``BENCH_physics.json`` records, and every quoted
+``python -m repro.<module>`` must name a module that exists."""
 
 import importlib.util
 import json
@@ -42,3 +43,11 @@ def test_gate_catches_a_missing_row():
     ]
     problems = check_docs.check_readme_numbers("\n".join(lines), record)
     assert any("relaxed-Vpass decode" in p for p in problems)
+
+
+def test_gate_catches_a_quoted_module_that_does_not_exist():
+    readme, _ = _committed()
+    quoted = readme + "\n    PYTHONPATH=src python -m repro.no_such_module runs/x\n"
+    problems = check_docs.check_module_quotes({"README.md": quoted})
+    assert len(problems) == 1
+    assert "repro.no_such_module" in problems[0]

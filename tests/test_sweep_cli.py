@@ -265,8 +265,11 @@ def test_cli_status_json_document(capsys, tmp_path):
     assert main(["--status", str(store), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["format"] == "repro-campaign-status"
-    assert doc["version"] == 3
-    assert "leases" not in doc and "zombie_writes" not in doc
+    assert doc["version"] == 4
+    assert set(doc) == {
+        "format", "version", "root", "scenario_count", "completed",
+        "corrupt_records", "store", "failures", "aggregate", "trace",
+    }
     assert doc["store"] == {"live_files": 1}
     assert doc["completed"] == 2
     assert doc["scenario_count"] == 2
@@ -275,6 +278,48 @@ def test_cli_status_json_document(capsys, tmp_path):
     out_path = tmp_path / "status.json"
     assert main(["--status", str(store), "--json", str(out_path)]) == 0
     assert json.loads(out_path.read_text()) == doc
+
+
+def test_cli_status_json_untraced_store_has_an_empty_trace_digest(
+        capsys, tmp_path):
+    """A campaign run without --trace leaves no ``<DIR>/trace``; the
+    status document still carries a trace digest, an empty one, and its
+    counts still come from the store."""
+    store = tmp_path / "store"
+    assert main([
+        "--workloads", "web_0",
+        "--days", "0.01",
+        "--blocks", "64", "--pages-per-block", "64",
+        "--campaign", str(store),
+    ]) == 0
+    assert not (store / "trace").exists()
+    capsys.readouterr()
+    assert main(["--status", str(store), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trace"] == {"files": 0, "skipped_lines": 0, "spans": {}}
+    assert doc["completed"] == len(ResultStore(store).scenario_ids())
+
+
+def test_cli_status_json_carries_the_trace_digest(capsys, tmp_path):
+    """On a traced campaign, --status --json digests ``<DIR>/trace``:
+    the coordinator's and the worker's files, with spans of every layer
+    a campaign traces."""
+    store = tmp_path / "store"
+    assert main([
+        "--workloads", "web_0",
+        "--days", "0.01",
+        "--blocks", "64", "--pages-per-block", "64",
+        "--campaign", str(store),
+        "--trace",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["--status", str(store), "--json"]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert trace["files"] >= 2
+    for name in ("campaign.run", "campaign.attempt", "scenario.run",
+                 "store.append"):
+        assert trace["spans"][name]["count"] >= 1
+        assert trace["spans"][name]["seconds"] >= 0.0
 
 
 def test_cli_status_rejects_uninitialized_directory(tmp_path):

@@ -37,10 +37,10 @@ The shard story doubles as the telemetry acceptance check: the merged
 trace (the SIGKILL'd files included) must pass
 ``tools/trace_validate.py`` with three ``campaign.run`` spans (shard 0,
 the killed shard 1, its rerun), exactly one ``campaign.attempt`` span
-per attempt, and ``scenario.run`` and ``store.append`` spans;
-``--status --json`` must agree with the store's own counts exactly; and
-``python -m repro.obs.export`` over the same store must agree with that
-status document, the store, and the trace directory.
+per attempt, and ``scenario.run`` and ``store.append`` spans; and
+``--status --json`` must agree with the store's own counts exactly,
+its ``trace`` digest with the trace directory's file count and with
+the one ``campaign.attempt`` span per attempt.
 
 Exit code 0 means both stories held, including the crash in the
 failure ledger and one record file per shard in the shared store.
@@ -225,8 +225,8 @@ def trace_checks(store: Path, ids: list[str]) -> int:
 
     Validates the merged trace of both shards and the rerun
     structurally, counts one attempt span per attempt, cross-checks
-    ``--status --json`` against the store, and checks the exported
-    ``metrics.json`` / ``metrics.prom`` against both.
+    ``--status --json`` against the store, and checks the document's
+    ``trace`` digest against the trace directory and the attempt count.
     """
     import json
     from collections import Counter
@@ -271,39 +271,21 @@ def trace_checks(store: Path, ids: list[str]) -> int:
     if doc["scenario_count"] != len(ids):
         print(f"FAIL: status scenario_count={doc['scenario_count']}")
         return 1
-    print("[7/7] python -m repro.obs.export agrees with status, store, trace")
-    out = store.parent / "obs-export"
-    export = subprocess.run(
-        [sys.executable, "-m", "repro.obs.export", str(store), "--out", str(out)]
-    )
-    if export.returncode != 0:
-        print(f"FAIL: repro.obs.export exited {export.returncode}")
-        return 1
-    snapshot = json.loads((out / "metrics.json").read_text())
-    for key in ("completed", "scenario_count", "corrupt_records"):
-        if snapshot["status"][key] != doc[key]:
-            print(
-                f"FAIL: export status {key}={snapshot['status'][key]} "
-                f"!= --status --json {doc[key]}"
-            )
-            return 1
-    counters = snapshot["metrics"]["counters"]
-    if counters["campaign.completed"] != len(stored):
-        print(
-            f"FAIL: export campaign.completed={counters['campaign.completed']} "
-            f"!= store {len(stored)}"
-        )
-        return 1
+    print("[7/7] the status document's trace digest agrees with the trace")
+    trace = doc["trace"]
     span_files = len(trace_file_paths(store / "trace"))
-    if counters["trace.span_files"] != span_files:
+    if trace["files"] != span_files:
         print(
-            f"FAIL: export trace.span_files={counters['trace.span_files']} "
-            f"!= {span_files} files in the trace directory"
+            f"FAIL: status trace.files={trace['files']} != {span_files} "
+            f"files in the trace directory"
         )
         return 1
-    prom = (out / "metrics.prom").read_text().splitlines()
-    if f"repro_campaign_completed_total {len(stored)}" not in prom:
-        print("FAIL: metrics.prom lacks the repro_campaign_completed_total line")
+    digested = trace["spans"].get("campaign.attempt", {}).get("count")
+    if digested != attempts:
+        print(
+            f"FAIL: status trace digests {digested} campaign.attempt "
+            f"spans, expected {attempts}"
+        )
         return 1
     return 0
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Docs gate for CI: public docstrings present, markdown links resolve,
-README's throughput table matches the bench record.
+README's throughput table matches the bench record, quoted commands
+name real modules.
 
-Three checks, all hard failures:
+Four checks, all hard failures:
 
 1. **Docstrings.**  Imports :mod:`repro` and verifies every name in
    ``repro.__all__`` plus the documented batched primitives (the API
@@ -13,12 +14,17 @@ Three checks, all hard failures:
 3. **Bench numbers.**  Every measured number README's throughput table
    quotes is mapped to the ``BENCH_physics.json`` ``section.key`` it
    quotes (:data:`README_QUOTES`) and must lie within 10% of it.
+4. **Module quotes.**  Every ``python -m repro.<module>`` quoted in
+   ``README.md`` and ``docs/*.md`` must name a module
+   :func:`importlib.util.find_spec` finds.  ``ROADMAP.md`` is left
+   out: it proposes modules that do not exist yet.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import sys
@@ -99,6 +105,10 @@ README_QUOTES = [
 README_TOLERANCE = 0.10
 
 _SUFFIX = {"": 1.0, "k": 1e3, "M": 1e6}
+
+#: a quoted ``python -m repro.<module>`` command, possibly wrapped over a
+#: line break; the group captures the dotted module name.
+_MODULE_QUOTE = re.compile(r"python3?\s+-m\s+(repro(?:\.\w+)*)")
 
 
 def _resolve(path: str):
@@ -188,12 +198,35 @@ def check_readme_numbers(readme: str, record: dict) -> list[str]:
     return problems
 
 
+def check_module_quotes(documents: dict[str, str]) -> list[str]:
+    """Every quoted ``python -m repro.<module>`` that names no module,
+    over *documents* (display name -> markdown text)."""
+    problems = []
+    for name, text in documents.items():
+        for module in sorted(set(_MODULE_QUOTE.findall(text))):
+            try:
+                found = importlib.util.find_spec(module) is not None
+            except ModuleNotFoundError:  # a parent package is missing
+                found = False
+            if not found:
+                problems.append(
+                    f"{name}: quotes `python -m {module}`, but no such "
+                    f"module exists"
+                )
+    return problems
+
+
 def main() -> int:
     record = json.loads((REPO / "BENCH_physics.json").read_text())
+    documents = {
+        str(path.relative_to(REPO)): path.read_text()
+        for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    }
     problems = (
         check_docstrings()
         + check_links()
-        + check_readme_numbers((REPO / "README.md").read_text(), record)
+        + check_readme_numbers(documents["README.md"], record)
+        + check_module_quotes(documents)
     )
     if problems:
         print("docs check FAILED:")
@@ -203,7 +236,8 @@ def main() -> int:
     print(
         f"docs check OK: {len(DOCUMENTED_NAMES)} documented names, "
         f"links resolve in {', '.join(MARKDOWN_FILES)}, "
-        f"{len(README_QUOTES)} README numbers match BENCH_physics.json"
+        f"{len(README_QUOTES)} README numbers match BENCH_physics.json, "
+        f"quoted modules exist in {', '.join(documents)}"
     )
     return 0
 
