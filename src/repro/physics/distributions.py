@@ -9,6 +9,11 @@ We implement the mixture
 truncated above by the program-verify bound.  Wear (P/E cycling) widens the
 body and tails and creeps the means upward; the wear transforms live in
 :mod:`repro.physics.wear` and are applied through :func:`state_distribution`.
+
+``scipy.special.ndtr`` (the Gaussian CDF) is imported inside
+:meth:`NormalLaplaceMixture._raw_cdf`, its one user: only the analytic
+channel model evaluates these CDFs, and sampling needs no SciPy, so a
+cold ``import repro`` does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtr  # Gaussian CDF, vectorized
 
 from repro.flash.state import MlcState
 from repro.physics import constants
@@ -101,6 +105,8 @@ class NormalLaplaceMixture:
         return AsymmetricLaplace(self.mu, self.scale_low, self.scale_high)
 
     def _raw_cdf(self, x: np.ndarray | float) -> np.ndarray:
+        from scipy.special import ndtr  # Gaussian CDF, vectorized
+
         x = np.asarray(x, dtype=np.float64)
         body = ndtr((x - self.mu) / self.sigma)
         return (1.0 - self.tail_weight) * body + self.tail_weight * self._laplace.cdf(x)

@@ -17,12 +17,15 @@ Gaussian-edge cliff (Figure 6).
 This is the standard log-time retention law (Cai et al., HPCA 2015); the
 fast/slow-leaking distinction is the same one the authors' RFR recovery
 mechanism exploits.
+
+``scipy.special.ndtr`` is imported inside :func:`leak_cdf`, its one
+user: only the analytic channel model calls it, so a cold
+``import repro`` does not load SciPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.physics import constants
 from repro.physics.wear import retention_damage
@@ -83,6 +86,8 @@ def sample_leak_factors(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def leak_cdf(x: np.ndarray | float) -> np.ndarray:
     """P[leak factor <= x], vectorized; 0 for non-positive x."""
+    from scipy.special import ndtr
+
     x = np.asarray(x, dtype=np.float64)
     positive = x > 0
     safe = np.where(positive, x, 1.0)

@@ -15,6 +15,11 @@ reference grow *linearly* in the read count, which is exactly the paper's
 Figure 3 observation.  (Any flip-threshold distribution with locally flat
 density yields linear RBER growth; alpha = 1 gives it over the full
 measured window.)
+
+``scipy.special.ndtr`` is imported inside
+:meth:`SusceptibilityModel.survival`, its one user: only the analytic
+channel model evaluates the survival function, and sampling needs no
+SciPy, so a cold ``import repro`` does not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.physics import constants
 
@@ -72,6 +76,8 @@ class SusceptibilityModel:
         given a read count, the set of flipped cells is exactly the set with
         susceptibility above a deterministic per-cell requirement.
         """
+        from scipy.special import ndtr
+
         a = np.asarray(a, dtype=np.float64)
         out = np.empty(np.shape(a), dtype=np.float64)
         positive = a > 0.0

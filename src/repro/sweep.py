@@ -210,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", nargs="?", const="auto", default=None, metavar="DIR",
         help="emit span traces as JSONL files under DIR (flash-chip read "
         "flushes with their phases; per-block tasks too when the executor "
-        "runs more than one thread); a bare --trace defaults to "
-        "<campaign-dir>/trace",
+        "runs more than one thread); a campaign always traces into "
+        "<campaign-dir>/trace, where --status reads them, so with "
+        "--campaign pass a bare --trace",
     )
     parser.add_argument(
         "--serial-check", action="store_true",
@@ -465,19 +466,27 @@ def run_status_cli(args: argparse.Namespace) -> int:
 def _resolve_trace_dir(args: argparse.Namespace) -> Path | None:
     """Where ``--trace`` writes, or ``None`` when tracing is off.
 
-    A bare ``--trace`` means "into the campaign directory" — the one
-    place every shard sharing a store can agree on.
+    A campaign traces into ``<campaign-dir>/trace``: the one place every
+    shard sharing a store can agree on, and the directory
+    ``--status --json`` digests.  So with ``--campaign DIR``, ``--trace``
+    is bare or names that directory; a plain sweep needs ``--trace DIR``.
     """
     if args.trace is None:
         return None
-    if args.trace != "auto":
-        return Path(args.trace)
     if args.campaign is None:
+        if args.trace == "auto":
+            raise SystemExit(
+                "a bare --trace needs --campaign DIR to anchor the trace "
+                "directory; pass --trace DIR explicitly for a plain sweep"
+            )
+        return Path(args.trace)
+    trace_dir = Path(args.campaign) / "trace"
+    if args.trace != "auto" and Path(args.trace).resolve() != trace_dir.resolve():
         raise SystemExit(
-            "a bare --trace needs --campaign DIR to anchor the trace "
-            "directory; pass --trace DIR explicitly for a plain sweep"
+            f"a campaign traces into {trace_dir}, where --status reads its "
+            f"spans; pass a bare --trace instead of --trace {args.trace}"
         )
-    return Path(args.campaign) / "trace"
+    return trace_dir
 
 
 def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
@@ -490,6 +499,7 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
             f"campaign store {args.campaign} is already initialized; pass "
             f"--resume to continue it, or choose a fresh directory"
         )
+    trace_dir = _resolve_trace_dir(args)
     try:
         campaign = Campaign(
             grid,
@@ -502,7 +512,6 @@ def run_campaign_cli(args: argparse.Namespace, grid: ScenarioGrid):
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    trace_dir = _resolve_trace_dir(args)
     if trace_dir is not None:
         # The campaign's writer name is the deterministic trace label
         # (shards sharing a directory each get their own file).

@@ -125,7 +125,12 @@ class SyntheticWorkload:
         permutation: np.ndarray,
         count: int,
     ) -> np.ndarray:
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        ranks = np.searchsorted(cdf, rng.random(count), side="left")
-        return permutation[ranks].astype(np.int64)
+        # One walk of the CDF over the sorted draws is cache-friendly
+        # where random-order queries are not; each draw's rank is the
+        # same either way, so scattering them back through ``order``
+        # gives the pages the unsorted search would.
+        draws = rng.random(count)
+        order = np.argsort(draws)
+        pages = np.empty(count, dtype=np.int64)
+        pages[order] = permutation[np.searchsorted(cdf, draws[order], side="left")]
+        return pages

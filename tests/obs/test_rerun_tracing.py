@@ -55,10 +55,11 @@ def test_traced_campaign_and_traced_resume_keep_both_runs(tmp_path):
     """The first run ledgers one scenario as failed under ``continue``;
     the resume reruns it.  Both the parent label (``all``) and that
     scenario's worker label are written twice."""
-    store, trace = tmp_path / "store", tmp_path / "trace"
+    store = tmp_path / "store"
+    trace = store / "trace"
     argv = ARGV + [
         "--seeds", "2", "--workers", "1", "--on-failure", "continue",
-        "--campaign", str(store), "--trace", str(trace),
+        "--campaign", str(store), "--trace",
     ]
     failed = build_grid(build_parser().parse_args(argv)).scenarios()[0]
     with injected_faults(FaultSpec("raise", None, failed.scenario_id)):

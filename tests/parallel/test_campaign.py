@@ -341,14 +341,15 @@ def test_idle_worker_exits_when_its_parent_is_sigkilled(grid, tmp_path):
     its pipe and exit: no process, itself or its hung sibling included,
     may keep a copy of the parent's end of that pipe."""
     ids = ids_of(grid)
-    store, trace = tmp_path / "store", tmp_path / "trace"
+    store = tmp_path / "store"
+    trace = store / "trace"
     env = dict(
         os.environ,
         PYTHONPATH=str(os.path.dirname(os.path.dirname(repro.__file__))),
         **{ENV_FAULTS: f"hang:*:{ids[0]}"},
     )
     process = subprocess.Popen(
-        _campaign_argv(len(ids), store, extra=("--trace", str(trace))),
+        _campaign_argv(len(ids), store, extra=("--trace",)),
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,

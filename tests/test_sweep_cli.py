@@ -322,6 +322,25 @@ def test_cli_status_json_carries_the_trace_digest(capsys, tmp_path):
         assert trace["spans"][name]["seconds"] >= 0.0
 
 
+def test_cli_campaign_refuses_a_trace_directory_status_cannot_read(tmp_path):
+    """With --campaign DIR, --trace names DIR/trace or nothing: a trace
+    written elsewhere would leave --status --json an empty digest.  The
+    refusal comes before a store is bound; DIR/trace spelled another way
+    is accepted."""
+    store, elsewhere = tmp_path / "store", tmp_path / "trace"
+    argv = [
+        "--workloads", "web_0",
+        "--days", "0.01",
+        "--blocks", "64", "--pages-per-block", "64",
+        "--campaign", str(store),
+    ]
+    with pytest.raises(SystemExit, match=re.escape(str(store / "trace"))):
+        main(argv + ["--trace", str(elsewhere)])
+    assert not store.exists() and not elsewhere.exists()
+    assert main(argv + ["--trace", f"{store}/../store/trace"]) == 0
+    assert (store / "trace" / "trace-all.jsonl").exists()
+
+
 def test_cli_status_rejects_uninitialized_directory(tmp_path):
     missing = tmp_path / "nope"
     with pytest.raises(SystemExit, match="not an initialized"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.units import SECONDS_PER_DAY
 from repro.workloads import SyntheticWorkload, WorkloadSpec
@@ -68,3 +70,34 @@ def test_spec_validation():
         WorkloadSpec("x", "", iops=1.0, read_fraction=1.5, working_set_pages=10, read_zipf_theta=0.5)
     with pytest.raises(ValueError):
         WorkloadSpec("x", "", iops=1.0, read_fraction=0.5, working_set_pages=0, read_zipf_theta=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 2000),
+    values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_sample_pages_equals_direct_search(seed, count, values, data):
+    """Sorting the draws before the CDF search picks the same pages as
+    searching them in draw order, on non-decreasing CDFs with plateaus
+    and with draws that land exactly on a CDF value."""
+    draws = np.random.default_rng(seed).random(count)
+    hits = data.draw(st.lists(st.integers(0, count - 1), max_size=10)) if count else []
+    pool = np.sort(np.concatenate([values, draws[hits]]))
+    repeats = data.draw(
+        st.lists(st.integers(1, 4), min_size=pool.size, max_size=pool.size)
+    )
+    cdf = np.repeat(pool, repeats)
+    # One page per possible rank, including len(cdf) for draws above cdf[-1].
+    permutation = np.random.default_rng(seed ^ 1).permutation(cdf.size + 1)
+
+    direct_rng = np.random.default_rng(seed)
+    expected = permutation[np.searchsorted(cdf, direct_rng.random(count), side="left")]
+    rng = np.random.default_rng(seed)
+    pages = SyntheticWorkload._sample_pages(rng, cdf, permutation, count)
+
+    assert pages.dtype == np.int64
+    np.testing.assert_array_equal(pages, expected)
+    assert rng.bit_generator.state == direct_rng.bit_generator.state
