@@ -193,7 +193,7 @@ class FlashChipBackend:
        the same sensed data, so one decode per page per flush is the
        exact per-op semantics at a fraction of the cost) — one
        :meth:`EccDecoder.check_pages` call per block, sensing every page
-       against a single materialization of the block's voltages;
+       in one screened pass over the block;
     3. **merge** — fold the outcomes into the shared counters in
        ascending block order; on an uncorrectable page, run Read Disturb
        Recovery on the wordline; if the post-RDR error count fits the

@@ -6,7 +6,8 @@ one step.  The flash-chip read path is embarrassingly parallel per
 block: once a flushed batch of reads is grouped by physical block, each
 block's ``sense + decode`` work touches only that block's
 :class:`FlashBlock` (its cell arrays, its ``(now, voltage_epoch)``
-voltage cache, its exposure counters) — no shared mutable state at all.
+voltage cache and sensing-screen bounds, its exposure counters) — no
+shared mutable state beyond a memo of pure wear factors per P/E level.
 
 :class:`~repro.controller.backends.FlashChipBackend.on_reads` exploits
 that by splitting every flush into three phases:

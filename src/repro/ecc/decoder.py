@@ -128,7 +128,7 @@ class EccDecoder:
 
         Uses the block's fused error counting
         (:meth:`~repro.flash.block.FlashBlock.page_error_counts`): every
-        page senses against a single voltage materialization, and, like
+        page senses in one screened pass over its block, and, like
         :meth:`check_page`, the call charges no disturb.
 
         **Bit-identity.**  Results equal a :meth:`check_page` loop over

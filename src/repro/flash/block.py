@@ -10,6 +10,9 @@ O(1) in bookkeeping and one vectorized pass at measurement time.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from repro.rng import RngFactory
@@ -28,6 +31,40 @@ from repro.physics.wear import read_disturb_damage, retention_damage
 #: plus slack for disturb drift of high cells), so sensing skips the
 #: expensive whole-block materialization.
 _CUTOFF_CHECK_VPASS = 505.0
+
+# The sensing screen (see ``FlashBlock._screened_above``).
+#: Voltage margin of its thresholds: it covers float64 rounding in the
+#: chain and the float32 rounding of a threshold or cap compared against
+#: float32 cell arrays (a threshold moves at most 2.4e-4 V below
+#: ``_SCREEN_LIMIT``).
+_SCREEN_MARGIN = 1e-3
+#: Thresholds beyond this magnitude become infinite: no cell settles there.
+_SCREEN_LIMIT = 4096.0
+#: The susceptibility cap holds a capped cell's disturb term under this
+#: fraction of ``exp(k_v * r)`` at the lowest screened reference r, so the
+#: band below r stays about ``_SCREEN_BAND / k_v`` (0.2 V) wide.
+_SCREEN_BAND = 0.01
+#: The leak cap holds retention's fractional drop ``leak * k`` under this,
+#: so the band above a reference r stays about ``_SCREEN_DROP * (r - 40)``
+#: wide (26 V above Vc).
+_SCREEN_DROP = 0.08
+#: A cap below this (the unit mean of both the leak and the susceptibility
+#: distributions) would leave too many cells unsettled: such a call
+#: materializes densely without screening.
+_SCREEN_MIN_CAP = 1.0
+#: Above this fraction of unsettled cells a call materializes densely.
+#: Gathering costs as much as the screen plus the dense pass at about
+#: 13% unsettled on a one-wordline call of 2,048 bitlines, 24% on 18
+#: wordlines and 35% on a whole 64-wordline block (2-vCPU host); below
+#: the smallest of these it is the cheaper branch.
+_SCREEN_DENSE_FRACTION = 0.1
+
+
+@functools.lru_cache(maxsize=256)
+def _wear_factors(pe_cycles: int) -> tuple[float, float]:
+    """``(read-disturb damage, retention damage)`` at *pe_cycles*, as
+    Python floats, computed once per P/E level."""
+    return float(read_disturb_damage(pe_cycles)), float(retention_damage(pe_cycles))
 
 
 def _unique_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,18 +127,28 @@ class FlashBlock:
         self.voltage_epoch = 0
         self._voltage_cache_key: tuple[float, int] | None = None
         self._voltage_cache: np.ndarray | None = None
+        # The sensing screen's per-block cell bounds (`_cell_extremes`).
+        self._extremes: tuple[float, float, float, float] | None = None
 
     # ------------------------------------------------------------------
     # Voltage-cache epoch
     # ------------------------------------------------------------------
 
     def invalidate_voltage_cache(self) -> None:
-        """Bump the epoch after an out-of-band mutation.
+        """Bump the epoch after an out-of-band mutation, and drop the
+        cached materialization and the screen's cached cell bounds.
 
         All :class:`FlashBlock` methods bump the epoch themselves; call
         this only after mutating cell state directly (e.g. swapping
         :attr:`disturb_model` or editing :attr:`cells` arrays in a test).
         """
+        self._new_epoch()
+        self._extremes = None
+
+    def _new_epoch(self) -> None:
+        """Bump the epoch and drop the cached materialization.  Programs
+        and erases keep the screen's cell bounds: they rewrite ``v0``,
+        never leak or susceptibility."""
         self.voltage_epoch += 1
         self._voltage_cache_key = None
         self._voltage_cache = None
@@ -120,7 +167,7 @@ class FlashBlock:
         self._exposure_targeted[:] = 0.0
         self.total_reads = 0
         self.reads_targeted[:] = 0
-        self.invalidate_voltage_cache()
+        self._new_epoch()
 
     def cycle_wear_to(self, pe_cycles: int, now: float = 0.0) -> None:
         """Fast-forward wear to *pe_cycles*, like the paper's wear-out loop.
@@ -157,7 +204,7 @@ class FlashBlock:
         self.cells._program_row(wordline, states, self.pe_cycles, self._rng)
         self.programmed[wordline] = True
         self.program_time[wordline] = now
-        self.invalidate_voltage_cache()
+        self._new_epoch()
 
     def program_block_bits(
         self,
@@ -176,7 +223,7 @@ class FlashBlock:
         self.cells.program_block(states, self.pe_cycles, self._rng)
         self.programmed[:] = True
         self.program_time[:] = now
-        self.invalidate_voltage_cache()
+        self._new_epoch()
 
     def program_random(self, now: float = 0.0, rng: np.random.Generator | None = None) -> None:
         """Program every wordline with pseudo-random data (paper's workload
@@ -339,19 +386,56 @@ class FlashBlock:
         reference composition.
         """
         cells = self.cells
-        v0 = cells.v0[wordlines].astype(np.float64)
-        pe = self.pe_cycles
+        return self._drift_chain(
+            cells.v0[wordlines],
+            cells.leak[wordlines],
+            cells.susceptibility[wordlines],
+            self.program_time[wordlines][..., None],
+            (self._total_exposure - self._exposure_targeted[wordlines])[..., None],
+            now,
+        )
+
+    def _materialize_cells(self, index: np.ndarray, now: float) -> np.ndarray:
+        """:meth:`_materialize_rows` for the cells at flat *index* into the
+        block's ``(wordlines, bitlines)`` arrays: the same elementwise
+        sequence on the gathered cells, so each voltage is bit-identical
+        to its dense value."""
+        cells = self.cells
+        wordlines = index // self.geometry.bitlines_per_block
+        return self._drift_chain(
+            cells.v0.take(index),
+            cells.leak.take(index),
+            cells.susceptibility.take(index),
+            self.program_time[wordlines],
+            self._total_exposure - self._exposure_targeted[wordlines],
+            now,
+        )
+
+    def _drift_chain(
+        self,
+        v0: np.ndarray,
+        leak: np.ndarray,
+        susceptibility: np.ndarray,
+        program_time: np.ndarray,
+        exposure: np.ndarray,
+        now: float,
+    ) -> np.ndarray:
+        """The retention/disturb chain over float32 cell arrays, with
+        *program_time* and *exposure* broadcast per cell (a ``(rows, 1)``
+        column or one value per gathered cell)."""
+        v0 = v0.astype(np.float64)
+        damage_rd, damage_ret = _wear_factors(self.pe_cycles)
         # Retention: vr = max(v0 - leak*k*max(v0 - floor, 0), min(v0, floor)).
-        k = np.maximum(now - self.program_time[wordlines], 0.0)[..., None]
+        k = np.maximum(now - program_time, 0.0)
         k /= constants.T0_RET_SECONDS
         np.log1p(k, out=k)
-        k *= constants.R_RET * float(retention_damage(pe))
+        k *= constants.R_RET * damage_ret
         k /= 512.0
         charge = v0 - constants.RET_CHARGE_FLOOR
         np.maximum(charge, 0.0, out=charge)
-        # The leak negation rides on the (wordlines, 1) column: leak*(-k)
-        # equals (-leak)*k exactly in IEEE arithmetic.
-        work = cells.leak[wordlines].astype(np.float64)
+        # The leak negation rides on k (one value per row or per cell):
+        # leak*(-k) equals (-leak)*k exactly in IEEE arithmetic.
+        work = leak.astype(np.float64)
         work *= -k
         work *= charge
         work += v0
@@ -359,11 +443,11 @@ class FlashBlock:
         np.maximum(work, charge, out=work)
         # Disturb drift: V = log(exp(k_v*vr) + k_v*(A*susc*damage)*E) / k_v.
         model = self.disturb_model
-        scratch = cells.susceptibility[wordlines].astype(np.float64)
+        scratch = susceptibility.astype(np.float64)
         scratch *= model.amplitude
-        scratch *= float(read_disturb_damage(pe))
+        scratch *= damage_rd
         scratch *= model.k_v
-        scratch *= (self._total_exposure - self._exposure_targeted[wordlines])[..., None]
+        scratch *= exposure
         work *= model.k_v
         np.exp(work, out=work)
         work += scratch
@@ -404,17 +488,11 @@ class FlashBlock:
         return None
 
     def _wordline_voltages(self, wordlines: np.ndarray, now: float) -> np.ndarray:
-        """Voltages of the given wordlines, through the cache when warm.
-
-        A cold cache materializes only the requested rows (a full-block
-        pass would waste work when the caller needs a few wordlines and no
-        cutoff check); full-block requests warm the cache for later reads.
-        """
+        """Voltages of the given wordlines, through the cache when warm
+        (a cold cache materializes only the requested rows)."""
         cached = self._cached_voltages(now)
         if cached is not None:
             return cached[wordlines]
-        if wordlines.size >= self.geometry.wordlines_per_block:
-            return self.block_voltages(now)[wordlines]
         return self._materialize_rows(wordlines, now)
 
     def _cutoff_mask(self, wordline: int, now: float, vpass: float) -> np.ndarray | None:
@@ -428,6 +506,161 @@ class FlashBlock:
         others = np.arange(self.geometry.wordlines_per_block) != wordline
         voltages = self.current_voltages(now, others)
         return (voltages > vpass).any(axis=0)
+
+    # ------------------------------------------------------------------
+    # The sensing screen
+    # ------------------------------------------------------------------
+
+    def _cell_extremes(self) -> tuple[float, float, float, float]:
+        """``(min, max)`` of the block's leak factors, then of its
+        susceptibilities.  Both arrays persist across erases, so the
+        four are cached until :meth:`invalidate_voltage_cache`."""
+        if self._extremes is None:
+            leak = self.cells.leak
+            susceptibility = self.cells.susceptibility
+            self._extremes = (
+                float(leak.min()),
+                float(leak.max()),
+                float(susceptibility.min()),
+                float(susceptibility.max()),
+            )
+        return self._extremes
+
+    def _screen(
+        self,
+        wordlines: np.ndarray | slice,
+        now: float,
+        references: tuple[float, ...],
+    ) -> tuple[float | None, float | None, list[tuple[float, float]]] | None:
+        """The screen's per-call ``(susceptibility cap, leak cap, [(t_hi,
+        t_lo) per reference])``, or None where its bounds do not hold or
+        a cap below ``_SCREEN_MIN_CAP`` would leave too few cells settled.
+
+        For a cell of *wordlines* with susceptibility at or below its cap
+        (None: no cell of the block exceeds the bound used), ``v0 <=
+        t_hi`` proves ``V <= r``; for one with leak at or below its cap,
+        ``v0 >= t_lo`` proves ``V > r``.  The bounds, from ``V =
+        log(exp(k_v*vr) + S*E)/k_v`` with ``S = susc*A*dmg*k_v``:
+
+        - above: ``vr <= v0`` and ``S*E <= cap*A*dmg*k_v*E_max``;
+        - below: ``vr >= v0 - L*max(v0 - floor, 0)``, with ``L`` the leak
+          cap (or the block's largest leak) times the oldest row's
+          retention coefficient, monotone in ``v0`` since the leak cap
+          holds ``L <= _SCREEN_DROP``; and ``S*E >= -cap*A*dmg*k_v*ε``,
+          where rounding leaves an exposure at ``-ε``.
+
+        Both sides keep ``_SCREEN_MARGIN`` from r.  The susceptibility
+        cap keeps the band below the lowest reference narrow
+        (``_SCREEN_BAND``), the leak cap the bands above the references
+        (``_SCREEN_DROP``); each applies only where the block's largest
+        value would exceed it.  *references* may come in any order (a
+        relaxed Vpass can sit below Va); the thresholds follow that
+        order, and both of a pair rise with their reference.  The set-up
+        is Python floats: a one-wordline call cannot afford numpy
+        scalars.
+        """
+        model = self.disturb_model
+        k_v = model.k_v
+        lowest = min(references)
+        leak_min, leak_bound, susceptibility_min, susceptibility_bound = self._cell_extremes()
+        # The bounds need non-negative cells and a positive drift law (a
+        # NaN anywhere fails these comparisons too).
+        if not (
+            leak_min >= 0.0
+            and susceptibility_min >= 0.0
+            and k_v > 0.0
+            and model.amplitude >= 0.0
+            and lowest > 0.0
+        ):
+            return None
+        damage_rd, damage_ret = _wear_factors(self.pe_cycles)
+        targeted = self._exposure_targeted[wordlines]
+        exposure_max = max(self._total_exposure - float(targeted.min()), 0.0)
+        exposure_slop = max(float(targeted.max()) - self._total_exposure, 0.0)
+        age = max(now - float(self.program_time[wordlines].min()), 0.0)
+        retention = (
+            math.log1p(age / constants.T0_RET_SECONDS)
+            * (constants.R_RET * damage_ret)
+            / 512.0
+        )
+        leak_cap = None
+        if leak_bound * retention > _SCREEN_DROP:
+            leak_bound = leak_cap = _SCREEN_DROP / retention
+            if leak_cap < _SCREEN_MIN_CAP:
+                return None
+        rate = model.amplitude * damage_rd * k_v
+        spread = rate * exposure_max * susceptibility_bound
+        susceptibility_cap = None
+        if spread > 0.0 and math.log(spread / _SCREEN_BAND) > k_v * lowest:
+            spread = _SCREEN_BAND * math.exp(k_v * lowest)
+            susceptibility_bound = susceptibility_cap = spread / (rate * exposure_max)
+            if susceptibility_cap < _SCREEN_MIN_CAP:
+                return None
+        drop = leak_bound * retention
+        slop = susceptibility_bound * rate * exposure_slop
+        floor = constants.RET_CHARGE_FLOOR
+        thresholds = []
+        for ref in references:
+            top = ref - _SCREEN_MARGIN
+            excess = spread * math.exp(-k_v * top)
+            t_hi = top + math.log1p(-excess) / k_v if excess < 1.0 else -math.inf
+            bottom = ref + _SCREEN_MARGIN
+            t_lo = bottom + math.log1p(slop * math.exp(-k_v * bottom)) / k_v
+            if t_lo > floor:
+                t_lo = (t_lo - drop * floor) / (1.0 - drop)
+            thresholds.append((
+                t_hi if t_hi > -_SCREEN_LIMIT else -math.inf,
+                t_lo if t_lo < _SCREEN_LIMIT else math.inf,
+            ))
+        return susceptibility_cap, leak_cap, thresholds
+
+    def _screened_above(
+        self,
+        wordlines: np.ndarray | slice,
+        now: float,
+        references: tuple[float, ...],
+    ) -> list[np.ndarray]:
+        """``[voltages > r for r in references]`` over the *wordlines*
+        rows, equal to comparing ``_materialize_rows(wordlines, now)``.
+
+        The screen (:meth:`_screen`) settles each cell whose ``v0`` lies
+        outside every band ``(t_hi, t_lo)`` and which no cap excludes:
+        there ``v0 > t_hi`` is the exact answer.  The unsettled cells go
+        through :meth:`_materialize_cells`; when more than
+        ``_SCREEN_DENSE_FRACTION`` of the cells are unsettled, the rows
+        are materialized densely instead.
+        """
+        screen = self._screen(wordlines, now, references)
+        if screen is not None:
+            susceptibility_cap, leak_cap, thresholds = screen
+            cells = self.cells
+            v0 = cells.v0[wordlines]
+            unsettled = np.zeros(v0.shape, dtype=bool)
+            above = []
+            for t_hi, t_lo in thresholds:
+                maybe = v0 > t_hi
+                # Inside the band: above t_hi but short of t_lo.
+                unsettled |= maybe ^ (v0 >= t_lo)
+                above.append(maybe)
+            if susceptibility_cap is not None:
+                unsettled |= cells.susceptibility[wordlines] > susceptibility_cap
+            if leak_cap is not None:
+                # Leak enters only the sure-above side: a cell at or below
+                # the lowest reference's t_hi settles whatever its leak.
+                lowest = above[references.index(min(references))]
+                unsettled |= (cells.leak[wordlines] > leak_cap) & lowest
+            todo = np.flatnonzero(unsettled)
+            if todo.size <= _SCREEN_DENSE_FRACTION * unsettled.size:
+                if todo.size:
+                    bitlines = self.geometry.bitlines_per_block
+                    rows = np.arange(self.geometry.wordlines_per_block)[wordlines]
+                    index = rows[todo // bitlines] * bitlines + todo % bitlines
+                    voltages = self._materialize_cells(index, now)
+                    for flags, ref in zip(above, references):
+                        np.put(flags, todo, voltages > ref)
+                return above
+        voltages = self._materialize_rows(wordlines, now)
+        return [voltages > ref for ref in references]
 
     def read_page(
         self,
@@ -528,21 +761,30 @@ class FlashBlock:
         no disturb charged (callers account their reads themselves).
 
         Sensing and the ground-truth comparison are fused per unique
-        wordline (both page kinds at once), so a whole block's error
-        profile costs one materialization plus a handful of vectorized
-        passes.
+        wordline (both page kinds at once).  The sensing screen
+        (:meth:`_screened_above`) decides each cell's side of every read
+        reference from its float32 ``v0`` alone, and runs the exact
+        retention/disturb chain only on the cells it cannot settle.  At
+        a relaxed Vpass below 505 the shared cutoff mask needs every row
+        against Vpass, so the screen covers the whole block, Vpass
+        included.  A call the screen cannot serve (a cap below 1, or more
+        than ``_SCREEN_DENSE_FRACTION`` of its cells unsettled: extreme
+        wear, age or exposure) materializes its rows densely, the whole
+        block at a relaxed Vpass.  This call neither reads nor warms the
+        :meth:`block_voltages` cache.
 
         **Bit-identity.**  Counts equal a non-recording scalar
-        :meth:`page_error_count` loop exactly (equivalence suite:
-        ``tests/flash/test_batched_sensing.py``, including relaxed-Vpass
-        cutoff cases).
+        :meth:`page_error_count` loop exactly: a settled cell senses as
+        its materialized voltage would, and an unsettled one is
+        materialized by the same operation sequence (equivalence suite:
+        ``tests/flash/test_batched_sensing.py``, with a hypothesis
+        property over wear, age, exposure, Vpass and planted cells on
+        every screen threshold).
 
-        **Cache precondition.**  Sensing reads the ``(now,
-        voltage_epoch)``-keyed cache behind :meth:`block_voltages`; every
-        mutation through this class bumps the epoch, but out-of-band
-        edits to :attr:`cells` or :attr:`disturb_model` must call
-        :meth:`invalidate_voltage_cache` first or this batch senses stale
-        voltages.
+        **Cache precondition.**  Out-of-band edits to the leak or
+        susceptibility arrays of :attr:`cells` must call
+        :meth:`invalidate_voltage_cache` first, or this batch screens
+        with stale cell bounds.
         """
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0:
@@ -550,17 +792,25 @@ class FlashBlock:
         if pages.min() < 0 or pages.max() >= self.geometry.pages_per_block:
             raise IndexError("page out of range in batched error count")
         unique_wordlines, inverse = _unique_sorted(pages // 2)
-        if vpass < _CUTOFF_CHECK_VPASS:
+        references = (DEFAULT_REFERENCES.va, DEFAULT_REFERENCES.vb, DEFAULT_REFERENCES.vc)
+        relaxed = vpass < _CUTOFF_CHECK_VPASS
+        if relaxed:
+            # The cutoff check compares every row against vpass, so the
+            # whole block is sensed in one pass (or one screen).
+            references += (vpass,)
+        every_row = unique_wordlines.size == self.geometry.wordlines_per_block
+        rows = slice(None) if relaxed or every_row else unique_wordlines
+        above = self._screened_above(rows, now, references)
+        cutoff = None
+        if relaxed:
             # One shared cutoff pass for the whole batch: count cells above
             # vpass per bitline once, then exclude each wordline's own row.
-            full = self.block_voltages(now)
-            above = full > vpass
-            above_counts = above.sum(axis=0)
-            cutoff = (above_counts[None, :] - above[unique_wordlines]) > 0
-            voltages = full[unique_wordlines]
-        else:
-            cutoff = None
-            voltages = self._wordline_voltages(unique_wordlines, now)
+            over = above.pop()
+            if over.any():
+                cutoff = (over.sum(axis=0) - over[unique_wordlines]) > 0
+            if not every_row:
+                above = [flags[unique_wordlines] for flags in above]
+        above_a, above_b, above_c = above
         states = self.cells.true_states[unique_wordlines]
         # Expected bits straight from the gray code (ER=11, P1=10, P2=00,
         # P3=01): the LSB is 1 on ER/P1 (states 0-1), the MSB on ER/P3
@@ -568,21 +818,21 @@ class FlashBlock:
         expected_lsb = states <= 1
         expected_msb = states == 0
         expected_msb |= states == 3
-        # LSB page: sensed bit is V <= Vb (cut-off senses 0, erring wherever
-        # the true bit is 1); MSB page: V <= Va or V > Vc (cut-off senses 1).
-        errors_lsb = voltages <= DEFAULT_REFERENCES.vb
-        np.not_equal(errors_lsb, expected_lsb, out=errors_lsb)
-        errors_msb = voltages <= DEFAULT_REFERENCES.va
-        errors_msb |= voltages > DEFAULT_REFERENCES.vc
-        np.not_equal(errors_msb, expected_msb, out=errors_msb)
+        flags = np.empty((unique_wordlines.size, 2, states.shape[1]), dtype=bool)
+        errors_lsb, errors_msb = flags[:, 0], flags[:, 1]
+        # LSB page: the sensed bit is V <= Vb, so it errs where V > Vb
+        # equals the expected bit (cut-off senses 0, erring wherever the
+        # true bit is 1).  MSB page: V <= Va or V > Vc (cut-off senses 1).
+        np.equal(above_b, expected_lsb, out=errors_lsb)
+        np.invert(above_a, out=errors_msb)
+        errors_msb |= above_c
+        errors_msb ^= expected_msb
         if cutoff is not None:
             # A cut-off bitline's sensed bit is fixed (LSB 0 / MSB 1), so
             # its error flag is just the expected bit (or its complement).
             np.copyto(errors_lsb, expected_lsb, where=cutoff)
             np.copyto(errors_msb, ~expected_msb, where=cutoff)
-        per_wordline = np.empty((errors_lsb.shape[0], 2), dtype=np.int64)
-        per_wordline[:, 0] = np.count_nonzero(errors_lsb, axis=1)
-        per_wordline[:, 1] = np.count_nonzero(errors_msb, axis=1)
+        per_wordline = np.bitwise_count(np.packbits(flags, axis=2)).sum(axis=2, dtype=np.int64)
         return per_wordline[inverse, pages % 2]
 
     def measure_block_rber(
@@ -595,7 +845,7 @@ class FlashBlock:
         like a characterization pass.
 
         Runs on :meth:`page_error_counts`, so the whole block is measured
-        from a single voltage materialization.
+        in one screened sensing pass.
         """
         programmed = np.flatnonzero(self.programmed)
         if programmed.size == 0:

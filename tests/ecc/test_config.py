@@ -1,33 +1,8 @@
 """ECC provisioning math."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.ecc import DEFAULT_ECC, EccConfig
-
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def test_import_leaves_provisioning_math_unloaded():
-    """A cold ``import repro`` loads neither ``scipy.stats`` nor
-    ``scipy.optimize``: only the ECC provisioning functions use them, and
-    the counter backend never calls those."""
-    probe = (
-        "import sys\n"
-        "import repro, repro.parallel, repro.workloads\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
 
 
 def test_default_tolerable_rber_near_paper_value():

@@ -27,12 +27,12 @@ def test_committed_readme_quotes_the_record():
 
 def test_gate_catches_a_drifted_readme_number():
     readme, record = _committed()
-    quote = "| flash-chip backend, batched | ~31.6k trace ops/s |"
+    quote = "| flash-chip backend, batched | ~65.0k trace ops/s |"
     assert quote in readme
-    drifted = readme.replace(quote, "| flash-chip backend, batched | ~38k trace ops/s |")
+    drifted = readme.replace(quote, "| flash-chip backend, batched | ~78k trace ops/s |")
     problems = check_docs.check_readme_numbers(drifted, record)
     assert len(problems) == 1
-    assert "flash_chip_ops_per_sec" in problems[0] and "38k" in problems[0]
+    assert "flash_chip_ops_per_sec" in problems[0] and "78k" in problems[0]
 
 
 def test_gate_catches_a_missing_row():
