@@ -248,9 +248,9 @@ def _sweep():
         ["flash-chip / batched", PHYSICS_OPS, f"{t_physics:.2f}", f"{ops_physics:,.0f}", "-"]
     )
     # Telemetry overhead: the same flash-chip row with tracing armed
-    # (every read flush writes its physics.flush span and phase spans;
-    # the serial executor writes no per-block spans), gated <= 1.02x by
-    # check_bench.py — observability must stay out of the hot path's way.
+    # (every read flush writes its physics.flush span and phase spans),
+    # gated <= 1.02x by check_bench.py — observability must stay out of
+    # the hot path's way.
     overhead = _telemetry_overhead()
     rows.append(
         [

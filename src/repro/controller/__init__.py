@@ -26,7 +26,6 @@ from repro.controller.backends import (
     CounterBackend,
     FlashChipBackend,
 )
-from repro.controller.executor import BlockExecutor
 from repro.controller.engine import SimulationEngine, SsdRunStats
 from repro.controller.factory import build_backend, build_engine, run_scenario
 from repro.controller.stats import block_read_pressure, hottest_block_reads_per_day
@@ -42,7 +41,6 @@ __all__ = [
     "PhysicsBackend",
     "CounterBackend",
     "FlashChipBackend",
-    "BlockExecutor",
     "SimulationEngine",
     "SsdRunStats",
     "build_backend",

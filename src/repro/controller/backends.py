@@ -23,9 +23,7 @@ mapped host reads.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -38,7 +36,6 @@ from repro.ecc import DEFAULT_ECC, EccConfig, EccDecoder
 from repro.ecc.decoder import BatchDecodeResult
 from repro.flash.block import FlashBlock
 from repro.flash.geometry import FlashGeometry
-from repro.controller.executor import BlockExecutor
 from repro.controller.ftl import PageMappingFtl
 
 
@@ -133,11 +130,9 @@ class CounterBackend:
 class BlockReadTask:
     """One block's share of a flushed read batch (the planning output).
 
-    The task is *pure per block*: executing it touches only
-    :attr:`flash_block` — its exposure counters, its voltage cache —
-    plus read-only configuration (decoder, Vpass).  That purity is what
-    lets the block executor run tasks of one flush concurrently and
-    still merge bit-identically (see :mod:`repro.controller.executor`).
+    Executing the task touches only :attr:`flash_block` (its exposure
+    counters) plus read-only configuration (decoder, Vpass); everything
+    shared is left to the ordered merge.
     """
 
     block_id: int
@@ -169,9 +164,8 @@ class FlashChipBackend:
 
     Blocks are materialized lazily (first append), so memory scales with
     the blocks a workload actually touches.  A bound block keeps its
-    cell state on the heap (13 bytes per cell, plus 8 per cell for its
-    voltage cache while warm), so the touched blocks must fit in RAM.
-    Host data is synthetic:
+    cell state on the heap (13 bytes per cell), so the touched blocks
+    must fit in RAM.  Host data is synthetic:
     programming a wordline writes pseudo-random bits, which is exactly the
     paper's characterization workload and all ECC needs — the decoder
     counts the sensed page's raw bit errors against what was programmed
@@ -182,12 +176,10 @@ class FlashChipBackend:
     pipeline:
 
     1. **plan** — group the batch per block in one pass over the sorted
-       unique physical pages (materializing lazily-bound blocks while
-       still serial);
-    2. **execute** — one pure :class:`BlockReadTask` per touched block
-       on the :class:`~repro.controller.executor.BlockExecutor`: charge
-       Vpass-weighted disturb exposure in one
-       :meth:`FlashBlock.record_reads` call, then ECC-decode each
+       unique physical pages (materializing lazily-bound blocks);
+    2. **execute** — one :class:`BlockReadTask` per touched block, in
+       ascending block order: charge Vpass-weighted disturb exposure in
+       one :meth:`FlashBlock.record_reads` call, then ECC-decode each
        *unique* page of the batch once, at the batch's
        final exposure (repeated reads of a page within one flush return
        the same sensed data, so one decode per page per flush is the
@@ -202,10 +194,13 @@ class FlashChipBackend:
        rewrites it to a fresh block, and later pages of the same flush
        on that block are skipped (their data is already being remapped).
 
-    The executor (``"serial"`` or ``"threaded[:N]"``) only decides how
-    step 2 runs.  Everything else — wordline programs at append time,
-    erases, RBER probes — runs in this class's one serial code path
-    under every executor.
+    Everything runs in one thread: the read flushes above, wordline
+    programs at append time, erases and RBER probes.  A multi-core run
+    splits scenarios across processes (the sweep's ``--workers``).
+
+    *executor* accepts only ``"serial"`` and raises ``ValueError`` on
+    any other value; it is kept so existing callers that pass it keep
+    working.
 
     :meth:`summary` also reports ``miscorrected_pages``,
     ``injected_faults`` and ``fault_patterns``, always zero: the
@@ -228,6 +223,11 @@ class FlashChipBackend:
             raise ValueError("need at least one bitline per block")
         if initial_pe_cycles < 0:
             raise ValueError("initial wear cannot be negative")
+        if executor != "serial":
+            raise ValueError(
+                f"unknown executor {executor!r}; reads run serially, so the "
+                "only value is 'serial'"
+            )
         self.bitlines_per_block = int(bitlines_per_block)
         self.initial_pe_cycles = int(initial_pe_cycles)
         self.vpass = float(vpass)
@@ -239,9 +239,6 @@ class FlashChipBackend:
         )
         self.rdr = ReadDisturbRecovery()
         self.seed = int(seed)
-        #: runs each read flush's per-block tasks; "serial" and
-        #: "threaded[:N]" are bit-identical by construction.
-        self.executor = BlockExecutor.from_spec(executor)
         # Filled in bind().
         self.ftl: PageMappingFtl | None = None
         self.geometry: FlashGeometry | None = None
@@ -256,9 +253,6 @@ class FlashChipBackend:
         self.rdr_recovered = 0
         self.data_loss_events = 0
         self.corrected_bits = 0
-        # Parent span id for per-block task records; set only around the
-        # executor.map of a traced flush on a multi-worker executor.
-        self._trace_block_parent: str | None = None
 
     # ------------------------------------------------------------------
     # Engine protocol
@@ -308,15 +302,13 @@ class FlashChipBackend:
         """Apply one flushed batch of mapped host reads to the chip.
 
         A plan/execute/merge pipeline: one grouping pass over the sorted
-        unique pages of the batch (:meth:`_plan_reads`), then one pure
-        per-block task per touched block on the block-group executor
-        (:meth:`_sense_and_decode` — one
+        unique pages of the batch (:meth:`_plan_reads`), then one task
+        per touched block (:meth:`_sense_decode_block` — one
         :meth:`~repro.flash.block.FlashBlock.record_reads` bulk disturb
         charge and one :meth:`~repro.ecc.decoder.EccDecoder.check_pages`
-        sensing every unique programmed page against a single voltage
-        materialization), and finally a deterministic merge in ascending
-        block order (:meth:`_merge_outcomes` — shared counters and RDR
-        escalation).
+        screening every unique programmed page in one pass), and finally
+        a merge in ascending block order (:meth:`_merge_outcomes` —
+        shared counters and RDR escalation).
 
         **Bit-identity.**  Decode granularity is *per flush*: repeated
         reads of a page within one flush sense identical data, so one
@@ -326,21 +318,14 @@ class FlashChipBackend:
         uncorrectable page — the scalar escalation bookkeeping — before
         RDR runs and the block is queued for relocation (golden
         summaries in ``tests/controller/test_backend_vectorized.py`` pin
-        all of it).  Tasks touch only their own block and the merge
-        order is fixed, so ``executor="threaded"`` produces the same
-        bits as ``executor="serial"``
-        (``tests/controller/test_block_executor.py``).
+        all of it).
 
-        **Cache precondition.**  Assumes *ppns* were resolved against
+        **Mapping precondition.**  Assumes *ppns* were resolved against
         the mapping current at flush time (the engine flushes before any
-        relocation moves data); the voltage cache is managed by the
-        block's own epoch bumps.
+        relocation moves data).
 
         **Tracing.**  A traced flush writes ``physics.flush`` with its
         ``physics.plan``/``physics.execute``/``physics.merge`` phases.
-        On an executor with more than one worker, where tasks overlap on
-        threads, each task also writes a ``physics.block`` span under
-        the execute span (:meth:`_sense_and_decode`).
         """
         if ppns.size == 0:
             return
@@ -348,24 +333,17 @@ class FlashChipBackend:
         with tracer.span("physics.flush", reads=int(ppns.size)):
             with tracer.span("physics.plan"):
                 tasks = self._plan_reads(ppns)
-            execute = partial(self._sense_and_decode, now=now)
-            with tracer.span("physics.execute", blocks=len(tasks)) as span:
-                if tracer.enabled and self.executor.workers > 1:
-                    self._trace_block_parent = span.id
-                try:
-                    outcomes = self.executor.map(execute, tasks)
-                finally:
-                    self._trace_block_parent = None
+            with tracer.span("physics.execute", blocks=len(tasks)):
+                outcomes = [self._sense_decode_block(task, now) for task in tasks]
             with tracer.span("physics.merge", blocks=len(tasks)):
                 self._merge_outcomes(outcomes, now)
 
     def _plan_reads(self, ppns: np.ndarray) -> list[BlockReadTask]:
         """Grouping/planning pass: one :class:`BlockReadTask` per block.
 
-        Runs serially so lazy block materialization (a dict insert plus
-        RNG-stream construction) never races the executor's workers;
-        the tasks come back in ascending block order, which is the order
-        the merge folds them in.
+        Materializes lazily-bound blocks; the tasks come back in
+        ascending block order, which is the order the merge folds them
+        in.
         """
         pages_per_block = self.ftl.config.pages_per_block
         unique_ppns, counts = np.unique(ppns, return_counts=True)
@@ -391,35 +369,6 @@ class FlashChipBackend:
             )
         return tasks
 
-    def _sense_and_decode(
-        self, task: BlockReadTask, now: float
-    ) -> BlockReadOutcome:
-        """:meth:`_sense_decode_block`, plus an optional per-block span.
-
-        The span uses a parent-derived id via
-        :meth:`~repro.obs.tracing.Tracer.record`, so concurrent tasks
-        consume no shared sequence and ids stay deterministic under any
-        thread interleaving.  ``_trace_block_parent`` is only ever set
-        around the executor.map of a traced flush on a multi-worker
-        executor.
-        """
-        parent = self._trace_block_parent
-        if parent is None:
-            return self._sense_decode_block(task, now)
-        tracer = obs.tracer()
-        t0 = time.monotonic()
-        outcome = self._sense_decode_block(task, now)
-        tracer.record(
-            "physics.block",
-            t0,
-            time.monotonic(),
-            span_id=tracer.child_id(parent, f"b{task.block_id}"),
-            parent=parent,
-            block=task.block_id,
-            pages=int(task.pages.size),
-        )
-        return outcome
-
     def _sense_decode_block(
         self, task: BlockReadTask, now: float
     ) -> BlockReadOutcome:
@@ -427,11 +376,8 @@ class FlashChipBackend:
 
         One :meth:`~repro.ecc.decoder.EccDecoder.check_pages` call counts
         the raw bit errors of every programmed page in the task and
-        judges them against the page capability.
-
-        Pure per block — mutates only ``task.flash_block`` (exposure
-        counters, voltage cache) and reads shared configuration, so any
-        number of tasks from one flush can run concurrently.
+        judges them against the page capability.  Mutates only
+        ``task.flash_block`` (its exposure counters).
         """
         fb = task.flash_block
         # Reads of both pages of a wordline are one sensing pass each
@@ -452,11 +398,11 @@ class FlashChipBackend:
     ) -> None:
         """Ordered merge: fold outcomes into shared state, escalate RDR.
 
-        Outcomes arrive in ascending block order (planning order, which
-        every executor preserves), so counter updates, RDR escalations,
-        and relocation queuing happen in exactly the sequence the serial
-        loop produced.  RDR mutates only the failing block — blocks the
-        executor already decoded are unaffected.
+        Outcomes arrive in ascending block order (planning order), so
+        counter updates, RDR escalations, and relocation queuing happen
+        in exactly the sequence the scalar loop produced.  RDR mutates
+        only the failing block, so the outcomes of blocks already
+        decoded this flush stay valid.
         """
         rescued_wordlines: set[tuple[int, int]] = set()
         for outcome in outcomes:
@@ -531,11 +477,6 @@ class FlashChipBackend:
                 fb.cycle_wear_to(self.initial_pe_cycles)
             self._blocks[block_id] = fb
         return fb
-
-    def close(self) -> None:
-        """Release the executor's thread pool (idempotent; the backend
-        stays usable, and its next threaded flush starts a new pool)."""
-        self.executor.close()
 
     def _escalate(
         self,

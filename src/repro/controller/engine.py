@@ -29,12 +29,8 @@ window's reads vectorized:
   flush: disturb exposure is charged in bulk and each unique page is
   ECC-decoded once per flush at its final exposure, escalating
   uncorrectable pages through Read Disturb Recovery and remapping the
-  damaged block.  Within one flush the per-block sense+decode tasks are
-  independent, and the flash-chip backend runs them on its block
-  executor (:mod:`repro.controller.executor`): ``executor="threaded"``
-  spreads one scenario's read flushes across cores, bit-identical to
-  serial.  Programs, erases and every other step run serially under
-  any executor.
+  damaged block.  One scenario runs in one thread; multi-core runs
+  split scenarios across processes (:mod:`repro.parallel`).
 
 See ``benchmarks/bench_engine_throughput.py`` for the throughput
 trajectory of both backends.
@@ -525,17 +521,9 @@ class SimulationEngine(FtlObserver):
         self.backend.on_reads(mapped, self.now)
 
     def close(self) -> None:
-        """Release backend resources (the flash-chip executor's thread
-        pool).
-
-        Delegates to the backend's ``close`` when it has one; safe to
-        call on any backend and idempotent.
-        :func:`repro.controller.factory.run_scenario` closes in a
-        ``finally``, so a failing scenario leaves no thread behind.
+        """Do nothing: an engine holds no thread, file or pool to
+        release.  Kept so callers that close their engine keep working.
         """
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
 
     def _drain_relocations(self) -> None:
         """Relocate blocks the backend flagged (post-recovery remap)."""

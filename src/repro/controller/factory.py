@@ -34,7 +34,6 @@ def build_backend(spec: BackendSpec, seed: int) -> PhysicsBackend:
         initial_pe_cycles=spec.initial_pe_cycles,
         vpass=spec.vpass,
         seed=seed,
-        executor=spec.executor,
     )
 
 
@@ -140,32 +139,27 @@ def _run_scenario_inner(scenario: Scenario) -> ScenarioResult:
     maybe_inject(scenario.scenario_id)
     trace = scenario_trace(scenario)
     engine = build_engine(scenario)
-    try:
-        trajectory: list[dict] | None = None
-        on_window = None
-        if scenario.record_trajectory:
-            trajectory = []
+    trajectory: list[dict] | None = None
+    on_window = None
+    if scenario.record_trajectory:
+        trajectory = []
 
-            def on_window(eng: SimulationEngine) -> None:
-                record = {
-                    "window": len(trajectory),
-                    "now_days": eng.now / SECONDS_PER_DAY,
-                    "host_reads": eng.ftl.host_reads,
-                    "gc_runs": eng.ftl.gc_runs,
-                    "refreshed_blocks": eng.refresh.refreshed_blocks,
-                    "reclaimed_blocks": (
-                        eng.reclaim.reclaimed_blocks if eng.reclaim is not None else 0
-                    ),
-                    "max_reads_since_program": int(eng.ftl.reads_since_program.max()),
-                }
-                rber = _measure_backend_rber(eng)
-                if rber is not None:
-                    record["worst_block_rber"] = rber
-                trajectory.append(record)
+        def on_window(eng: SimulationEngine) -> None:
+            record = {
+                "window": len(trajectory),
+                "now_days": eng.now / SECONDS_PER_DAY,
+                "host_reads": eng.ftl.host_reads,
+                "gc_runs": eng.ftl.gc_runs,
+                "refreshed_blocks": eng.refresh.refreshed_blocks,
+                "reclaimed_blocks": (
+                    eng.reclaim.reclaimed_blocks if eng.reclaim is not None else 0
+                ),
+                "max_reads_since_program": int(eng.ftl.reads_since_program.max()),
+            }
+            rber = _measure_backend_rber(eng)
+            if rber is not None:
+                record["worst_block_rber"] = rber
+            trajectory.append(record)
 
-        stats = engine.run_trace(trace, on_window=on_window)
-        return extract_result(scenario, engine, stats, trajectory)
-    finally:
-        # The executor's thread pool must not outlive the scenario,
-        # success or failure.
-        engine.close()
+    stats = engine.run_trace(trace, on_window=on_window)
+    return extract_result(scenario, engine, stats, trajectory)

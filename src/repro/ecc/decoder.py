@@ -139,10 +139,11 @@ class EccDecoder:
         charges each block's flushed reads in one ``record_reads`` call
         before it checks the pages.
 
-        **Cache precondition.**  Inherits the block's ``(now,
-        voltage_epoch)`` cache contract: out-of-band cell mutations need
+        **Precondition.**  Out-of-band edits to the block's leak or
+        susceptibility arrays need
         :meth:`~repro.flash.block.FlashBlock.invalidate_voltage_cache`
-        before decoding.
+        before decoding, as for
+        :meth:`~repro.flash.block.FlashBlock.page_error_counts`.
         """
         errors = flash_block.page_error_counts(pages, now, vpass)
         capability = self.config.page_capability_bits(

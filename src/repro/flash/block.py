@@ -118,40 +118,21 @@ class FlashBlock:
         )
         self.reads_targeted = np.zeros(geometry.wordlines_per_block, dtype=np.int64)
         self.cells = CellArray(geometry, self._rng)
-
-        # Dirty-epoch voltage cache: `voltage_epoch` counts every mutation
-        # that can change a materialized threshold voltage (program, erase,
-        # disturb recording).  `block_voltages` caches one full-block
-        # materialization per (now, epoch) key, so any number of sensing
-        # operations between mutations shares a single physics pass.
-        self.voltage_epoch = 0
-        self._voltage_cache_key: tuple[float, int] | None = None
-        self._voltage_cache: np.ndarray | None = None
         # The sensing screen's per-block cell bounds (`_cell_extremes`).
         self._extremes: tuple[float, float, float, float] | None = None
 
-    # ------------------------------------------------------------------
-    # Voltage-cache epoch
-    # ------------------------------------------------------------------
-
     def invalidate_voltage_cache(self) -> None:
-        """Bump the epoch after an out-of-band mutation, and drop the
-        cached materialization and the screen's cached cell bounds.
+        """Drop the sensing screen's cached cell bounds after an
+        out-of-band edit of the leak or susceptibility arrays.
 
-        All :class:`FlashBlock` methods bump the epoch themselves; call
-        this only after mutating cell state directly (e.g. swapping
-        :attr:`disturb_model` or editing :attr:`cells` arrays in a test).
+        Every read materializes voltages from the current cell state, so
+        no :class:`FlashBlock` method needs this, and neither does an
+        edit of ``v0`` (programs and erases rewrite only ``v0``).  Call
+        it after editing :attr:`cells` leak or susceptibility directly
+        (e.g. in a test); the screen otherwise keeps bounds from before
+        the edit.
         """
-        self._new_epoch()
         self._extremes = None
-
-    def _new_epoch(self) -> None:
-        """Bump the epoch and drop the cached materialization.  Programs
-        and erases keep the screen's cell bounds: they rewrite ``v0``,
-        never leak or susceptibility."""
-        self.voltage_epoch += 1
-        self._voltage_cache_key = None
-        self._voltage_cache = None
 
     # ------------------------------------------------------------------
     # Lifecycle operations
@@ -167,7 +148,6 @@ class FlashBlock:
         self._exposure_targeted[:] = 0.0
         self.total_reads = 0
         self.reads_targeted[:] = 0
-        self._new_epoch()
 
     def cycle_wear_to(self, pe_cycles: int, now: float = 0.0) -> None:
         """Fast-forward wear to *pe_cycles*, like the paper's wear-out loop.
@@ -204,7 +184,6 @@ class FlashBlock:
         self.cells._program_row(wordline, states, self.pe_cycles, self._rng)
         self.programmed[wordline] = True
         self.program_time[wordline] = now
-        self._new_epoch()
 
     def program_block_bits(
         self,
@@ -223,7 +202,6 @@ class FlashBlock:
         self.cells.program_block(states, self.pe_cycles, self._rng)
         self.programmed[:] = True
         self.program_time[:] = now
-        self._new_epoch()
 
     def program_random(self, now: float = 0.0, rng: np.random.Generator | None = None) -> None:
         """Program every wordline with pseudo-random data (paper's workload
@@ -253,7 +231,6 @@ class FlashBlock:
         self._exposure_targeted[wordline] += weight
         self.total_reads += int(count)
         self.reads_targeted[wordline] += count
-        self.voltage_epoch += 1
 
     def record_reads(
         self,
@@ -277,7 +254,6 @@ class FlashBlock:
         np.add.at(self._exposure_targeted, wordlines, weights)
         self.total_reads += int(counts.sum())
         np.add.at(self.reads_targeted, wordlines, counts)
-        self.voltage_epoch += 1
 
     def record_retry_sweep(
         self,
@@ -322,7 +298,6 @@ class FlashBlock:
         self._exposure_targeted[wordline] = targeted
         self.total_reads += int(count)
         self.reads_targeted[wordline] += count
-        self.voltage_epoch += 1
 
     def apply_read_disturb(
         self,
@@ -347,7 +322,6 @@ class FlashBlock:
         self._total_exposure += float(weight)
         self._exposure_targeted += weight / self.geometry.wordlines_per_block
         self.total_reads += int(reads)
-        self.voltage_epoch += 1
         # Integer bookkeeping: spread as evenly as possible, handing the
         # remainder to the lowest wordlines so reads_targeted.sum() always
         # equals total_reads.
@@ -455,54 +429,10 @@ class FlashBlock:
         work /= model.k_v
         return work
 
-    def block_voltages(self, now: float) -> np.ndarray:
-        """Full-block materialization, cached per ``(now, voltage_epoch)``.
-
-        The returned ``(wordlines, bitlines)`` array is shared by every
-        sensing call until the next voltage-affecting mutation, so it is
-        marked read-only — writing to it raises instead of silently
-        corrupting later reads.
-
-        **Thread confinement.**  A block (cache included) belongs to at
-        most one executor task at a time — the block-group executor's
-        task-purity contract (:mod:`repro.controller.executor`) — so no
-        locking is needed; materialization stays a per-block,
-        single-writer affair.  Defensively, the fresh materialization is
-        fully built (and frozen) in locals before the two cache fields
-        are published, cache array first, so a mid-publication observer
-        can only ever recompute, never sense a half-written buffer.
-        """
-        key = (float(now), self.voltage_epoch)
-        if self._voltage_cache is None or self._voltage_cache_key != key:
-            cache = self._materialize_rows(slice(None), now)
-            cache.flags.writeable = False
-            self._voltage_cache = cache
-            self._voltage_cache_key = key
-        return self._voltage_cache
-
-    def _cached_voltages(self, now: float) -> np.ndarray | None:
-        """The cached full-block materialization if warm for *now*."""
-        key = (float(now), self.voltage_epoch)
-        if self._voltage_cache is not None and self._voltage_cache_key == key:
-            return self._voltage_cache
-        return None
-
-    def _wordline_voltages(self, wordlines: np.ndarray, now: float) -> np.ndarray:
-        """Voltages of the given wordlines, through the cache when warm
-        (a cold cache materializes only the requested rows)."""
-        cached = self._cached_voltages(now)
-        if cached is not None:
-            return cached[wordlines]
-        return self._materialize_rows(wordlines, now)
-
     def _cutoff_mask(self, wordline: int, now: float, vpass: float) -> np.ndarray | None:
         """Bitlines cut off when reading *wordline* at *vpass* (or None)."""
         if vpass >= _CUTOFF_CHECK_VPASS:
             return None
-        cached = self._cached_voltages(now)
-        if cached is not None:
-            above = cached > vpass
-            return (above.sum(axis=0) - above[wordline]) > 0
         others = np.arange(self.geometry.wordlines_per_block) != wordline
         voltages = self.current_voltages(now, others)
         return (voltages > vpass).any(axis=0)
@@ -672,7 +602,7 @@ class FlashBlock:
         """Read one page; returns its bit array and disturbs the block."""
         wordline, is_msb = self.geometry.page_to_wordline(page)
         cutoff = self._cutoff_mask(wordline, now, vpass)
-        voltages = self._wordline_voltages(np.array([wordline]), now)[0]
+        voltages = self._materialize_rows(np.array([wordline]), now)[0]
         bits = sense_page(voltages, is_msb, DEFAULT_REFERENCES, cutoff)
         if record_disturb:
             self.record_read(wordline, vpass)
@@ -690,7 +620,7 @@ class FlashBlock:
         (V <= threshold).  This is the primitive the paper's read-retry
         threshold-voltage measurement is built from."""
         cutoff = self._cutoff_mask(wordline, now, vpass)
-        voltages = self._wordline_voltages(np.array([wordline]), now)[0]
+        voltages = self._materialize_rows(np.array([wordline]), now)[0]
         conducting = voltages <= threshold
         if cutoff is not None:
             conducting &= ~cutoff
@@ -716,16 +646,12 @@ class FlashBlock:
         for *non-disturbing* sweeps: a recording read-retry sweep
         physically shifts the block between steps and must stay an
         ordered per-step loop (as RDR's sweeps do).
-
-        **Cache precondition.**  Same as :meth:`page_error_counts`: warm
-        ``(now, voltage_epoch)`` caches are reused, so out-of-band cell
-        mutations require :meth:`invalidate_voltage_cache`.
         """
         thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
         if thresholds.size == 0:
             raise ValueError("sweep needs at least one threshold")
         cutoff = self._cutoff_mask(wordline, now, vpass)
-        voltages = self._wordline_voltages(np.array([wordline]), now)[0]
+        voltages = self._materialize_rows(np.array([wordline]), now)[0]
         counts = thresholds.size - np.searchsorted(thresholds, voltages, side="left")
         if cutoff is not None:
             counts[cutoff] = 0
@@ -770,8 +696,7 @@ class FlashBlock:
         included.  A call the screen cannot serve (a cap below 1, or more
         than ``_SCREEN_DENSE_FRACTION`` of its cells unsettled: extreme
         wear, age or exposure) materializes its rows densely, the whole
-        block at a relaxed Vpass.  This call neither reads nor warms the
-        :meth:`block_voltages` cache.
+        block at a relaxed Vpass.
 
         **Bit-identity.**  Counts equal a non-recording scalar
         :meth:`page_error_count` loop exactly: a settled cell senses as
@@ -781,7 +706,7 @@ class FlashBlock:
         property over wear, age, exposure, Vpass and planted cells on
         every screen threshold).
 
-        **Cache precondition.**  Out-of-band edits to the leak or
+        **Precondition.**  Out-of-band edits to the leak or
         susceptibility arrays of :attr:`cells` must call
         :meth:`invalidate_voltage_cache` first, or this batch screens
         with stale cell bounds.

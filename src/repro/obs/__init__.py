@@ -1,9 +1,9 @@
 """``repro.obs``: the unified telemetry layer (span tracing).
 
 Zero-dependency observability for the whole stack — the engine's
-windows, the flash backend's plan/execute/merge flushes, the block
-executor, the sweep runner, and the campaign layer's attempts and
-store appends all report here.  Two pieces:
+windows, the flash backend's plan/execute/merge flushes, the sweep
+runner, and the campaign layer's attempts and store appends all report
+here.  Two pieces:
 
 - :mod:`repro.obs.tracing` — nested timed spans emitted as
   crash-tolerant, schema-versioned JSONL, one file per participating
@@ -17,7 +17,7 @@ store appends all report here.  Two pieces:
 **The out-of-band contract.**  Telemetry observes the run; it never
 participates.  Nothing in this package feeds an RNG stream, a scenario
 id, a seed derivation, or a result payload — so every equivalence
-suite (serial vs. threaded executors, ``workers=1`` vs. ``workers=N``,
+suite (batched vs. per-op engines, ``workers=1`` vs. ``workers=N``,
 resumed vs. uninterrupted campaigns) passes bit-for-bit
 with tracing on, and the disabled path (the shared
 :class:`~repro.obs.tracing.NullTracer`) is cheap enough that the

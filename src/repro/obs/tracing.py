@@ -16,9 +16,9 @@ parent process's attempt span) reconstruct the full tree.
 - span begin: ``{"k": "b", "id": ..., "parent": ..., "name": ...,
   "t0": ..., "attrs": {...}}``
 - span end: ``{"k": "e", "id": ..., "t1": ..., "attrs": {...}}``
-- or a complete span in one line (concurrently scheduled tasks):
-  ``{"k": "span", "id": ..., "parent": ..., "name": ..., "t0": ...,
-  "t1": ..., "attrs": {...}}``
+- a complete span in one line: ``{"k": "span", "id": ..., "parent":
+  ..., "name": ..., "t0": ..., "t1": ..., "attrs": {...}}``.  Nothing
+  writes these any more; the loader still reads them from older traces.
 
 ``t0``/``t1`` are monotonic-clock seconds — comparable within a file,
 not across files.  Spans are written as **begin/end event pairs** (not
@@ -39,19 +39,11 @@ is what lets two runs' merged traces be compared structurally.  A
 writer whose ``trace-<label>.jsonl`` an earlier run left in the
 directory (a ``--resume``, a shard rerun, a second traced sweep) takes
 the first free ``<label>-r<k>``, k = 2, 3, … (see
-:meth:`Tracer._ensure_open`), so a rerun never reuses an id.  Spans
-recorded from *concurrently scheduled* work (per-block executor tasks)
-must not consume the shared sequence — thread interleaving would make
-it racy — so they use parent-derived ids instead
-(:meth:`Tracer.child_id`, e.g. ``wA.web_0-…-s0:000007/b12``) via
-:meth:`Tracer.record`, which allocates nothing.
+:meth:`Tracer._ensure_open`), so a rerun never reuses an id.
 
 **What a traced run writes** is decided by the run, not by a knob:
 windows, scenarios, attempts and store appends, plus every flash-chip
-read flush with its plan/execute/merge phases.  One span per per-block
-sense+decode task is added exactly when the flush's executor has more
-than one worker, the one case where those tasks overlap in time and
-show something the execute span does not.
+read flush with its plan/execute/merge phases.
 
 **Out-of-band contract.**  Nothing here feeds RNG streams, scenario
 ids, or result payloads; a tracer failing to write must never fail the
@@ -252,8 +244,6 @@ class Tracer:
         *detached* spans are not pushed on the thread's stack — use it
         for spans that overlap arbitrarily (e.g. concurrent campaign
         attempts held open by the scheduler) with an explicit *parent*.
-        Concurrently scheduled work takes parent-derived ids through
-        :meth:`record` instead.
         """
         if parent is None:
             parent = self.current_id()
@@ -290,34 +280,6 @@ class Tracer:
         """``with tracer.span("engine.window", window=3): ...``"""
         return _SpanContext(self, self.begin(name, **attrs))
 
-    def record(self, name: str, t0: float, t1: float, *, span_id: str,
-               parent: str | None = None, **attrs) -> None:
-        """Write one already-timed span directly (no stack, no sequence).
-
-        The thread-safe path for concurrently scheduled work: the
-        caller supplies a parent-derived *span_id*
-        (:meth:`child_id`), so no shared counter is consumed and
-        thread interleaving cannot change any id.
-        """
-        record = {
-            "k": "span",
-            "id": span_id,
-            "parent": parent,
-            "name": name,
-            "t0": t0,
-            "t1": t1,
-        }
-        if attrs:
-            record["attrs"] = attrs
-        with self._lock:
-            self._ensure_open()
-            self._emit(record)
-
-    @staticmethod
-    def child_id(parent_id: str, suffix: str) -> str:
-        """Deterministic id for a concurrently scheduled child span."""
-        return f"{parent_id}/{suffix}"
-
     def __repr__(self) -> str:
         return f"Tracer(label={self.label!r})"
 
@@ -346,13 +308,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs) -> _NullSpanContext:
         return _NULL_CONTEXT
-
-    def record(self, *args, **kwargs) -> None:
-        pass
-
-    @staticmethod
-    def child_id(parent_id: str, suffix: str) -> str:
-        return ""
 
     def current_id(self) -> None:
         return None

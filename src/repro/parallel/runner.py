@@ -61,8 +61,8 @@ from repro.workloads.grid import Scenario, ScenarioGrid
 def default_workers() -> int:
     """Worker count when the caller does not choose: one per CPU in this
     process's affinity mask (:func:`os.sched_getaffinity`), else
-    :func:`os.cpu_count`.  The default of both parallel tiers: sweep
-    worker processes and ``threaded`` block-executor threads."""
+    :func:`os.cpu_count`.  The default count of sweep worker
+    processes, the one parallel tier."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)

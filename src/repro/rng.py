@@ -57,12 +57,9 @@ def block_spawn_key(seed: int, block_id: int) -> int:
 
     ``block_spawn_key(seed, b)`` equals ``spawn_key(seed, f"block-{b}")``
     — the address :class:`~repro.flash.block.FlashBlock` has always used
-    — stated as its own primitive because the block-group executor
-    (:mod:`repro.controller.executor`) leans on it: a block's streams
-    depend only on the root seed and the block id, never on the order
-    blocks are materialized, touched, or scheduled across executor
-    workers, so per-block physics tasks can run concurrently without any
-    RNG stream crossing between blocks.
+    — stated as its own primitive: a block's streams depend only on the
+    root seed and the block id, never on the order blocks are
+    materialized or touched, so no RNG stream crosses between blocks.
     """
     return spawn_key(seed, f"block-{block_id}")
 
@@ -102,7 +99,7 @@ class RngFactory:
         The factory-level form of :func:`block_spawn_key` (bit-identical
         to the historical ``child(f"block-{block_id}")`` derivation):
         each block's randomness has a stable per-block address, the
-        executor-safety property documented there.
+        property documented there.
         """
         return RngFactory(block_spawn_key(self.seed, block_id))
 

@@ -20,11 +20,10 @@ Examples::
         --blocks 16 --pages-per-block 32 --overprovision 0.2 \\
         --reclaim 0 50000 100000
 
-    # Full-fidelity physics sweep with an RBER trajectory, saved to
-    # JSON, with each scenario's read flushes spread across threads
+    # Full-fidelity physics sweep with an RBER trajectory, saved to JSON
     python -m repro.sweep --workloads webmail --backend flash_chip \\
         --blocks 16 --pages-per-block 32 --overprovision 0.2 \\
-        --executor threaded --trajectory --json sweep.json
+        --trajectory --json sweep.json
 
     # A resumable campaign: results persist as they land, a rerun of
     # the same command continues where the previous run stopped (and
@@ -69,14 +68,13 @@ from repro.workloads.grid import (
     GeometrySpec,
     PolicySpec,
     ScenarioGrid,
-    parse_executor_spec,
 )
 from repro.workloads.suites import WORKLOAD_SUITE, suite_grid, workload_names
 
 
 def _checked_by(parse):
     """argparse type that validates a spec string with *parse* at parse
-    time (``--shard i/N``, ``--executor threaded:N``).
+    time (``--shard i/N``).
 
     A malformed spec dies here with an argparse usage error naming the
     flag (exit 2), instead of surfacing later as a raw exception from
@@ -147,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--vpass", type=float, nargs="+", default=[VPASS_NOMINAL], metavar="VOLTS",
         help="pass-through voltage(s); several values form a backend axis",
     )
-    physics.add_argument(
-        "--executor", default="serial", metavar="SPEC",
-        type=_checked_by(parse_executor_spec),
-        help="how flash-chip read flushes run their per-block sense and "
-        "decode tasks: serial, threaded (one thread per CPU) or threaded:N "
-        "(bit-identical in every mode)",
-    )
     parser.add_argument(
         "--trajectory", action="store_true",
         help="record a per-maintenance-window trajectory (incl. worst-block "
@@ -209,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--trace", nargs="?", const="auto", default=None, metavar="DIR",
         help="emit span traces as JSONL files under DIR (flash-chip read "
-        "flushes with their phases; per-block tasks too when the executor "
-        "runs more than one thread); a campaign always traces into "
+        "flushes with their phases); a campaign always traces into "
         "<campaign-dir>/trace, where --status reads them, so with "
         "--campaign pass a bare --trace",
     )
@@ -271,7 +261,6 @@ def build_backends(args: argparse.Namespace) -> tuple[BackendSpec, ...]:
             bitlines_per_block=args.bitlines,
             initial_pe_cycles=pe_cycles,
             vpass=vpass,
-            executor=args.executor,
         )
         for pe_cycles in args.pe_cycles
         for vpass in args.vpass

@@ -40,39 +40,6 @@ def _non_default(spec, name: str) -> bool:
     return getattr(spec, name) != default
 
 
-#: executor kinds accepted by :func:`parse_executor_spec`.
-EXECUTOR_KINDS = ("serial", "threaded")
-
-
-def parse_executor_spec(spec: str) -> tuple[str, int | None]:
-    """Validate an executor spec string: ``"serial"``, ``"threaded"``, or
-    ``"threaded:N"`` (N ASCII digits, at least 1).
-
-    Returns ``(kind, workers)``; *workers* is ``None`` when the spec
-    leaves the count to the executor's default (one thread per usable
-    CPU).  The one parser of the spec: :class:`BackendSpec` validates
-    with it at grid construction and
-    :meth:`repro.controller.executor.BlockExecutor.from_spec` resolves
-    through it, so a spec the grid accepts never fails inside a worker.
-    It lives here because the controller imports this package, not the
-    other way round.
-    """
-    kind, sep, count = spec.partition(":")
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
-        )
-    if not sep:
-        return kind, None
-    if kind != "threaded":
-        raise ValueError(f"executor {kind!r} does not take a worker count")
-    if not (count.isascii() and count.isdigit()) or int(count) < 1:
-        raise ValueError(
-            f"bad executor worker count {count!r}; expected an integer >= 1"
-        )
-    return kind, int(count)
-
-
 # SsdConfig lives in the controller layer; importing it here would invert
 # the layering (controller already imports workloads), so geometry rides
 # through the grid as plain numbers and the engine factory
@@ -146,22 +113,12 @@ class BackendSpec:
     :class:`~repro.flash.block.FlashBlock` (ECC + RDR in the loop; the
     one ECC rule is the 1e-3 envelope of :mod:`repro.ecc`).  The
     flash-chip knobs are ignored by the counter backend.
-
-    *executor* selects how the flash-chip backend runs the per-block
-    tasks of a read flush (``"serial"`` or ``"threaded[:N]"``, checked
-    by :func:`parse_executor_spec`; see
-    :mod:`repro.controller.executor`).  It is an *execution* knob, not
-    a physics knob: executors are bit-identical by contract, so the
-    executor never enters :attr:`label` — and therefore never perturbs
-    scenario ids or derived seeds.  Consequently two specs differing only in executor
-    are the *same* scenario and cannot share a grid axis.
     """
 
     kind: str = "counter"
     bitlines_per_block: int = 2048
     initial_pe_cycles: int = 0
     vpass: float = VPASS_NOMINAL
-    executor: str = "serial"
 
     _KINDS = ("counter", "flash_chip")
 
@@ -170,15 +127,12 @@ class BackendSpec:
             raise ValueError(
                 f"unknown backend kind {self.kind!r}; expected one of {self._KINDS}"
             )
-        parse_executor_spec(self.executor)
 
     @property
     def label(self) -> str:
         """Stable axis label: kind, plus the flash-chip knobs when they
         differ from the defaults (the counter backend ignores them, so
-        they never enter a counter label).  :attr:`executor` is a
-        result-transparent execution knob and deliberately never enters
-        the label (or the seeds derived from it)."""
+        they never enter a counter label)."""
         if self.kind == "counter":
             return self.kind
         label = self.kind

@@ -6,7 +6,7 @@ needed them — once per ``--serial-check`` leg, once per worker level of
 a bench, once per repeat of a grid.  This module memoizes the generated
 :class:`~repro.workloads.trace.IoTrace` per process behind that exact
 key, so repeated executions of the same scenario in one process (serial
-checks, executor/worker-level comparisons, repeated benches) generate
+checks, worker-level comparisons, repeated benches) generate
 the trace once.
 
 Each process fills its own cache: a sweep or campaign worker generates

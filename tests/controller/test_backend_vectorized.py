@@ -162,6 +162,57 @@ def test_summary_identical_to_pre_vectorization_golden_serial():
     assert engine.recovery_relocations == 51
 
 
+def test_worn_path_actually_escalates():
+    """The worn run drives the uncorrectable path that the equivalence
+    and golden tests above pin: pages fail, RDR runs, blocks are queued
+    for relocation, and a failing block's later pages are skipped for
+    the rest of its flush, so fewer pages are checked than on the same
+    trace with fresh cells."""
+    engine, _ = _run(WORN, n_ops=10_000)
+    summary = engine.backend.summary()
+    assert summary["uncorrectable_pages"] > 0
+    assert summary["rdr_attempts"] > 0
+    assert engine.recovery_relocations > 0
+    fresh_engine, _ = _run(FRESH, n_ops=10_000)
+    assert summary["pages_checked"] < fresh_engine.backend.summary()["pages_checked"]
+
+
+def test_programs_land_at_append_time():
+    """A wordline is programmed when its first page is appended: after a
+    write-only run, before any read, erase or summary observes the chip,
+    each block holds exactly the wordlines its write pointer reached."""
+    config = SsdConfig(blocks=12, pages_per_block=16, overprovision=0.25)
+    footprint = 40
+    backend = FlashChipBackend(bitlines_per_block=64, seed=1)
+    engine = SimulationEngine(config, backend=backend)
+    precondition, _ = _traces(footprint=footprint, seed=13)
+    engine.run_trace(precondition)  # write-only, too short for GC
+    wordlines = config.pages_per_block // 2
+    programmed = 0
+    for block, pointer in enumerate(engine.ftl.write_pointer):
+        expected = np.arange(wordlines) < -(-int(pointer) // 2)
+        fb = backend._blocks.get(block)
+        if fb is None:
+            assert not expected.any()
+            continue
+        assert fb.programmed.tolist() == expected.tolist()
+        programmed += int(fb.programmed.sum())
+    assert programmed == footprint // 2
+
+
+def test_flash_chip_backend_accepts_only_the_serial_executor():
+    """Reads run serially: ``executor="serial"`` is the one accepted
+    value, any other raises, and closing an engine is a no-op."""
+    with pytest.raises(ValueError, match="only value is 'serial'"):
+        FlashChipBackend(executor="threaded:2")
+    engine = SimulationEngine(
+        SsdConfig(blocks=12, pages_per_block=16, overprovision=0.25),
+        backend=FlashChipBackend(bitlines_per_block=64, executor="serial"),
+    )
+    engine.close()
+    engine.close()
+
+
 @pytest.mark.parametrize("bits", [1, 3, 7, 8, 100, 2048, 2049])
 def test_wordline_data_bits_match_integers_draws(bits):
     """Raw-word data bits are byte-equal to two ``integers(0, 2, bits,

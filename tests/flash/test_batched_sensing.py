@@ -1,10 +1,11 @@
 """Batched sensing primitives must match the scalar paths bit-for-bit.
 
-The vectorized hot path (`page_error_counts`, `threshold_sweep_counts`,
-the fused materialization kernel, and the epoch-keyed voltage cache)
-exists purely for speed: every test here pins it to the per-page scalar
-reference, including the low-Vpass cutoff-mask cases and cache
-invalidation across disturb recording, erase, and reprogramming.
+The vectorized hot path (`page_error_counts` with its sensing screen,
+`threshold_sweep_counts` and the fused materialization kernel) exists
+purely for speed: every test here pins it to the per-page scalar
+reference, including the low-Vpass cutoff-mask cases and sensing after
+disturb recording, erase and reprogramming, a time change, and an
+out-of-band edit of the cell arrays.
 """
 
 import numpy as np
@@ -286,8 +287,8 @@ def test_screened_error_counts_match_scalar_loop_at_the_edges(
 
 def test_nominal_error_counts_screen_without_dense_materialization(monkeypatch):
     """In a nominal regime (moderate wear, exposure and age) the screen
-    settles almost every cell, so ``page_error_counts`` neither runs the
-    dense chain nor warms the voltage cache."""
+    settles almost every cell, so ``page_error_counts`` never runs the
+    dense chain."""
     blk = make_block(pe=3000, reads=20_000)
     pages = np.arange(blk.geometry.pages_per_block)
     expected = scalar_error_counts(blk, pages, days(2), 512.0)
@@ -297,7 +298,6 @@ def test_nominal_error_counts_screen_without_dense_materialization(monkeypatch):
 
     monkeypatch.setattr(FlashBlock, "_materialize_rows", dense)
     assert np.array_equal(blk.page_error_counts(pages, now=days(2)), expected)
-    assert blk._cached_voltages(days(2)) is None
 
 
 def test_fused_materialization_matches_reference_composition():
@@ -348,31 +348,20 @@ def test_threshold_sweep_counts_match_scalar_sweep():
 
 
 # ----------------------------------------------------------------------
-# Voltage-cache epoch contract
+# Sensing follows every state change
 # ----------------------------------------------------------------------
 
 
 def test_cache_invalidated_by_record_reads():
     blk = make_block()
     pages = np.arange(8)
-    blk.block_voltages(days(1))  # warm the cache the scalar reads go through
     before = scalar_error_counts(blk, pages, days(1), 512.0)
     blk.record_reads(np.array([0, 1]), np.array([400_000, 400_000]))
     after = scalar_error_counts(blk, pages, days(1), 512.0)
-    # The heavy extra disturb must be visible (stale cache would hide it),
-    # and both answers must match the batch, which never reads the cache.
+    # The heavy extra disturb must be visible, and the scalar answer must
+    # match the batch.
     assert not np.array_equal(before, after)
     assert np.array_equal(after, blk.page_error_counts(pages, now=days(1)))
-
-
-def test_cache_invalidated_by_record_read_and_apply():
-    blk = make_block()
-    epoch = blk.voltage_epoch
-    blk.record_read(0)
-    assert blk.voltage_epoch > epoch
-    epoch = blk.voltage_epoch
-    blk.apply_read_disturb(1000)
-    assert blk.voltage_epoch > epoch
 
 
 def test_cache_invalidated_by_erase_and_reprogram():
@@ -381,50 +370,36 @@ def test_cache_invalidated_by_erase_and_reprogram():
     def read_pages():
         return np.stack([blk.read_page(p, now=0.0, record_disturb=False) for p in range(4)])
 
-    def uncached_pages():
+    def composed_pages():
         voltages = blk.current_voltages(0.0, np.array([0, 1]))
         return np.stack([sense_page(voltages[p // 2], p % 2 == 1) for p in range(4)])
 
-    blk.block_voltages(0.0)  # warm the cache with the programmed block
     blk.erase()
     erased = read_pages()
-    assert np.array_equal(erased, uncached_pages())
+    assert np.array_equal(erased, composed_pages())
     # Erased cells sense as ER: LSB pages read all-ones.
     assert (erased[0] == 1).all() and (erased[2] == 1).all()
-    blk.block_voltages(0.0)  # warm the cache with the erased block
     blk.program_random()
     reprogrammed = read_pages()
     assert not np.array_equal(erased, reprogrammed)
-    assert np.array_equal(reprogrammed, uncached_pages())
+    assert np.array_equal(reprogrammed, composed_pages())
 
 
 def test_cache_keyed_on_time():
     blk = make_block(pe=15000, reads=1_000_000)
     pages = np.arange(blk.geometry.pages_per_block)
-    blk.block_voltages(0.0)  # warm the cache the scalar reads go through
     fresh = scalar_error_counts(blk, pages, 0.0, 512.0)
     aged = scalar_error_counts(blk, pages, days(90), 512.0)
-    # A different `now` must re-materialize (a stale cache would return
-    # the fresh counts again) ...
+    # A different `now` must change the counts ...
     assert not np.array_equal(fresh, aged)
-    # ... and both answers must match the batch, which never reads the
-    # cache, at their own time.
+    # ... and both answers must match the batch at their own time.
     assert np.array_equal(fresh, blk.page_error_counts(pages, now=0.0))
     assert np.array_equal(aged, blk.page_error_counts(pages, now=days(90)))
 
 
-def test_block_voltages_reuses_materialization_within_epoch():
-    blk = make_block()
-    first = blk.block_voltages(0.0)
-    assert blk.block_voltages(0.0) is first
-    blk.record_read(0)
-    assert blk.block_voltages(0.0) is not first
-
-
 def test_invalidate_voltage_cache_covers_out_of_band_mutation():
     """Edits to ``v0``, leak and susceptibility all reach the next batch
-    once the cache is invalidated: the warm voltage cache and the
-    screen's cached cell bounds both go."""
+    once the screen's cached cell bounds are dropped."""
     blk = make_block(pe=3000, reads=20)
     pages = np.arange(blk.geometry.pages_per_block)
     now = 3600.0
@@ -437,7 +412,6 @@ def test_invalidate_voltage_cache_covers_out_of_band_mutation():
     }
     for name, edit in edits.items():
         before = blk.page_error_counts(pages, now)  # caches the cell bounds
-        blk.block_voltages(now)  # and warms the voltage cache
         edit(blk.cells)  # out-of-band edit, as the contract describes
         blk.invalidate_voltage_cache()
         after = blk.page_error_counts(pages, now)

@@ -107,21 +107,31 @@ def test_exception_inside_span_records_error_attr(tmp_path):
     assert named["scenario.run"]["attrs"]["error"] == "RuntimeError"
 
 
-def test_record_writes_complete_spans_with_derived_ids(tmp_path):
-    tracer = Tracer(tmp_path, "w0")
-    with tracer.span("physics.execute") as execute:
-        for block in (3, 7):
-            tracer.record(
-                "physics.block", 1.0, 2.0,
-                span_id=tracer.child_id(execute.id, f"b{block}"),
-                parent=execute.id, block=block,
-            )
-    tracer.close()
-    loaded = load_trace_file(tracer.path)
-    blocks = [s for s in loaded["spans"] if s["name"] == "physics.block"]
-    assert [s["id"] for s in blocks] == ["w0:000000/b3", "w0:000000/b7"]
-    assert all(s["parent"] == "w0:000000" for s in blocks)
-    assert all(s["open"] is False for s in blocks)
+def test_loader_reads_complete_span_lines_of_older_traces(tmp_path):
+    """Traces written before per-block spans went hold one-line
+    ``"k": "span"`` records; the loader still reads them as closed
+    spans under their parent."""
+    header = {"k": "header", "format": TRACE_FORMAT, "version": TRACE_VERSION,
+              "label": "w0", "pid": 1, "wall_start": 0.0}
+    lines = [
+        header,
+        {"k": "b", "id": "w0:000000", "parent": None,
+         "name": "physics.execute", "t0": 1.0},
+        {"k": "span", "id": "w0:000000/b3", "parent": "w0:000000",
+         "name": "physics.block", "t0": 1.0, "t1": 2.0,
+         "attrs": {"block": 3, "pages": 4}},
+        {"k": "e", "id": "w0:000000", "t1": 2.5},
+    ]
+    path = tmp_path / "trace-w0.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    loaded = load_trace_file(path)
+    assert loaded["skipped"] == 0
+    named = spans_by_name(loaded)
+    block = named["physics.block"]
+    assert block["id"] == "w0:000000/b3"
+    assert block["parent"] == named["physics.execute"]["id"]
+    assert (block["t0"], block["t1"], block["open"]) == (1.0, 2.0, False)
+    assert block["attrs"] == {"block": 3, "pages": 4}
 
 
 def test_detached_spans_do_not_become_implicit_parents(tmp_path):

@@ -318,14 +318,11 @@ def test_timed_out_task_is_killed_and_the_next_task_runs():
 
 
 def test_default_worker_counts_honour_the_cpu_affinity_mask(monkeypatch):
-    """Under taskset or a container CPU mask the one default count, of
-    sweep workers and of ``threaded`` executor threads alike, is the CPUs
-    this process may run on, not every CPU of the machine."""
-    from repro.controller import BlockExecutor
-
+    """Under taskset or a container CPU mask the default count of sweep
+    workers is the CPUs this process may run on, not every CPU of the
+    machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert default_workers() == 1
-    assert BlockExecutor.from_spec("threaded").workers == 1
 
 
 def test_scenario_failure_round_trips_under_spawn(monkeypatch):

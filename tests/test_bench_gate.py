@@ -52,26 +52,26 @@ def test_gate_catches_campaign_overhead_drift():
 
 def test_gate_catches_missing_sections_and_keys():
     problems = check_bench.check({})
-    assert any("intra_scenario" in p for p in problems)
+    assert any("sweep_parallel" in p for p in problems)
     data = _committed()
-    del data["intra_scenario"]["serial_ops_per_sec"]
+    del data["sweep_parallel"]["seconds_workers_1"]
     assert any(
-        "serial_ops_per_sec" in p for p in check_bench.check(data)
+        "seconds_workers_1" in p for p in check_bench.check(data)
     )
 
 
 def test_core_gated_floor_arms_only_with_enough_cpus():
     data = _committed()
     # Not armed on a small machine, even with a "bad" speedup recorded.
-    data["intra_scenario"]["cpu_count"] = 1
-    data["intra_scenario"]["speedup_threaded_4"] = 0.5
+    data["sweep_parallel"]["cpu_count"] = 2
+    data["sweep_parallel"]["speedup_workers_4"] = 0.5
     assert check_bench.check(data) == []
     # Armed (and failing) when the recording machine had the cores.
-    data["intra_scenario"]["cpu_count"] = 8
+    data["sweep_parallel"]["cpu_count"] = 8
     problems = check_bench.check(data)
-    assert any("speedup_threaded_4" in p for p in problems)
+    assert any("speedup_workers_4" in p for p in problems)
     # And passing when the speedup holds.
-    data["intra_scenario"]["speedup_threaded_4"] = 2.1
+    data["sweep_parallel"]["speedup_workers_4"] = 2.1
     assert check_bench.check(data) == []
 
 

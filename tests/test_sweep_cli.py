@@ -1,5 +1,5 @@
 """``python -m repro.sweep`` grid construction: multi-valued axes,
-executor plumbing, and a tiny end-to-end run."""
+deleted flags, and a tiny end-to-end run."""
 
 import json
 import os
@@ -23,7 +23,6 @@ def test_default_grid_is_single_cell():
     assert len(grid) == 1
     scenario = grid.scenarios()[0]
     assert scenario.policy.name == "baseline"
-    assert scenario.backend.executor == "serial"
 
 
 def test_multi_valued_reclaim_builds_ablation_axis():
@@ -67,23 +66,14 @@ def test_duplicate_axis_values_fail_cleanly():
 
 
 def test_executor_flags(capsys):
-    """--executor takes the executor spec string and checks it at parse
-    time; the deleted --executor-workers is a usage error."""
-    grid = build_grid(_args("--backend", "flash_chip", "--executor", "threaded"))
-    assert grid.backends[0].executor == "threaded"
-    grid = build_grid(
-        _args("--backend", "flash_chip", "--executor", "threaded:3")
-    )
-    assert grid.backends[0].executor == "threaded:3"
-    with pytest.raises(SystemExit) as excinfo:
-        _args("--executor", "threaded:0")
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "--executor" in err and "bad executor worker count" in err
-    with pytest.raises(SystemExit) as excinfo:
-        _args("--executor-workers", "3")
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    """Reads run serially, so the deleted --executor (even with
+    ``serial``) and --executor-workers are usage errors."""
+    for argv in (["--executor", "serial"], ["--executor", "threaded:2"],
+                 ["--executor-workers", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            _args("--backend", "flash_chip", *argv)
+        assert excinfo.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize(

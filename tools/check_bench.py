@@ -14,14 +14,14 @@ reads the committed ``BENCH_physics.json`` at the repo root and fails
    stay within 2% of the untraced flash-chip row, a campaign within
    1.25x of the in-process runner).
 
-Core-count-gated floors (the multi-core speedups) only apply when the
-*recorded* payload says the recording machine had enough CPUs: a 1-CPU
-container legitimately records ~1x sweep and executor speedups, and the
+Core-count-gated floors (the multi-core sweep speedups) only apply when
+the *recorded* payload says the recording machine had enough CPUs: a
+1-CPU container legitimately records ~1x sweep speedups, and the
 payloads carry ``cpu_count`` (the CPUs the recording process could run
 on) exactly so this gate can tell the difference.  Each floor names its
-own core count: the ``workers=2`` sweep floor (>=1.3x) and the
-``threaded:2`` read-phase floor (>=1.1x) arm on a recording from >=2
-CPUs, the 4-worker/4-thread floors (>=1.5x) on one from >=4 CPUs.
+own core count: the ``workers=2`` sweep floor (>=1.3x) arms on a
+recording from >=2 CPUs, the 4-worker floor (>=1.5x) on one from >=4
+CPUs.
 
 Run from the repo root: ``python tools/check_bench.py``.
 """
@@ -68,10 +68,6 @@ CORE_GATED_FLOORS = [
     # Two pool workers on two real cores (1.6x recorded on a 2-vCPU host).
     ("sweep_parallel", "speedup_workers_2", 1.3, 2),
     ("sweep_parallel", "speedup_workers_4", 1.5, 4),
-    # Two threads splitting read flushes' per-block sense+decode on
-    # 16,384-bitline blocks; the write phase is recorded, not floored.
-    ("intra_scenario", "speedup_threaded_2", 1.1, 2),
-    ("intra_scenario", "speedup_threaded_4", 1.5, 4),
 ]
 
 #: keys that must exist per section even when no floor binds (so a bench
@@ -85,12 +81,6 @@ REQUIRED_KEYS = {
     ],
     "physics_hotpath": ["decode_relaxed_pages_per_sec_batched"],
     "sweep_parallel": ["cpu_count", "seconds_workers_1"],
-    "intra_scenario": [
-        "cpu_count",
-        "seconds_serial",
-        "serial_ops_per_sec",
-        "write_seconds_serial",
-    ],
     # No floor on the append rate (fsync latency is filesystem-dependent)
     # — the gate only demands the durability-overhead row keeps being
     # recorded alongside the ratio the README quotes.

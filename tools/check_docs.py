@@ -37,14 +37,9 @@ REPO = Path(__file__).resolve().parent.parent
 DOCUMENTED_NAMES = [
     "flash.block.FlashBlock.page_error_counts",
     "flash.block.FlashBlock.threshold_sweep_counts",
-    "flash.block.FlashBlock.block_voltages",
     "flash.block.FlashBlock.invalidate_voltage_cache",
     "flash.block.FlashBlock.record_retry_sweep",
     "flash.block.FlashBlock.program_wordline_bits",
-    "controller.executor.BlockExecutor",
-    "controller.executor.BlockExecutor.from_spec",
-    "controller.executor.BlockExecutor.map",
-    "workloads.grid.parse_executor_spec",
     "rng.block_spawn_key",
     "workloads.trace_cache.generated_trace",
     "ecc.decoder.EccDecoder.check_pages",
@@ -93,10 +88,6 @@ README_QUOTES = [
      "physics_hotpath.decode_relaxed_speedup"),
     ("full-block RBER measurement", "throughput", r"([\d.]+)x over scalar",
      "physics_hotpath.block_rber_speedup"),
-    ("intra-scenario executor (`threaded:N`), read phase", "throughput",
-     r"([\d.]+)x at `threaded:2`", "intra_scenario.speedup_threaded_2"),
-    ("intra-scenario executor (`threaded:N`), read phase", "notes",
-     r"serial's code \(([\d.]+)x\)", "intra_scenario.write_speedup_threaded_2"),
     ("sharded sweeps (`workers=N`)", "throughput", r"([\d.]+)x at `workers=2`",
      "sweep_parallel.speedup_workers_2"),
 ]

@@ -3,10 +3,9 @@
 #
 # The committed BENCH_physics.json is *data recorded on one machine*;
 # tools/check_bench.py gates later commits against it.  The multi-core
-# speedup floors arm themselves only when the recorded payloads carry
-# enough cores: the workers=2 sweep floor (>=1.3x) and the threaded:2
-# read-phase floor (>=1.1x) need cpu_count >= 2, the 4-worker sweep and
-# threaded:4 floors (>=1.5x) need cpu_count >= 4.  cpu_count counts the
+# sweep floors arm themselves only when the recorded payloads carry
+# enough cores: the workers=2 floor (>=1.3x) needs cpu_count >= 2, the
+# 4-worker floor (>=1.5x) needs cpu_count >= 4.  cpu_count counts the
 # CPUs in the recording process's affinity mask (nproc reports the
 # same), so a taskset or cpuset cannot arm floors it has no cores for.
 # Re-recording on such a machine is what turns them on.  Procedure:
@@ -33,7 +32,6 @@ PYTHONPATH=src python -m pytest \
     benchmarks/bench_engine_throughput.py \
     benchmarks/bench_physics_hotpath.py \
     benchmarks/bench_sweep_parallel.py \
-    benchmarks/bench_intra_scenario.py \
     benchmarks/bench_campaign_store.py \
     -o python_functions='bench_*' -q "$@"
 
